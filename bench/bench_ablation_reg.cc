@@ -50,7 +50,7 @@ int main() {
         generated.networks.target());
     SlamPred model(options.slampred);
     SLAMPRED_CHECK(model.Fit(generated.networks, full_graph).ok());
-    const double sparsity = model.ScoreMatrix().Sparsity();
+    const double sparsity = DenseScoreMatrix(*model.scores()).Sparsity();
 
     table.AddRow({cell.label, FormatDouble(cell.gamma, 1),
                   FormatDouble(cell.tau, 1),

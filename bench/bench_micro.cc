@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -565,7 +566,7 @@ void BM_TopKQuantized(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   ThreadCountGuard guard(static_cast<std::size_t>(state.range(1)));
   ModelArtifact artifact;
-  artifact.s = RandomMatrix(n, 24);
+  artifact.scores = std::make_shared<DenseScores>(RandomMatrix(n, 24));
   ArtifactQuantizerOptions options;
   options.bits = QuantizationBits::kU8;
   ScoringSession session = ScoringSession::FromArtifact(

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/score_shards.h"
 #include "graph/cluster_extract.h"
 #include "optim/factored_solver.h"
 #include "optim/objective.h"
@@ -231,9 +232,10 @@ Status SolveStage::Run(FitContext& context) const {
     auto solution = SolveCccpFactored(objective, config_.optimization,
                                       config_.factored, &context.trace);
     if (!solution.ok()) return solution.status();
-    context.s_factored = std::move(solution).value();
-    context.memory_stats.iterate_bytes = context.s_factored.EstimatedBytes();
-    context.memory_stats.solver_rank = context.s_factored.rank();
+    context.memory_stats.iterate_bytes = solution.value().EstimatedBytes();
+    context.memory_stats.solver_rank = solution.value().rank();
+    context.scores =
+        std::make_shared<FactoredScores>(std::move(solution).value());
     return Status::OK();
   }
 
@@ -248,9 +250,8 @@ Status SolveStage::Run(FitContext& context) const {
 
   auto solution = SolveCccp(objective, config_.optimization, &context.trace);
   if (!solution.ok()) return solution.status();
-  context.s = std::move(solution).value();
-  context.memory_stats.iterate_bytes =
-      context.s.data().size() * sizeof(double);
+  context.scores = std::make_shared<DenseScores>(std::move(solution).value());
+  context.memory_stats.iterate_bytes = context.scores->EstimatedBytes();
   return Status::OK();
 }
 
@@ -341,13 +342,7 @@ Status FitClusterOnce(const SlamPredConfig& model_config,
   for (const std::size_t u : members) {
     out.shard.users.push_back(static_cast<std::uint32_t>(u));
   }
-  if (sub.solver_backend == SolverBackend::kFactored) {
-    out.shard.low_rank = std::move(sub_context.s_factored);
-    out.shard.has_low_rank = true;
-  } else {
-    out.shard.s = std::move(sub_context.s);
-    out.shard.has_low_rank = false;
-  }
+  out.shard.block = std::move(sub_context.scores);
   return Status::OK();
 }
 
@@ -465,6 +460,7 @@ Status PartitionedSolveStage::Run(FitContext& context) const {
   context.trace = CccpTrace();
   context.trace.converged = true;
   Status first_failure = Status::OK();
+  std::size_t max_rank = 0;
   std::vector<ModelShard> shards;
   shards.reserve(num_clusters);
   for (std::size_t c = 0; c < num_clusters; ++c) {
@@ -494,6 +490,7 @@ Status PartitionedSolveStage::Run(FitContext& context) const {
         result.memory.adapted_tensor_dense_bytes;
     context.memory_stats.peak_bytes =
         std::max(context.memory_stats.peak_bytes, result.memory.peak_bytes);
+    max_rank = std::max(max_rank, result.memory.solver_rank);
     if (!result.status.ok() && first_failure.ok()) {
       first_failure = Status(
           result.status.code(),
@@ -504,20 +501,25 @@ Status PartitionedSolveStage::Run(FitContext& context) const {
   }
   SLAMPRED_RETURN_NOT_OK(first_failure);
 
-  auto sharded = ShardedScores::Create(std::move(shards), CsrMatrix(), n);
-  if (!sharded.ok()) return sharded.status();
-  context.shards = std::move(sharded).value();
-
+  // The refinement reads the blocks alone; the model is the blocks
+  // plus the refined boundary.
+  auto blocks = ShardedScores::Create(std::move(shards), nullptr, n);
+  if (!blocks.ok()) return blocks.status();
   Stopwatch refine_watch;
-  SLAMPRED_RETURN_NOT_OK(context.shards.AttachBoundary(RefineBoundary(
-      context.shards, context.partition.cluster_of, *context.target_structure,
-      config_.partition.max_boundary_candidates)));
+  auto sharded = ShardedScores::Create(
+      blocks.value()->shards(),
+      std::make_shared<BoundaryScores>(RefineBoundary(
+          *blocks.value(), context.partition.cluster_of,
+          *context.target_structure,
+          config_.partition.max_boundary_candidates)),
+      n);
+  if (!sharded.ok()) return sharded.status();
   context.partition_stats.refine_seconds = refine_watch.ElapsedSeconds();
+  context.scores = std::move(sharded).value();
 
-  context.memory_stats.iterate_bytes = context.shards.EstimatedBytes();
+  context.memory_stats.iterate_bytes = context.scores->EstimatedBytes();
   context.memory_stats.iterate_dense_bytes = n * n * sizeof(double);
-  context.memory_stats.solver_rank = context.shards.MaxRank();
-  context.partitioned = true;
+  context.memory_stats.solver_rank = max_rank;
   return Status::OK();
 }
 

@@ -25,15 +25,13 @@
 #include <memory>
 #include <vector>
 
-#include "core/score_shards.h"
+#include "core/score_source.h"
 #include "core/slampred.h"
 #include "embedding/domain_adapter.h"
 #include "features/feature_tensor.h"
 #include "graph/aligned_networks.h"
 #include "graph/partitioner.h"
 #include "graph/social_graph.h"
-#include "linalg/factored_matrix.h"
-#include "linalg/matrix.h"
 #include "linalg/sparse_tensor3.h"
 #include "optim/cccp.h"
 #include "optim/solver_backend.h"
@@ -64,22 +62,14 @@ struct FitContext {
   /// Set by EmbeddingStage: adapted tensors in target coordinates.
   std::vector<SparseTensor3> adapted_tensors;
 
-  /// Set by SolveStage: the fitted predictor matrix and its trace. A
-  /// dense-backend solve fills `s`; a factored one fills `s_factored`
-  /// and leaves `s` empty.
-  Matrix s;
-  FactoredMatrix s_factored;
+  /// Set by SolveStage (dense or factored S) or PartitionedSolveStage
+  /// (the sharded composite): the fitted predictor, plus its trace.
+  std::shared_ptr<const ScoreSource> scores;
   CccpTrace trace;
 
   /// Set by PartitionStage (partitioned pipeline only): the clustering
   /// of the training structure the per-cluster solves run on.
   GraphPartition partition;
-
-  /// Set by PartitionedSolveStage: the per-cluster score shards plus
-  /// the boundary-refinement scores; `partitioned` marks success so the
-  /// model dispatches scoring to `shards`.
-  ShardedScores shards;
-  bool partitioned = false;
 
   /// Diagnostics accumulated across stages. `partition_stats` carries
   /// the cluster summary and per-cluster solve timings of a partitioned
@@ -175,7 +165,7 @@ struct SolveStageConfig {
 SolveStageConfig SolveStageConfigFrom(const SlamPredConfig& config);
 
 /// Assembles the objective (intimacy weights + constant CCCP gradient)
-/// and runs Algorithm 1, producing context.s.
+/// and runs Algorithm 1, producing context.scores.
 class SolveStage : public FitStage {
  public:
   explicit SolveStage(SolveStageConfig config) : config_(std::move(config)) {}

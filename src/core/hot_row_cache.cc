@@ -126,4 +126,17 @@ bool HotRowCache::operator==(const HotRowCache& other) const {
   return true;
 }
 
+HotRow SnapshotHotRow(const ScoreSource& scores, std::uint32_t user,
+                      const TopKRowOrder& order, std::size_t max_entries) {
+  HotRow row;
+  row.user = user;
+  row.complete = order.size() <= max_entries;
+  const std::size_t keep = std::min(order.size(), max_entries);
+  row.entries.reserve(keep);
+  for (std::size_t i = 0; i < keep; ++i) {
+    row.entries.push_back({order[i], scores.At(user, order[i])});
+  }
+  return row;
+}
+
 }  // namespace slampred

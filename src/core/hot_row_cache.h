@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/score_source.h"
 #include "util/status.h"
 
 namespace slampred {
@@ -85,6 +86,12 @@ class HotRowCache {
  private:
   std::vector<HotRow> rows_;  // sorted by user ascending
 };
+
+/// The hot row of `user` under `scores`: the first `max_entries`
+/// columns of `order` (the user's full serve order, scores.RowOrder)
+/// with their scores, marked complete when the whole order fits.
+HotRow SnapshotHotRow(const ScoreSource& scores, std::uint32_t user,
+                      const TopKRowOrder& order, std::size_t max_entries);
 
 }  // namespace slampred
 

@@ -1,9 +1,9 @@
 // Versioned binary model artifact — the train-once / serve-many
 // boundary. A fitted SlamPred exports an artifact (config + predictor
-// matrix S + optionally the adapted CSR tensors); ScoringSession loads
-// it back and serves scores with no refit. Scores from a loaded
-// artifact are bit-identical to the in-memory model: S round-trips
-// through exact IEEE-754 bit patterns.
+// S in any ScoreSource form + optionally the adapted CSR tensors);
+// ScoringSession loads it back and serves scores with no refit. Scores
+// from a loaded artifact are bit-identical to the in-memory model: S
+// round-trips through exact IEEE-754 bit patterns.
 //
 // On-disk format (little-endian; see DESIGN.md "Fit pipeline and model
 // artifacts" for the full table):
@@ -24,15 +24,13 @@
 #define SLAMPRED_CORE_MODEL_ARTIFACT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/hot_row_cache.h"
-#include "core/score_shards.h"
+#include "core/score_source.h"
 #include "core/slampred.h"
-#include "linalg/factored_matrix.h"
-#include "linalg/matrix.h"
-#include "linalg/quantized_matrix.h"
 #include "linalg/sparse_tensor3.h"
 #include "util/status.h"
 
@@ -48,37 +46,18 @@ struct ModelArtifact {
   /// regularization weights, the solver settings — everything needed to
   /// reproduce or identify the model).
   SlamPredConfig config;
-  /// The fitted predictor matrix S (n x n). Empty when the model was
-  /// fitted with the factored backend — `low_rank` holds S = U·Vᵀ then.
-  Matrix s;
-  /// The factored predictor S = U·Vᵀ of a factored-backend fit, stored
-  /// as its own checksummed section so artifacts stay O(n·r). Presence
-  /// of this section marks the artifact as factored at load time
-  /// (config.solver_backend is forced to kFactored); old readers skip
-  /// the unknown section and reject only because `s` is absent.
-  FactoredMatrix low_rank;
-  bool has_low_rank = false;
+  /// The fitted predictor S, shared with the model or artifact it was
+  /// copied from. Its form picks the score sections written: a dense
+  /// matrix, U·Vᵀ factors, quantized codes, or a sharded manifest plus
+  /// one section per shard and the boundary. Each is a checksummed
+  /// section that readers predating it skip, failing cleanly on the
+  /// missing score matrix.
+  std::shared_ptr<const ScoreSource> scores;
   /// Optionally the adapted feature tensors X̂^k of the fit (target
   /// coordinates, CSR) — for artifact consumers that post-process
   /// features; omitted by default to keep serving artifacts small.
   std::vector<SparseTensor3> adapted_tensors;
   bool has_adapted_tensors = false;
-  /// The sharded predictor of a partitioned fit: every cluster's score
-  /// block is its own checksummed section (independently replaceable at
-  /// serve time), preceded by a manifest section mapping clusters to
-  /// their user ranges and followed by the boundary-refinement CSR.
-  /// Presence marks the artifact as partitioned; readers predating the
-  /// sections skip them and fail cleanly on the missing score matrix.
-  ShardedScores shards;
-  bool has_shards = false;
-  /// Quantized full score matrix (DESIGN.md §15): per-row scale/offset
-  /// plus u8/u16 codes, written in place of the float payload by the
-  /// artifact quantizer for dense and factored-densified models.
-  /// Quantized SHARDED models instead carry quantized blocks inside
-  /// `shards`. Readers predating the section skip it (checksums still
-  /// verified) and reject only because no float score matrix follows.
-  QuantizedMatrix quantized_s;
-  bool has_quantized_s = false;
   /// Precomputed top-K row prefixes for the hot-user set, snapshotted
   /// from the FLOAT scores before quantization dropped them, so serving
   /// a hot user is bit-equal to a float session's lazily-built order.

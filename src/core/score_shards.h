@@ -1,137 +1,94 @@
-// Sharded predictor container — the merge product of the hierarchical
-// partitioned solve. Each cluster's sub-fit yields one ModelShard (the
-// cluster's member list plus its dense or factored score block in local
-// coordinates); cross-cluster pairs are scored from the boundary
-// refinement CSR (global coordinates, symmetric) or default to 0 when
-// uncovered. ShardedScores stitches the shards back into one
-// n-user scoring surface, and is what a sharded model artifact carries
-// and a ScoringSession serves from — shard by shard, never densified
-// to n×n.
+// Sharded predictor — the merge product of the hierarchical
+// partitioned solve, and the composite ScoreSource. Each cluster's
+// sub-fit yields one ModelShard: the cluster's member list plus its
+// score block, itself a source in local coordinates. Cross-cluster
+// pairs are scored from the boundary source (global coordinates,
+// symmetric) or default to 0 when uncovered. ShardedScores stitches the
+// shards back into one n-user source, served shard by shard and never
+// densified to n×n.
 
 #ifndef SLAMPRED_CORE_SCORE_SHARDS_H_
 #define SLAMPRED_CORE_SCORE_SHARDS_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "linalg/csr_matrix.h"
-#include "linalg/factored_matrix.h"
-#include "linalg/matrix.h"
-#include "linalg/quantized_matrix.h"
+#include "core/score_source.h"
 #include "util/status.h"
 
 namespace slampred {
 
-class BinaryReader;
-class BinaryWriter;
-
-/// One cluster's fitted score block: the ascending global user ids of
-/// its members and their scores in local coordinates (dense or
-/// factored, matching the sub-fit's solver backend).
+/// One cluster's fitted score block.
 struct ModelShard {
   /// Ascending global user ids of the shard's members.
   std::vector<std::uint32_t> users;
-  /// Dense block (users.size() × users.size()); empty when factored.
-  Matrix s;
-  /// Factored block S = U·Vᵀ of a factored sub-fit.
-  FactoredMatrix low_rank;
-  bool has_low_rank = false;
-  /// Quantized block of a quantized artifact (DESIGN.md §15): the
-  /// densified cluster block stored as a canonical upper triangle of
-  /// u8/u16 codes. Takes precedence over the float representations.
-  QuantizedSymmetricDense quantized;
-  bool has_quantized = false;
+  /// The members' scores in local coordinates (users.size() square).
+  std::shared_ptr<const ScoreSource> block;
 
-  std::size_t num_users() const { return users.size(); }
-
-  /// Score of the local pair (i, j); unchecked.
-  double At(std::size_t i, std::size_t j) const {
-    if (has_quantized) return quantized.At(i, j);
-    return has_low_rank ? low_rank.At(i, j) : s(i, j);
-  }
-
-  /// Factor rank of a factored block (0 for a dense one).
-  std::size_t rank() const { return has_low_rank ? low_rank.rank() : 0; }
-
-  /// Heap bytes of the member list plus the score block.
-  std::size_t EstimatedBytes() const;
-
-  /// Shape/ordering invariants (square block of the member count,
-  /// strictly ascending users).
+  /// Member ids strictly ascending; block present and sized to them.
   Status Validate() const;
-
-  void Serialize(BinaryWriter& writer) const;
-  static Result<ModelShard> Deserialize(BinaryReader& reader);
 };
 
 /// The full sharded predictor: disjoint shards covering the users
-/// [0, n) plus the symmetric boundary CSR scoring cross-cluster pairs.
-class ShardedScores {
+/// [0, n) plus an optional symmetric boundary scoring cross-cluster
+/// pairs.
+class ShardedScores final : public ScoreSource {
  public:
-  /// Empty (unsharded) container.
-  ShardedScores() = default;
-
   /// Validates and assembles: the shards must cover [0, num_users)
-  /// exactly once and `boundary` must be empty or num_users square.
-  static Result<ShardedScores> Create(std::vector<ModelShard> shards,
-                                      CsrMatrix boundary,
-                                      std::size_t num_users);
+  /// exactly once and `boundary`, when present, must be num_users
+  /// square.
+  static Result<std::shared_ptr<const ShardedScores>> Create(
+      std::vector<ModelShard> shards,
+      std::shared_ptr<const ScoreSource> boundary, std::size_t num_users);
 
-  /// Replaces the boundary CSR (same shape rules as Create). Used by
-  /// the solve stage, which assembles shards first and computes the
-  /// refinement from them.
-  Status AttachBoundary(CsrMatrix boundary);
-
-  /// Attaches a quantized boundary (empty or num_users square). A
-  /// quantized boundary takes precedence over the float one when both
-  /// are present (loaders attach exactly one).
-  Status AttachQuantizedBoundary(QuantizedSymmetricCsr boundary);
-
-  /// Replaces shard `index` with `shard`, which must cover exactly the
-  /// same users (hot-swapping a shard never changes the partition).
-  Status ReplaceShard(std::size_t index, ModelShard shard);
-
-  bool empty() const { return cluster_of_.empty(); }
-  std::size_t num_users() const { return cluster_of_.size(); }
   std::size_t num_shards() const { return shards_.size(); }
   const std::vector<ModelShard>& shards() const { return shards_; }
-  const CsrMatrix& boundary() const { return boundary_; }
-  const QuantizedSymmetricCsr& quantized_boundary() const {
-    return quantized_boundary_;
+  /// The boundary, or null when every cross-shard pair scores 0.
+  const std::shared_ptr<const ScoreSource>& boundary() const {
+    return boundary_;
   }
-  bool has_quantized_boundary() const { return has_quantized_boundary_; }
 
-  /// True when any shard block or the boundary is quantized.
-  bool IsQuantized() const;
+  std::size_t num_users() const override { return cluster_of_.size(); }
 
-  /// Shard index / in-shard index of user `u` (unchecked).
-  std::uint32_t shard_of(std::size_t u) const { return cluster_of_[u]; }
-  std::size_t local_index(std::size_t u) const { return local_index_[u]; }
+  /// Same shard → block lookup; different shards → boundary (0 when
+  /// uncovered).
+  double At(std::size_t u, std::size_t v) const override;
 
-  /// Score of the global pair (u, v); unchecked. Same shard → block
-  /// lookup; different shards → boundary CSR (0 when uncovered).
-  double At(std::size_t u, std::size_t v) const;
+  void RowInto(std::size_t u, std::vector<double>& out) const override;
 
-  /// Fills `out` (resized to num_users) with the full score row of
-  /// `u`: the own-shard block scattered to global columns, boundary
-  /// entries for cross-shard columns, 0 elsewhere.
-  void RowScores(std::size_t u, std::vector<double>& out) const;
+  /// Three-way ordered merge of the own-shard block row, the non-zero
+  /// boundary entries and the zero tail of the remaining columns, each
+  /// in serve order: O(n + m log m) for the m non-zero columns instead
+  /// of the O(n log n) full-row argsort.
+  TopKRowOrder RowOrder(std::size_t u) const override;
 
-  /// Largest factor rank across the shards (0 when all dense).
-  std::size_t MaxRank() const;
+  std::size_t EstimatedBytes() const override;
+  bool quantized() const override;
+  std::string Describe() const override;
 
-  /// Heap bytes of every shard plus the boundary CSR.
-  std::size_t EstimatedBytes() const;
+  /// Quantizes every block as a canonical upper triangle and the
+  /// boundary as a sparse symmetric matrix; nothing n²-sized is
+  /// materialised.
+  Result<std::shared_ptr<const ScoreSource>> Quantize(
+      QuantizationBits bits) const override;
 
  private:
+  ShardedScores() = default;
+
   std::vector<ModelShard> shards_;
   std::vector<std::uint32_t> cluster_of_;   // size n
   std::vector<std::uint32_t> local_index_;  // size n
-  CsrMatrix boundary_;                      // n×n symmetric, or empty
-  QuantizedSymmetricCsr quantized_boundary_;  // quantized alternative
-  bool has_quantized_boundary_ = false;
+  std::shared_ptr<const ScoreSource> boundary_;
 };
+
+/// `scores` with shard `index` replaced by `shard`, which must cover
+/// exactly the same users (hot-swapping a shard never changes the
+/// partition). kFailedPrecondition when `scores` is not sharded.
+Result<std::shared_ptr<const ScoreSource>> ReplaceShard(
+    const ScoreSource& scores, std::size_t index, ModelShard shard);
 
 }  // namespace slampred
 

@@ -11,61 +11,11 @@ Result<ScoringSession> ScoringSession::FromFile(const std::string& path) {
 }
 
 Result<ScoringSession> ScoringSession::FromArtifact(ModelArtifact artifact) {
-  if (artifact.has_shards) {
-    if (artifact.shards.empty()) {
-      return Status::InvalidArgument(
-          "sharded artifact holds no shards; nothing to serve");
-    }
-    const std::size_t n = artifact.shards.num_users();
-    return ScoringSession(std::move(artifact), Backend::kSharded, n);
-  }
-  if (artifact.has_quantized_s) {
-    // Dequantize-on-the-fly: scores are offset + scale·code reads, the
-    // quantized codes are the resident payload, and nothing float-dense
-    // is materialised at load.
-    if (artifact.quantized_s.rows() != artifact.quantized_s.cols()) {
-      return Status::InvalidArgument(
-          "artifact quantized scores must be square, got " +
-          std::to_string(artifact.quantized_s.rows()) + "x" +
-          std::to_string(artifact.quantized_s.cols()));
-    }
-    if (artifact.quantized_s.empty()) {
-      return Status::InvalidArgument(
-          "artifact holds an empty quantized score matrix; nothing to "
-          "serve");
-    }
-    const std::size_t n = artifact.quantized_s.rows();
-    return ScoringSession(std::move(artifact), Backend::kQuantized, n);
-  }
-  if (artifact.s.empty() && artifact.has_low_rank) {
-    // Served straight from the factors — At(u, v) is an O(r) dot
-    // product bit-identical to the densified entry, so nothing O(n²)
-    // is ever materialised at load.
-    if (artifact.low_rank.rows() != artifact.low_rank.cols()) {
-      return Status::InvalidArgument(
-          "artifact low-rank factors must be square, got " +
-          std::to_string(artifact.low_rank.rows()) + "x" +
-          std::to_string(artifact.low_rank.cols()));
-    }
-    if (artifact.low_rank.rows() == 0) {
-      return Status::InvalidArgument(
-          "artifact holds empty low-rank factors; nothing to serve");
-    }
-    const std::size_t n = artifact.low_rank.rows();
-    return ScoringSession(std::move(artifact), Backend::kFactored, n);
-  }
-  if (artifact.s.empty()) {
+  if (artifact.scores == nullptr || artifact.scores->num_users() == 0) {
     return Status::InvalidArgument(
-        "artifact holds an empty score matrix; nothing to serve");
+        "artifact holds no scores; nothing to serve");
   }
-  if (artifact.s.rows() != artifact.s.cols()) {
-    return Status::InvalidArgument(
-        "artifact score matrix must be square, got " +
-        std::to_string(artifact.s.rows()) + "x" +
-        std::to_string(artifact.s.cols()));
-  }
-  const std::size_t n = artifact.s.rows();
-  return ScoringSession(std::move(artifact), Backend::kDense, n);
+  return ScoringSession(std::move(artifact));
 }
 
 Result<double> ScoringSession::Score(std::size_t u, std::size_t v) const {
@@ -78,43 +28,16 @@ Result<double> ScoringSession::Score(std::size_t u, std::size_t v) const {
   return ScoreUnchecked(u, v);
 }
 
-void ScoringSession::RowScores(std::size_t u, std::vector<double>& out) const {
-  if (backend_ == Backend::kSharded) {
-    artifact_.shards.RowScores(u, out);
-    return;
-  }
-  if (backend_ == Backend::kQuantized) {
-    artifact_.quantized_s.RowScores(u, out);
-    return;
-  }
-  out.resize(num_users_);
-  if (backend_ == Backend::kDense) {
-    const double* row = artifact_.s.data().data() + u * num_users_;
-    for (std::size_t v = 0; v < num_users_; ++v) out[v] = row[v];
-    return;
-  }
-  for (std::size_t v = 0; v < num_users_; ++v) {
-    out[v] = artifact_.low_rank.At(u, v);
-  }
-}
-
 std::string ScoringSession::name() const {
   return std::string(SlamPredVariantName(artifact_.config)) + " (artifact)";
 }
 
 Result<std::vector<double>> ScoringSession::ScorePairs(
     const std::vector<UserPair>& pairs) const {
+  SLAMPRED_RETURN_NOT_OK(CheckPairsInRange(pairs, num_users_));
   std::vector<double> scores;
   scores.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const UserPair& pair = pairs[i];
-    if (pair.u >= num_users_ || pair.v >= num_users_) {
-      return Status::OutOfRange(
-          "pair " + std::to_string(i) + " = (" + std::to_string(pair.u) +
-          ", " + std::to_string(pair.v) +
-          ") outside the served score matrix (" + std::to_string(num_users_) +
-          " users)");
-    }
+  for (const UserPair& pair : pairs) {
     scores.push_back(ScoreUnchecked(pair.u, pair.v));
   }
   return scores;

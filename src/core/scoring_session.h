@@ -3,18 +3,14 @@
 // interface: Score / ScorePairs are pure lookups into the fitted
 // predictor, no fit stage ever runs, so a session is cheap to construct
 // and safe to keep hot in a serving process. Scores are bit-identical
-// to the SlamPred model the artifact was snapshotted from.
-//
-// The session dispatches on the artifact's representation instead of
-// normalising to dense at load: a factored artifact is served straight
-// from its U·Vᵀ factors (O(n·r) resident instead of the O(n²) block the
-// old densifying load paid) and a sharded one from its per-cluster
-// blocks plus the boundary CSR.
+// to the SlamPred model the artifact was snapshotted from. Every read
+// goes to the artifact's ScoreSource, whatever its form, so a factored
+// or sharded artifact is served without densifying anything n²-sized.
 
 #ifndef SLAMPRED_CORE_SCORING_SESSION_H_
 #define SLAMPRED_CORE_SCORING_SESSION_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -27,14 +23,6 @@ namespace slampred {
 /// Serves link scores from a fitted model artifact.
 class ScoringSession : public LinkPredictor {
  public:
-  /// The representation scores are read from.
-  enum class Backend : std::uint8_t {
-    kDense = 0,      ///< artifact.s element lookups.
-    kFactored = 1,   ///< artifact.low_rank.At — never densified.
-    kSharded = 2,    ///< artifact.shards block + boundary lookups.
-    kQuantized = 3,  ///< artifact.quantized_s dequantize-on-the-fly.
-  };
-
   /// Loads the artifact at `path` (offset-diagnosed kIoError on any
   /// corruption) and validates it for serving.
   static Result<ScoringSession> FromFile(const std::string& path);
@@ -45,9 +33,10 @@ class ScoringSession : public LinkPredictor {
   /// Number of users the fitted predictor covers.
   std::size_t num_users() const { return num_users_; }
 
-  Backend backend() const { return backend_; }
-
   const ModelArtifact& artifact() const { return artifact_; }
+
+  /// The served scores.
+  const ScoreSource& scores() const { return *artifact_.scores; }
 
   /// Confidence score of (u, v); kOutOfRange when either id falls
   /// outside the fitted predictor.
@@ -56,22 +45,13 @@ class ScoringSession : public LinkPredictor {
   /// Unchecked score lookup — the hot serving path; callers must have
   /// bounds-checked (u, v) against num_users().
   double ScoreUnchecked(std::size_t u, std::size_t v) const {
-    if (backend_ == Backend::kDense) return artifact_.s(u, v);
-    if (backend_ == Backend::kFactored) return artifact_.low_rank.At(u, v);
-    if (backend_ == Backend::kQuantized) return artifact_.quantized_s.At(u, v);
-    return artifact_.shards.At(u, v);
+    return artifact_.scores->At(u, v);
   }
 
-  /// True when scores come from a quantized payload (the kQuantized
-  /// backend, or a sharded backend with quantized blocks/boundary).
-  bool IsQuantized() const {
-    return backend_ == Backend::kQuantized ||
-           (backend_ == Backend::kSharded && artifact_.shards.IsQuantized());
+  /// Fills `out` (resized to num_users) with u's full score row.
+  void RowScores(std::size_t u, std::vector<double>& out) const {
+    artifact_.scores->RowInto(u, out);
   }
-
-  /// Fills `out` (resized to num_users) with u's full score row —
-  /// whichever backend, without materialising anything n²-sized.
-  void RowScores(std::size_t u, std::vector<double>& out) const;
 
   /// Variant name of the underlying config, marked as artifact-served.
   std::string name() const override;
@@ -81,14 +61,11 @@ class ScoringSession : public LinkPredictor {
       const std::vector<UserPair>& pairs) const override;
 
  private:
-  ScoringSession(ModelArtifact artifact, Backend backend,
-                 std::size_t num_users)
+  explicit ScoringSession(ModelArtifact artifact)
       : artifact_(std::move(artifact)),
-        backend_(backend),
-        num_users_(num_users) {}
+        num_users_(artifact_.scores->num_users()) {}
 
   ModelArtifact artifact_;
-  Backend backend_ = Backend::kDense;
   std::size_t num_users_ = 0;
 };
 

@@ -55,7 +55,8 @@ Status SlamPred::Fit(const AlignedNetworks& networks,
   // A second Fit of the same object starts from clean stats: the
   // context below is fresh, and every stat member is overwritten from
   // it — even on failure, so stale numbers from a previous fit never
-  // survive.
+  // survive. The scores are replaced only on success, so a failed refit
+  // keeps answering from the previous fit.
   // The fit runs on a single thread (nested ParallelFor serialises), so
   // the thread-local SVD accumulator delta is this fit's own SVD total.
   const double svd_seconds_before = SvdSecondsThisThread();
@@ -75,18 +76,13 @@ Status SlamPred::Fit(const AlignedNetworks& networks,
   partition_stats_ = context.partition_stats;
   trace_ = std::move(context.trace);
   adapted_tensors_ = std::move(context.adapted_tensors);
-  partitioned_ = false;
   if (!run.ok()) return run;
-  s_ = std::move(context.s);
-  s_factored_ = std::move(context.s_factored);
-  shards_ = std::move(context.shards);
-  partitioned_ = context.partitioned;
-  fitted_ = true;
+  scores_ = std::move(context.scores);
   return Status::OK();
 }
 
 Result<double> SlamPred::Score(std::size_t u, std::size_t v) const {
-  if (!fitted_) {
+  if (!fitted()) {
     return Status::FailedPrecondition("SLAMPRED scored before Fit");
   }
   const std::size_t n = NumUsersFitted();
@@ -96,36 +92,21 @@ Result<double> SlamPred::Score(std::size_t u, std::size_t v) const {
         ") outside the fitted score matrix (" + std::to_string(n) +
         " users)");
   }
-  if (partitioned_) return shards_.At(u, v);
-  if (config_.solver_backend == SolverBackend::kFactored) {
-    return s_factored_.At(u, v);
-  }
-  return s_(u, v);
+  return scores_->At(u, v);
 }
 
 std::string SlamPred::name() const { return SlamPredVariantName(config_); }
 
 Result<std::vector<double>> SlamPred::ScorePairs(
     const std::vector<UserPair>& pairs) const {
-  if (!fitted_) {
+  if (!fitted()) {
     return Status::FailedPrecondition("SLAMPRED scored before Fit");
   }
-  const std::size_t n = NumUsersFitted();
-  const bool factored = config_.solver_backend == SolverBackend::kFactored;
+  SLAMPRED_RETURN_NOT_OK(CheckPairsInRange(pairs, NumUsersFitted(), "fitted"));
   std::vector<double> scores;
   scores.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const UserPair& pair = pairs[i];
-    if (pair.u >= n || pair.v >= n) {
-      return Status::OutOfRange(
-          "pair " + std::to_string(i) + " = (" + std::to_string(pair.u) +
-          ", " + std::to_string(pair.v) +
-          ") outside the fitted score matrix (" + std::to_string(n) +
-          " users)");
-    }
-    scores.push_back(partitioned_ ? shards_.At(pair.u, pair.v)
-                     : factored  ? s_factored_.At(pair.u, pair.v)
-                                 : s_(pair.u, pair.v));
+  for (const UserPair& pair : pairs) {
+    scores.push_back(scores_->At(pair.u, pair.v));
   }
   return scores;
 }

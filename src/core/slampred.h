@@ -17,18 +17,17 @@
 #define SLAMPRED_CORE_SLAMPRED_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "baselines/link_predictor.h"
-#include "core/score_shards.h"
+#include "core/score_source.h"
 #include "embedding/domain_adapter.h"
 #include "features/feature_tensor.h"
 #include "graph/aligned_networks.h"
 #include "graph/partitioner.h"
 #include "graph/social_graph.h"
-#include "linalg/factored_matrix.h"
-#include "linalg/matrix.h"
 #include "optim/cccp.h"
 #include "optim/solver_backend.h"
 #include "util/status.h"
@@ -184,36 +183,29 @@ class SlamPred : public LinkPredictor {
   Status Fit(const AlignedNetworks& networks,
              const SocialGraph& target_structure);
 
-  /// The inferred predictor matrix S (valid after a dense-backend Fit;
-  /// empty after a factored fit — use FactoredScoreMatrix there).
-  const Matrix& ScoreMatrix() const { return s_; }
+  /// The fitted predictor S (null before the first successful Fit): a
+  /// dense matrix, U·Vᵀ factors, or the sharded composite of a
+  /// partitioned fit. Artifacts made from the model share it.
+  const std::shared_ptr<const ScoreSource>& scores() const { return scores_; }
 
-  /// The factored predictor S = U·Vᵀ (valid after a factored-backend
-  /// Fit; empty factors otherwise).
-  const FactoredMatrix& FactoredScoreMatrix() const { return s_factored_; }
-
-  /// True after a partitioned Fit (config.partition.mode == kAuto):
-  /// scores come from ShardedScoreMatrix, not s / s_factored.
-  bool partitioned() const { return partitioned_; }
-
-  /// The sharded predictor of a partitioned Fit (empty otherwise).
-  const ShardedScores& ShardedScoreMatrix() const { return shards_; }
+  /// True once a partitioned Fit (config.partition.mode == kAuto) has
+  /// succeeded: scores() is then the sharded composite.
+  bool partitioned() const {
+    return fitted() && config_.partition.mode == PartitionMode::kAuto;
+  }
 
   /// Partition summary and per-cluster solve timings of a partitioned
   /// Fit (zeroed otherwise).
   const PartitionStats& partition_stats() const { return partition_stats_; }
 
-  /// Number of users the fitted predictor covers, whichever backend
-  /// produced it.
+  /// Number of users the fitted predictor covers (0 before Fit).
   std::size_t NumUsersFitted() const {
-    if (partitioned_) return shards_.num_users();
-    return config_.solver_backend == SolverBackend::kFactored
-               ? s_factored_.rows()
-               : s_.rows();
+    return fitted() ? scores_->num_users() : 0;
   }
 
-  /// True once Fit has succeeded.
-  bool fitted() const { return fitted_; }
+  /// True once Fit has succeeded. A failed refit keeps the previous
+  /// fit's scores.
+  bool fitted() const { return scores_ != nullptr; }
 
   /// Confidence score of the potential link (u, v). Fails with
   /// kFailedPrecondition before Fit and kOutOfRange when either user id
@@ -242,16 +234,12 @@ class SlamPred : public LinkPredictor {
 
  private:
   SlamPredConfig config_;
-  Matrix s_;
-  FactoredMatrix s_factored_;
-  ShardedScores shards_;
+  std::shared_ptr<const ScoreSource> scores_;
   PartitionStats partition_stats_;
-  bool partitioned_ = false;
   CccpTrace trace_;
   FitPhaseTimes phase_times_;
   FitMemoryStats memory_stats_;
   std::vector<SparseTensor3> adapted_tensors_;
-  bool fitted_ = false;
 };
 
 }  // namespace slampred

@@ -6,7 +6,6 @@
 
 #include "core/hot_row_cache.h"
 #include "core/scoring_session.h"
-#include "serve/topk_index.h"
 
 namespace slampred {
 namespace {
@@ -31,44 +30,12 @@ std::vector<std::uint32_t> ResolveHotUsers(
   return users;
 }
 
-// Snapshots the hot rows from the float session — the oracle order and
-// the oracle scores, taken before the float payload is dropped.
-HotRowCache SnapshotHotRows(const ScoringSession& session,
-                            const std::vector<std::uint32_t>& users,
-                            std::size_t max_entries) {
-  HotRowCache cache;
-  for (const std::uint32_t u : users) {
-    TopKRowOrder order = BuildTopKRowOrder(session, u);
-    HotRow row;
-    row.user = u;
-    row.complete = order.size() <= max_entries;
-    const std::size_t keep = std::min(order.size(), max_entries);
-    row.entries.reserve(keep);
-    for (std::size_t i = 0; i < keep; ++i) {
-      row.entries.push_back({order[i], session.ScoreUnchecked(u, order[i])});
-    }
-    cache.AddRow(std::move(row));
-  }
-  return cache;
-}
-
-// Densifies one shard's score block (dense copy or factored product).
-Matrix DensifyShardBlock(const ModelShard& shard) {
-  const std::size_t m = shard.num_users();
-  Matrix block(m, m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) block(i, j) = shard.At(i, j);
-  }
-  return block;
-}
-
 }  // namespace
 
 Result<ModelArtifact> QuantizeModelArtifact(
     ModelArtifact artifact, const ArtifactQuantizerOptions& options,
     ArtifactQuantizeReport* report) {
-  if (artifact.has_quantized_s ||
-      (artifact.has_shards && artifact.shards.IsQuantized())) {
+  if (artifact.scores != nullptr && artifact.scores->quantized()) {
     return Status::FailedPrecondition(
         "artifact is already quantized; quantization starts from the "
         "float form");
@@ -79,82 +46,29 @@ Result<ModelArtifact> QuantizeModelArtifact(
     float_bytes = SerializeModelArtifact(artifact).size();
   }
 
-  // Wrapping the input in a session both validates it as servable and
-  // gives the float oracle the hot rows are snapshotted from.
+  // Wrapping the input in a session validates it as servable.
   auto session = ScoringSession::FromArtifact(std::move(artifact));
   if (!session.ok()) return session.status();
-  const ScoringSession& oracle = session.value();
-  const ModelArtifact& input = oracle.artifact();
-  const std::size_t n = oracle.num_users();
+  const ModelArtifact& input = session.value().artifact();
+  const ScoreSource& oracle = *input.scores;
 
-  const std::vector<std::uint32_t> hot_users = ResolveHotUsers(options, n);
-  HotRowCache hot_rows =
-      SnapshotHotRows(oracle, hot_users, options.hot_row_entries);
+  // The hot rows are snapshotted from the float scores — the oracle
+  // order and the oracle scores, taken before the float payload is
+  // dropped.
+  HotRowCache hot_rows;
+  for (const std::uint32_t u : ResolveHotUsers(options, oracle.num_users())) {
+    hot_rows.AddRow(
+        SnapshotHotRow(oracle, u, oracle.RowOrder(u), options.hot_row_entries));
+  }
+
+  auto quantized = oracle.Quantize(options.bits);
+  if (!quantized.ok()) return quantized.status();
 
   ModelArtifact out;
   out.config = input.config;
+  out.scores = std::move(quantized).value();
   out.adapted_tensors = input.adapted_tensors;
   out.has_adapted_tensors = input.has_adapted_tensors;
-
-  if (input.has_shards) {
-    // Per-cluster blocks quantize as canonical upper triangles and the
-    // boundary CSR as a quantized symmetric CSR — nothing n²-sized is
-    // ever materialised.
-    std::vector<ModelShard> shards;
-    shards.reserve(input.shards.num_shards());
-    for (std::size_t s = 0; s < input.shards.num_shards(); ++s) {
-      const ModelShard& shard = input.shards.shards()[s];
-      auto block =
-          QuantizedSymmetricDense::FromMatrix(DensifyShardBlock(shard),
-                                              options.bits);
-      if (!block.ok()) {
-        return Status(block.status().code(),
-                      "shard " + std::to_string(s) + ": " +
-                          std::string(block.status().message()));
-      }
-      ModelShard quantized;
-      quantized.users = shard.users;
-      quantized.quantized = std::move(block).value();
-      quantized.has_quantized = true;
-      shards.push_back(std::move(quantized));
-    }
-    auto assembled = ShardedScores::Create(std::move(shards), CsrMatrix{}, n);
-    if (!assembled.ok()) return assembled.status();
-    out.shards = std::move(assembled).value();
-    if (input.shards.boundary().rows() != 0) {
-      auto boundary =
-          QuantizedSymmetricCsr::FromCsr(input.shards.boundary(),
-                                         options.bits);
-      if (!boundary.ok()) {
-        return Status(boundary.status().code(),
-                      "boundary: " +
-                          std::string(boundary.status().message()));
-      }
-      const Status attached =
-          out.shards.AttachQuantizedBoundary(std::move(boundary).value());
-      if (!attached.ok()) return attached;
-    }
-    out.has_shards = true;
-  } else if (input.s.empty() && input.has_low_rank) {
-    // Factored-densified: materialise S = U·Vᵀ once (the documented
-    // O(n²) transient), then quantize it like a dense model.
-    Matrix dense(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        dense(i, j) = input.low_rank.At(i, j);
-      }
-    }
-    auto quantized = QuantizedMatrix::FromMatrix(dense, options.bits);
-    if (!quantized.ok()) return quantized.status();
-    out.quantized_s = std::move(quantized).value();
-    out.has_quantized_s = true;
-  } else {
-    auto quantized = QuantizedMatrix::FromMatrix(input.s, options.bits);
-    if (!quantized.ok()) return quantized.status();
-    out.quantized_s = std::move(quantized).value();
-    out.has_quantized_s = true;
-  }
-
   out.hot_rows = std::move(hot_rows);
   out.has_hot_rows = !out.hot_rows.empty();
 

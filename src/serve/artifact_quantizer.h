@@ -1,10 +1,10 @@
 // Artifact quantizer — the float→quantized transform behind
 // `slampred_cli quantize` and `fit --quantize` (DESIGN.md §15). Takes a
 // fitted float artifact and rewrites its score payload as per-row
-// affine u8/u16 codes: a dense or factored-densified matrix becomes one
-// QuantizedMatrix section, a sharded model gets one
-// QuantizedSymmetricDense block per cluster plus a
-// QuantizedSymmetricCsr boundary. Before the float payload is dropped,
+// affine u8/u16 codes (ScoreSource::Quantize): a dense or
+// factored-densified matrix becomes one QuantizedMatrix section, a
+// sharded model gets one QuantizedSymmetricDense block per cluster plus
+// a QuantizedSymmetricCsr boundary. Before the float payload is dropped,
 // the top-K rows of a configurable hot-user set are snapshotted from
 // the FLOAT scores into the artifact's HotRowCache, so serving a hot
 // user from the quantized artifact is bit-equal to a float session's

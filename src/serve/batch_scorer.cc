@@ -238,19 +238,8 @@ void BatchScorer::ProcessBatch(const std::vector<Request*>& batch) {
       continue;
     }
     const std::vector<UserPair>& pairs = *request->pairs;
-    bool valid = true;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (pairs[i].u >= n || pairs[i].v >= n) {
-        request->status = Status::OutOfRange(
-            "pair " + std::to_string(i) + " = (" +
-            std::to_string(pairs[i].u) + ", " + std::to_string(pairs[i].v) +
-            ") outside the served score matrix (" + std::to_string(n) +
-            " users)");
-        valid = false;
-        break;
-      }
-    }
-    if (!valid) continue;
+    request->status = CheckPairsInRange(pairs, n);
+    if (!request->status.ok()) continue;
     flat_slices.emplace_back(request, flat.size());
     flat.insert(flat.end(), pairs.begin(), pairs.end());
   }

@@ -86,17 +86,9 @@ Status ModelRegistry::SwapValidated(ModelArtifact artifact,
   std::vector<std::pair<std::uint32_t, TopKRowOrder>> seeds;
   for (const std::uint32_t u : options_.hot_users) {
     if (u >= n || hot_rows.Find(u) != nullptr) continue;
-    TopKRowOrder order = BuildTopKRowOrder(live, u);
-    HotRow row;
-    row.user = u;
-    row.complete = order.size() <= options_.hot_row_entries;
-    const std::size_t keep =
-        std::min(order.size(), options_.hot_row_entries);
-    row.entries.reserve(keep);
-    for (std::size_t i = 0; i < keep; ++i) {
-      row.entries.push_back({order[i], live.ScoreUnchecked(u, order[i])});
-    }
-    hot_rows.AddRow(std::move(row));
+    TopKRowOrder order = live.scores().RowOrder(u);
+    hot_rows.AddRow(
+        SnapshotHotRow(live.scores(), u, order, options_.hot_row_entries));
     seeds.emplace_back(u, std::move(order));
   }
 
@@ -140,17 +132,27 @@ Status ModelRegistry::SwapShard(std::size_t shard_index, ModelShard shard) {
   if (current == nullptr) {
     status = Status::FailedPrecondition(
         "no model published; Swap a full sharded artifact in first");
-  } else if (!current->session.artifact().has_shards) {
-    status = Status::FailedPrecondition(
-        "published artifact is not sharded; SwapShard needs a partitioned "
-        "model");
   } else {
     // Copy-on-swap: the published model stays immutable; the candidate
     // artifact (other shards + boundary included) re-validates as a
-    // whole before publishing.
+    // whole before publishing. Carried hot rows of the replaced shard's
+    // users were snapshotted from the old block, so they go (and with
+    // them their TopKIndex seeds); configured hot users among them are
+    // rebuilt from the new scores.
     ModelArtifact candidate = current->session.artifact();
-    status = candidate.shards.ReplaceShard(shard_index, std::move(shard));
+    const std::vector<std::uint32_t> users = shard.users;
+    auto replaced =
+        ReplaceShard(*candidate.scores, shard_index, std::move(shard));
+    status = replaced.status();
     if (status.ok()) {
+      candidate.scores = std::move(replaced).value();
+      HotRowCache kept;
+      for (const HotRow& row : candidate.hot_rows.rows()) {
+        if (!std::binary_search(users.begin(), users.end(), row.user)) {
+          kept.AddRow(row);
+        }
+      }
+      candidate.hot_rows = std::move(kept);
       status = SwapValidated(std::move(candidate), current->known_links);
     }
   }

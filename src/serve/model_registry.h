@@ -33,6 +33,7 @@
 
 #include "core/hot_row_cache.h"
 #include "core/model_artifact.h"
+#include "core/score_shards.h"
 #include "core/scoring_session.h"
 #include "linalg/csr_matrix.h"
 #include "optim/guardrails.h"
@@ -134,8 +135,9 @@ class ModelRegistry {
   /// Republishes the current sharded artifact with shard `shard_index`
   /// replaced by `shard` — the per-shard hot-swap of the hierarchical
   /// partitioned solve: only the refitted cluster's block ships, the
-  /// other shards, the boundary CSR and the known-links adjacency carry
-  /// over unchanged. The replacement must cover exactly the same users
+  /// other shards, the boundary and the known-links adjacency carry
+  /// over unchanged, and carried hot rows of the shard's users are
+  /// dropped. The replacement must cover exactly the same users
   /// (a shard swap never changes the partition) and goes through the
   /// same validation round trip, fault site, breaker and failure
   /// accounting as a full Swap. kFailedPrecondition when nothing is

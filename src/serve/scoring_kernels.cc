@@ -23,16 +23,7 @@ const char* ServeTierName(ServeTier tier) {
 Result<std::vector<double>> ScorePairsOnModel(
     const ServableModel& model, const std::vector<UserPair>& pairs) {
   const ScoringSession& session = model.session;
-  const std::size_t n = session.num_users();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (pairs[i].u >= n || pairs[i].v >= n) {
-      return Status::OutOfRange(
-          "pair " + std::to_string(i) + " = (" + std::to_string(pairs[i].u) +
-          ", " + std::to_string(pairs[i].v) +
-          ") outside the served score matrix (" + std::to_string(n) +
-          " users)");
-    }
-  }
+  SLAMPRED_RETURN_NOT_OK(CheckPairsInRange(pairs, session.num_users()));
   std::vector<double> scores(pairs.size());
   ParallelFor(0, pairs.size(), GrainForWork(8),
               [&](std::size_t i0, std::size_t i1) {
@@ -168,15 +159,7 @@ bool CachedTopKOnModel(const ServableModel& model, std::size_t u,
 Result<std::vector<double>> DegradedScorePairsOnModel(
     const ServableModel& model, const std::vector<UserPair>& pairs) {
   const std::size_t n = model.session.num_users();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (pairs[i].u >= n || pairs[i].v >= n) {
-      return Status::OutOfRange(
-          "pair " + std::to_string(i) + " = (" + std::to_string(pairs[i].u) +
-          ", " + std::to_string(pairs[i].v) +
-          ") outside the served score matrix (" + std::to_string(n) +
-          " users)");
-    }
-  }
+  SLAMPRED_RETURN_NOT_OK(CheckPairsInRange(pairs, n));
   std::vector<double> scores(pairs.size(), 0.0);
   const CsrMatrix& known = model.known_links;
   if (known.rows() != n) return scores;  // No adjacency shipped: all 0.

@@ -1,167 +1,20 @@
 #include "serve/topk_index.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/scoring_session.h"
 
 namespace slampred {
-namespace {
-
-// One (column, score) candidate of a sharded row merge.
-struct RankedColumn {
-  std::uint32_t column;
-  double score;
-};
-
-// The shared retrieval order: descending score, ascending column on
-// ties — identical to the dense builder's comparator.
-bool RankedBefore(const RankedColumn& a, const RankedColumn& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.column < b.column;
-}
-
-// Sharded row build: merge three sequences that are each already in
-// retrieval order — the own-shard block row (sorted here), the boundary
-// row (sorted here), and the implicit zero tail of columns neither
-// covers (ascending column == retrieval order at equal score 0). The
-// merge is O(n + m log m) for m covered columns instead of the
-// O(n log n) full-row argsort.
-TopKRowOrder BuildShardedRowOrder(const ShardedScores& shards,
-                                  std::size_t u) {
-  const std::size_t n = shards.num_users();
-  const ModelShard& own = shards.shards()[shards.shard_of(u)];
-  const std::size_t lu = shards.local_index(u);
-
-  std::vector<bool> covered(n, false);
-  covered[u] = true;
-
-  std::vector<RankedColumn> block;
-  block.reserve(own.users.size());
-  for (std::size_t j = 0; j < own.users.size(); ++j) {
-    const std::uint32_t v = own.users[j];
-    if (v == u) continue;
-    covered[v] = true;
-    block.push_back({v, own.At(lu, j)});
-  }
-  std::sort(block.begin(), block.end(), RankedBefore);
-
-  std::vector<RankedColumn> cross;
-  if (shards.has_quantized_boundary()) {
-    const QuantizedSymmetricCsr& boundary = shards.quantized_boundary();
-    cross.reserve(boundary.RowNnz(u));
-    boundary.ForEachInRow(u, [&](std::uint32_t v, double score) {
-      if (covered[v]) return;  // Own shard (or self) wins.
-      covered[v] = true;
-      cross.push_back({v, score});
-    });
-    std::sort(cross.begin(), cross.end(), RankedBefore);
-  } else if (shards.boundary().rows() != 0) {
-    const CsrMatrix& boundary = shards.boundary();
-    const auto& row_ptr = boundary.row_ptr();
-    const auto& col_idx = boundary.col_idx();
-    const auto& values = boundary.values();
-    cross.reserve(row_ptr[u + 1] - row_ptr[u]);
-    for (std::size_t e = row_ptr[u]; e < row_ptr[u + 1]; ++e) {
-      const std::uint32_t v = static_cast<std::uint32_t>(col_idx[e]);
-      if (covered[v]) continue;  // Own shard (or self) wins.
-      covered[v] = true;
-      cross.push_back({v, values[e]});
-    }
-    std::sort(cross.begin(), cross.end(), RankedBefore);
-  }
-
-  // The zero tail: every still-uncovered column scores 0, and ascending
-  // column order is retrieval order within the tie.
-  std::vector<std::uint32_t> tail;
-  tail.reserve(n - 1 - block.size() - cross.size());
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!covered[v]) tail.push_back(static_cast<std::uint32_t>(v));
-  }
-
-  TopKRowOrder order;
-  order.reserve(n - 1);
-  std::size_t bi = 0, ci = 0, ti = 0;
-  while (order.size() < n - 1) {
-    // Pick the earliest of the three heads under the retrieval order.
-    int source = -1;
-    RankedColumn best{0, 0.0};
-    if (bi < block.size()) {
-      best = block[bi];
-      source = 0;
-    }
-    if (ci < cross.size() &&
-        (source < 0 || RankedBefore(cross[ci], best))) {
-      best = cross[ci];
-      source = 1;
-    }
-    if (ti < tail.size()) {
-      const RankedColumn zero{tail[ti], 0.0};
-      if (source < 0 || RankedBefore(zero, best)) {
-        best = zero;
-        source = 2;
-      }
-    }
-    order.push_back(best.column);
-    if (source == 0) ++bi;
-    else if (source == 1) ++ci;
-    else ++ti;
-  }
-  return order;
-}
-
-}  // namespace
-
-TopKRowOrder BuildTopKRowOrder(const Matrix& s, std::size_t u) {
-  const std::size_t n = s.cols();
-  TopKRowOrder order;
-  order.reserve(n == 0 ? 0 : n - 1);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (v != u) order.push_back(static_cast<std::uint32_t>(v));
-  }
-  const double* row = s.data().data() + u * n;
-  std::sort(order.begin(), order.end(),
-            [row](std::uint32_t a, std::uint32_t b) {
-              if (row[a] != row[b]) return row[a] > row[b];
-              return a < b;  // Deterministic tie-break.
-            });
-  return order;
-}
 
 TopKRowOrder BuildTopKRowOrder(const ScoringSession& session, std::size_t u) {
-  switch (session.backend()) {
-    case ScoringSession::Backend::kDense:
-      return BuildTopKRowOrder(session.artifact().s, u);
-    case ScoringSession::Backend::kSharded:
-      return BuildShardedRowOrder(session.artifact().shards, u);
-    case ScoringSession::Backend::kFactored:
-    case ScoringSession::Backend::kQuantized:
-      // Both serve through the generic RowScores argsort below: the
-      // factored row is O(n·r) to materialise, the quantized one a
-      // dequantizing stream.
-      break;
-  }
-  const std::size_t n = session.num_users();
-  std::vector<double> row;
-  session.RowScores(u, row);
-  TopKRowOrder order;
-  order.reserve(n == 0 ? 0 : n - 1);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (v != u) order.push_back(static_cast<std::uint32_t>(v));
-  }
-  std::sort(order.begin(), order.end(),
-            [&row](std::uint32_t a, std::uint32_t b) {
-              if (row[a] != row[b]) return row[a] > row[b];
-              return a < b;
-            });
-  return order;
+  return session.scores().RowOrder(u);
 }
 
 TopKIndex::TopKIndex(std::size_t max_resident_rows)
     : max_resident_rows_(max_resident_rows == 0 ? 1 : max_resident_rows) {}
 
-std::shared_ptr<const TopKRowOrder> TopKIndex::CachedRow(
-    std::size_t u, const std::function<TopKRowOrder()>& build) {
+std::shared_ptr<const TopKRowOrder> TopKIndex::Row(
+    const ScoringSession& session, std::size_t u) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = rows_.find(u);
@@ -174,7 +27,8 @@ std::shared_ptr<const TopKRowOrder> TopKIndex::CachedRow(
   // Build outside the lock: concurrent misses on different rows sort in
   // parallel. A racing build of the same row produces the identical
   // order; the first insert wins and the loser adopts it.
-  auto built = std::make_shared<const TopKRowOrder>(build());
+  auto built =
+      std::make_shared<const TopKRowOrder>(BuildTopKRowOrder(session, u));
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = rows_.find(u);
@@ -192,17 +46,6 @@ std::shared_ptr<const TopKRowOrder> TopKIndex::CachedRow(
     ++evictions_;
   }
   return built;
-}
-
-std::shared_ptr<const TopKRowOrder> TopKIndex::Row(const Matrix& s,
-                                                   std::size_t u) {
-  return CachedRow(u, [&s, u] { return BuildTopKRowOrder(s, u); });
-}
-
-std::shared_ptr<const TopKRowOrder> TopKIndex::Row(
-    const ScoringSession& session, std::size_t u) {
-  return CachedRow(u,
-                   [&session, u] { return BuildTopKRowOrder(session, u); });
 }
 
 void TopKIndex::Insert(std::size_t u, TopKRowOrder order) {

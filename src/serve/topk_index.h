@@ -1,8 +1,9 @@
-// Lazily-built per-row top-K retrieval index over a dense score matrix
-// S — the serving primitive behind ScoringService::TopK. The first TopK
-// touching row u sorts that row's columns once (descending score,
-// ascending column on ties, the self column u excluded) and caches the
-// sorted order; later queries for any k stream the cached order. An LRU
+// Lazily-built per-row top-K retrieval index over a session's scores —
+// the serving primitive behind ScoringService::TopK. The first TopK
+// touching row u builds that row's serve order once (ScoreSource::
+// RowOrder: descending score, ascending column on ties, the self column
+// u excluded) and caches it; later queries for any k stream the cached
+// order. An LRU
 // cap bounds resident rows so memory stays O(max_resident_rows · n) on
 // large models. Rows are handed out as shared_ptr, so eviction never
 // invalidates an order a concurrent query is still streaming — eviction
@@ -13,21 +14,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "linalg/matrix.h"
+#include "core/score_source.h"
 
 namespace slampred {
 
 class ScoringSession;
-
-/// Sorted column order of one score-matrix row (self excluded).
-using TopKRowOrder = std::vector<std::uint32_t>;
 
 /// Thread-safe LRU cache of per-row sorted column orders.
 class TopKIndex {
@@ -35,17 +32,10 @@ class TopKIndex {
   /// Caps resident rows at `max_resident_rows` (min 1).
   explicit TopKIndex(std::size_t max_resident_rows = 64);
 
-  /// The full sorted column order of row `u` of `s` (descending score,
-  /// ties broken by ascending column, column u itself excluded).
-  /// Builds and caches the order on first use; `u` must be < s.rows().
-  /// The same `s` must be passed for the lifetime of the index (one
-  /// index per model).
-  std::shared_ptr<const TopKRowOrder> Row(const Matrix& s, std::size_t u);
-
-  /// Same, over a scoring session of any backend — dense rows sort in
-  /// place, factored rows materialise one scratch row, sharded rows
-  /// merge the per-shard and boundary orders (see BuildTopKRowOrder).
-  /// The same session must be passed for the lifetime of the index.
+  /// The serve order of row `u` of the session's scores, built and
+  /// cached on first use; `u` must be < session.num_users(). The same
+  /// session must be passed for the lifetime of the index (one index
+  /// per model).
   std::shared_ptr<const TopKRowOrder> Row(const ScoringSession& session,
                                           std::size_t u);
 
@@ -79,11 +69,6 @@ class TopKIndex {
     std::list<std::size_t>::iterator lru_pos;
   };
 
-  /// The shared LRU path of both Row overloads: returns the resident
-  /// order or runs `build` outside the lock (first insert wins).
-  std::shared_ptr<const TopKRowOrder> CachedRow(
-      std::size_t u, const std::function<TopKRowOrder()>& build);
-
   const std::size_t max_resident_rows_;
   mutable std::mutex mutex_;
   std::list<std::size_t> lru_;  // Front = most recently used. Guarded.
@@ -92,16 +77,8 @@ class TopKIndex {
   std::size_t evictions_ = 0;                    // Guarded by mutex_.
 };
 
-/// Builds the sorted column order of row `u` directly (the cache-free
-/// reference used by TopKIndex itself and by tests).
-TopKRowOrder BuildTopKRowOrder(const Matrix& s, std::size_t u);
-
-/// Backend-dispatched variant: a dense session reuses the dense builder
-/// bit-identically; a factored one argsorts a scratch row of factor dot
-/// products; a sharded one runs a three-way ordered merge of the
-/// own-shard block row, the boundary-CSR row and the implicit zero tail
-/// (uncovered columns), each pre-sorted under the same (descending
-/// score, ascending column) order — no n-sized scratch scoring pass.
+/// The serve order of row `u`, built directly (the cache-free
+/// reference): session.scores().RowOrder(u).
 TopKRowOrder BuildTopKRowOrder(const ScoringSession& session, std::size_t u);
 
 }  // namespace slampred

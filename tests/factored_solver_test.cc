@@ -25,6 +25,7 @@
 #include "optim/cccp.h"
 #include "optim/factored_solver.h"
 #include "optim/objective.h"
+#include "score_forms.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -280,7 +281,7 @@ TEST_F(FactoredMetricsTest, MatchedRegimeFitMatchesDenseMetrics) {
   SlamPred factored(factored_config);
   ASSERT_TRUE(factored.Fit(generated_->networks, *train_graph_).ok());
   EXPECT_GT(factored.memory_stats().solver_rank, 0u);
-  EXPECT_TRUE(factored.ScoreMatrix().empty());
+  EXPECT_NE(StoredAs<FactoredMatrix>(factored.scores()), nullptr);
 
   auto dense_scores = dense.ScorePairs(eval_->pairs);
   auto factored_scores = factored.ScorePairs(eval_->pairs);

@@ -10,6 +10,7 @@
 #include "core/slampred.h"
 #include "datagen/aligned_generator.h"
 #include "eval/link_split.h"
+#include "score_forms.h"
 #include "util/fault_injection.h"
 
 namespace slampred {
@@ -110,7 +111,9 @@ TEST_F(FitPipelineTest, StagesRunIndividuallyOnASharedContext) {
 
   SolveStage solve(SolveStageConfigFrom(config));
   ASSERT_TRUE(solve.Run(context).ok());
-  EXPECT_EQ(context.s.rows(), generated_->networks.target().NumUsers());
+  const Matrix* s = StoredAs<Matrix>(context.scores);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->rows(), generated_->networks.target().NumUsers());
   EXPECT_GT(context.trace.steps.iterations, 0);
 }
 
@@ -129,7 +132,9 @@ TEST_F(FitPipelineTest, PipelineMatchesSlamPredFit) {
 
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  EXPECT_EQ(context.s, model.ScoreMatrix());
+  const Matrix* s = StoredAs<Matrix>(context.scores);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(*s, DenseScoreMatrix(*model.scores()));
 }
 
 TEST_F(FitPipelineTest, RunValidatesInputs) {
@@ -241,7 +246,9 @@ TEST_F(FitPipelineTest, SkippingTheEmbeddingStageIsAConfiguredPipeline) {
   context.adapted_tensors = context.raw_tensors;  // Hand-built adaption.
   SolveStage solve(SolveStageConfigFrom(config));
   ASSERT_TRUE(solve.Run(context).ok());
-  EXPECT_EQ(context.s.rows(), generated_->networks.target().NumUsers());
+  const Matrix* s = StoredAs<Matrix>(context.scores);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->rows(), generated_->networks.target().NumUsers());
 }
 
 TEST_F(FitPipelineTest, FitReportJsonContainsEveryBlock) {

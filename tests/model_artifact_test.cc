@@ -19,6 +19,7 @@
 #include "util/binary_io.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
+#include "score_forms.h"
 
 namespace slampred {
 namespace {
@@ -181,7 +182,7 @@ class ModelArtifactTest : public ::testing::Test {
 
   static std::vector<UserPair> SamplePairs() {
     std::vector<UserPair> pairs;
-    const std::size_t n = model_->ScoreMatrix().rows();
+    const std::size_t n = model_->NumUsersFitted();
     for (std::size_t u = 0; u < n; u += 3) {
       for (std::size_t v = u + 1; v < n; v += 7) pairs.push_back({u, v});
     }
@@ -212,7 +213,9 @@ TEST_F(ModelArtifactTest, InMemoryRoundTripIsExact) {
   const std::string bytes = SerializeModelArtifact(artifact.value());
   auto back = DeserializeModelArtifact(bytes);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().s, model_->ScoreMatrix());
+  const Matrix* s = StoredAs<Matrix>(back.value().scores);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(*s, *StoredAs<Matrix>(model_->scores()));
   EXPECT_FALSE(back.value().has_adapted_tensors);
   // The config round-trips exactly: re-serializing the parsed artifact
   // reproduces the original byte stream.
@@ -298,7 +301,7 @@ TEST_F(ModelArtifactTest, ScoringSessionNeverRunsFitStages) {
 TEST_F(ModelArtifactTest, SessionBoundsAndIdentity) {
   auto artifact = MakeModelArtifact(*model_);
   ASSERT_TRUE(artifact.ok());
-  const std::size_t n = artifact.value().s.rows();
+  const std::size_t n = artifact.value().scores->num_users();
   auto session = ScoringSession::FromArtifact(std::move(artifact).value());
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(session.value().num_users(), n);
@@ -376,10 +379,12 @@ SlamPred* FactoredArtifactTest::model_ = nullptr;
 TEST_F(FactoredArtifactTest, SnapshotCarriesTheFactorsNotADenseMatrix) {
   auto artifact = MakeModelArtifact(*model_);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-  EXPECT_TRUE(artifact.value().has_low_rank);
-  EXPECT_TRUE(artifact.value().s.empty());
-  EXPECT_TRUE(artifact.value().low_rank == model_->FactoredScoreMatrix());
-  EXPECT_GT(artifact.value().low_rank.rank(), 0u);
+  const FactoredMatrix* low_rank = StoredAs<FactoredMatrix>(
+      artifact.value().scores);
+  ASSERT_NE(low_rank, nullptr);
+  // The snapshot shares the model's factors rather than copying them.
+  EXPECT_EQ(artifact.value().scores, model_->scores());
+  EXPECT_GT(low_rank->rank(), 0u);
 }
 
 TEST_F(FactoredArtifactTest, RoundTripIsExactAndMarksTheBackend) {
@@ -388,10 +393,11 @@ TEST_F(FactoredArtifactTest, RoundTripIsExactAndMarksTheBackend) {
   const std::string bytes = SerializeModelArtifact(artifact.value());
   auto back = DeserializeModelArtifact(bytes);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_TRUE(back.value().has_low_rank);
-  EXPECT_TRUE(back.value().s.empty());
+  const FactoredMatrix* low_rank =
+      StoredAs<FactoredMatrix>(back.value().scores);
+  ASSERT_NE(low_rank, nullptr);
   // Factor matrices carry exact IEEE-754 patterns through the stream.
-  EXPECT_TRUE(back.value().low_rank == model_->FactoredScoreMatrix());
+  EXPECT_TRUE(*low_rank == *StoredAs<FactoredMatrix>(model_->scores()));
   // The backend is inferred from which section is present, so a loaded
   // factored artifact always reports the factored solver.
   EXPECT_EQ(back.value().config.solver_backend, SolverBackend::kFactored);
@@ -408,7 +414,7 @@ TEST_F(FactoredArtifactTest, ServedScoresBitIdenticalAcrossThreadCounts) {
   const std::vector<UserPair> pairs = SamplePairs();
   auto expected = model_->ScorePairs(pairs);
   ASSERT_TRUE(expected.ok());
-  const Matrix dense = model_->FactoredScoreMatrix().ToDense();
+  const Matrix dense = StoredAs<FactoredMatrix>(model_->scores())->ToDense();
 
   const std::size_t original_threads = ThreadPool::Global().num_threads();
   for (std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -422,7 +428,7 @@ TEST_F(FactoredArtifactTest, ServedScoresBitIdenticalAcrossThreadCounts) {
     ASSERT_EQ(served.value().size(), expected.value().size());
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       // Bitwise equality against both the in-memory factored model and
-      // the densified factors the session materialized at load.
+      // the densified factors.
       EXPECT_EQ(served.value()[i], expected.value()[i])
           << "pair " << i << " at " << threads << " thread(s)";
       EXPECT_EQ(served.value()[i], dense(pairs[i].u, pairs[i].v))
@@ -443,12 +449,14 @@ TEST_F(FactoredArtifactTest, DenseArtifactsStayDenseOnLoad) {
   ASSERT_TRUE(dense_model.Fit(generated_->networks, *train_graph_).ok());
   auto artifact = MakeModelArtifact(dense_model);
   ASSERT_TRUE(artifact.ok());
-  EXPECT_FALSE(artifact.value().has_low_rank);
+  EXPECT_EQ(StoredAs<FactoredMatrix>(artifact.value().scores), nullptr);
   auto back = DeserializeModelArtifact(SerializeModelArtifact(artifact.value()));
   ASSERT_TRUE(back.ok());
-  EXPECT_FALSE(back.value().has_low_rank);
+  EXPECT_EQ(StoredAs<FactoredMatrix>(back.value().scores), nullptr);
   EXPECT_EQ(back.value().config.solver_backend, SolverBackend::kDense);
-  EXPECT_EQ(back.value().s, dense_model.ScoreMatrix());
+  const Matrix* s = StoredAs<Matrix>(back.value().scores);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(*s, *StoredAs<Matrix>(dense_model.scores()));
 }
 
 }  // namespace

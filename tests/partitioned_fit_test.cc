@@ -25,6 +25,7 @@
 #include "serve/topk_index.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
+#include "score_forms.h"
 
 namespace slampred {
 namespace {
@@ -250,21 +251,20 @@ TEST_F(PartitionedFitTest, ShardedArtifactRoundTripsExactly) {
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
   auto artifact = MakeModelArtifact(model, false);
   ASSERT_TRUE(artifact.ok());
-  ASSERT_TRUE(artifact.value().has_shards);
-  EXPECT_TRUE(artifact.value().s.empty());
+  ASSERT_NE(ShardedOf(artifact.value().scores), nullptr);
 
   const std::string bytes = SerializeModelArtifact(artifact.value());
   auto loaded = DeserializeModelArtifact(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE(loaded.value().has_shards);
+  const ShardedScores* shards = ShardedOf(loaded.value().scores);
+  ASSERT_NE(shards, nullptr);
   // Sharded-ness is inferred from the sections at load time.
   EXPECT_EQ(loaded.value().config.partition.mode, PartitionMode::kAuto);
-  EXPECT_EQ(loaded.value().shards.num_shards(),
-            model.ShardedScoreMatrix().num_shards());
+  EXPECT_EQ(shards->num_shards(), ShardedOf(model.scores())->num_shards());
 
   for (std::size_t u = 0; u < NumUsers(); ++u) {
     for (std::size_t v = 0; v < NumUsers(); ++v) {
-      ASSERT_EQ(loaded.value().shards.At(u, v), model.Score(u, v).value())
+      ASSERT_EQ(shards->At(u, v), model.Score(u, v).value())
           << u << "," << v;
     }
   }
@@ -294,9 +294,9 @@ TEST_F(PartitionedFitTest, ShardedSessionServesWithoutDensifying) {
   ASSERT_TRUE(artifact.ok());
   auto session = ScoringSession::FromArtifact(std::move(artifact).value());
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_EQ(session.value().backend(), ScoringSession::Backend::kSharded);
+  EXPECT_NE(ShardedOf(session.value().artifact().scores), nullptr);
   // The serve path must not materialise a dense n x n matrix.
-  EXPECT_TRUE(session.value().artifact().s.empty());
+  EXPECT_EQ(StoredAs<Matrix>(session.value().artifact().scores), nullptr);
   EXPECT_EQ(session.value().num_users(), NumUsers());
 
   std::vector<double> row;
@@ -319,18 +319,18 @@ TEST_F(PartitionedFitTest, FactoredSessionServesFromFactors) {
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
   auto artifact = MakeModelArtifact(model, false);
   ASSERT_TRUE(artifact.ok());
-  ASSERT_TRUE(artifact.value().has_low_rank);
+  const FactoredMatrix* low_rank =
+      StoredAs<FactoredMatrix>(artifact.value().scores);
+  ASSERT_NE(low_rank, nullptr);
   auto session = ScoringSession::FromArtifact(std::move(artifact).value());
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ(session.value().backend(), ScoringSession::Backend::kFactored);
-  // Regression guard: loading a factored artifact used to densify
-  // U·Vᵀ into artifact.s; it must now stay empty and score through the
-  // factors.
-  EXPECT_TRUE(session.value().artifact().s.empty());
+  // Regression guard: loading a factored artifact once densified U·Vᵀ;
+  // the session must keep the factors and score through them.
+  EXPECT_EQ(StoredAs<FactoredMatrix>(session.value().artifact().scores),
+            low_rank);
   for (std::size_t u = 0; u < NumUsers(); u += 7) {
     for (std::size_t v = 0; v < NumUsers(); v += 3) {
-      ASSERT_EQ(session.value().ScoreUnchecked(u, v),
-                session.value().artifact().low_rank.At(u, v));
+      ASSERT_EQ(session.value().ScoreUnchecked(u, v), low_rank->At(u, v));
     }
   }
 }
@@ -370,7 +370,7 @@ TEST_F(PartitionedFitTest, SwapShardRepublishesOneCluster) {
 
   ModelRegistry registry;
   // Nothing published yet: per-shard swap has no base to patch.
-  ModelShard first = model.ShardedScoreMatrix().shards()[0];
+  ModelShard first = ShardedOf(model.scores())->shards()[0];
   EXPECT_EQ(registry.SwapShard(0, first).code(),
             StatusCode::kFailedPrecondition);
 
@@ -434,6 +434,28 @@ TEST_F(PartitionedFitTest, PersistentClusterFaultFailsWithDiagnosis) {
   EXPECT_NE(status.message().find("cluster"), std::string::npos)
       << status.ToString();
   EXPECT_FALSE(model.partitioned());
+}
+
+TEST_F(PartitionedFitTest, FailedRefitKeepsServingThePreviousFit) {
+  SlamPredConfig config = PartitionedConfig();
+  config.solver_backend = SolverBackend::kFactored;
+  config.factored.rank = 8;
+  SlamPred model(config);
+  ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
+  const std::vector<double> before = AllPairScores(model);
+  ASSERT_GT(model.memory_stats().iterate_bytes, 0u);
+
+  FaultSpec spec;
+  spec.kind = FaultKind::kFailNotConverged;
+  FaultInjector::Instance().Arm("fit.solve", spec);
+  ASSERT_FALSE(model.Fit(generated_->networks, *train_graph_).ok());
+  // The stats describe the failed run, which never reached the solve...
+  EXPECT_EQ(model.memory_stats().iterate_bytes, 0u);
+  // ...while scoring still answers from the previous, successful fit.
+  ASSERT_TRUE(model.fitted());
+  EXPECT_TRUE(model.partitioned());
+  EXPECT_EQ(model.NumUsersFitted(), NumUsers());
+  EXPECT_EQ(AllPairScores(model), before);
 }
 
 }  // namespace

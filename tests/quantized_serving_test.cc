@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "serve/model_registry.h"
 #include "serve/scoring_kernels.h"
 #include "serve/topk_index.h"
+#include "score_forms.h"
 
 namespace slampred {
 namespace {
@@ -48,16 +50,17 @@ std::uint64_t NextRandom(std::uint64_t& state) {
 // ties are planted (every row repeats its first score at column n−1)
 // so tie-breaking is actually exercised.
 ModelArtifact DenseArtifact(std::size_t n, std::uint64_t seed) {
-  ModelArtifact artifact;
-  artifact.s = Matrix(n, n);
+  Matrix s(n, n);
   std::uint64_t state = seed;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      artifact.s(i, j) =
+      s(i, j) =
           -1.0 + 2.0 * static_cast<double>(NextRandom(state) >> 11) * 0x1.0p-53;
     }
-    artifact.s(i, n - 1) = artifact.s(i, 0);  // Planted exact tie.
+    s(i, n - 1) = s(i, 0);  // Planted exact tie.
   }
+  ModelArtifact artifact;
+  artifact.scores = std::make_shared<DenseScores>(std::move(s));
   return artifact;
 }
 
@@ -85,7 +88,7 @@ ModelArtifact ShardedArtifact(std::size_t n, std::uint64_t seed) {
     for (std::size_t i = 0; i < size; ++i) {
       shards[c].users.push_back(static_cast<std::uint32_t>(begin + i));
     }
-    shards[c].s = random_symmetric(size);
+    shards[c].block = std::make_shared<DenseScores>(random_symmetric(size));
   }
   Matrix boundary(n, n);
   for (std::size_t u = 0; u < half; ++u) {
@@ -99,11 +102,11 @@ ModelArtifact ShardedArtifact(std::size_t n, std::uint64_t seed) {
     }
   }
   ModelArtifact artifact;
-  auto sharded = ShardedScores::Create(std::move(shards),
-                                       CsrMatrix::FromDense(boundary), n);
+  auto sharded = ShardedScores::Create(
+      std::move(shards),
+      std::make_shared<BoundaryScores>(CsrMatrix::FromDense(boundary)), n);
   EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
-  artifact.shards = std::move(sharded).value();
-  artifact.has_shards = true;
+  artifact.scores = std::move(sharded).value();
   return artifact;
 }
 
@@ -123,12 +126,14 @@ TEST(QuantizedServingTest, QuantizedBackendServesConsistently) {
   ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
   auto session = ScoringSession::FromArtifact(std::move(quantized).value());
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_EQ(session.value().backend(), ScoringSession::Backend::kQuantized);
-  EXPECT_TRUE(session.value().IsQuantized());
+  const QuantizedMatrix* stored =
+      StoredAs<QuantizedMatrix>(session.value().artifact().scores);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_TRUE(session.value().scores().quantized());
   EXPECT_EQ(session.value().num_users(), 16u);
 
   // Score, ScorePairs and RowScores all read the same dequantization.
-  const auto& q = session.value().artifact().quantized_s;
+  const QuantizedMatrix& q = *stored;
   std::vector<UserPair> pairs;
   std::vector<double> row;
   for (std::size_t u = 0; u < 16; ++u) {
@@ -161,7 +166,10 @@ TEST(QuantizedServingTest, TopKOrderDisplacementBoundedByOneCodeStep) {
     ASSERT_TRUE(quantized.ok());
     auto q_session = ScoringSession::FromArtifact(std::move(quantized).value());
     ASSERT_TRUE(q_session.ok());
-    const auto& q = q_session.value().artifact().quantized_s;
+    const QuantizedMatrix* stored =
+        StoredAs<QuantizedMatrix>(q_session.value().artifact().scores);
+    ASSERT_NE(stored, nullptr);
+    const QuantizedMatrix& q = *stored;
     for (std::size_t u = 0; u < n; ++u) {
       const TopKRowOrder float_order =
           BuildTopKRowOrder(float_session.value(), u);
@@ -175,8 +183,8 @@ TEST(QuantizedServingTest, TopKOrderDisplacementBoundedByOneCodeStep) {
         for (std::size_t b = a + 1; b < float_order.size(); ++b) {
           const std::uint32_t va = float_order[a];
           const std::uint32_t vb = float_order[b];
-          const double sa = float_artifact.s(u, va);
-          const double sb = float_artifact.s(u, vb);
+          const double sa = float_artifact.scores->At(u, va);
+          const double sb = float_artifact.scores->At(u, vb);
           if (sa - sb > step * (1.0 + 1e-9)) {
             // Separated by more than one code step: order must hold.
             EXPECT_LT(q_rank[va], q_rank[vb])
@@ -213,7 +221,7 @@ TEST(QuantizedServingTest, KnownLinkExclusionOnQuantizedModel) {
       registry.Swap(std::move(quantized).value(), KnownLinks(n)).ok());
   const auto model = registry.Acquire();
   ASSERT_NE(model, nullptr);
-  EXPECT_TRUE(model->session.IsQuantized());
+  EXPECT_TRUE(model->session.scores().quantized());
   auto excluded = TopKOnModel(*model, 0, n - 1, /*exclude_known_links=*/true);
   ASSERT_TRUE(excluded.ok());
   EXPECT_EQ(excluded.value().size(), n - 3);  // Minus self, 1 and 2.
@@ -364,8 +372,8 @@ TEST(QuantizedServingTest, QuantizedShardedArtifactServes) {
   EXPECT_GT(report.float_bytes, report.quantized_bytes);
   auto session = ScoringSession::FromArtifact(std::move(quantized).value());
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_EQ(session.value().backend(), ScoringSession::Backend::kSharded);
-  EXPECT_TRUE(session.value().IsQuantized());
+  EXPECT_NE(ShardedOf(session.value().artifact().scores), nullptr);
+  EXPECT_TRUE(session.value().scores().quantized());
   // Every pair stays within one u16 code step of the float oracle, and
   // the served matrix stays exactly symmetric.
   for (std::size_t u = 0; u < n; ++u) {
@@ -377,6 +385,53 @@ TEST(QuantizedServingTest, QuantizedShardedArtifactServes) {
           << "(" << u << ", " << v << ")";
     }
   }
+}
+
+TEST(QuantizedServingTest, SwapShardDropsTheReplacedShardsHotRows) {
+  // Hot rows for users 1 (shard 0) and 4 (shard 1), snapshotted from
+  // the float scores by the quantizer; the registry also lists user 1
+  // as a configured hot user.
+  ArtifactQuantizerOptions options;
+  options.bits = QuantizationBits::kU16;
+  options.hot_user_ids = {1, 4};
+  options.hot_row_entries = 16;  // Complete rows (n−1 = 5 fits).
+  auto quantized = Quantize(ShardedArtifact(6, 37), options);
+  ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
+  ModelRegistryOptions registry_options;
+  registry_options.hot_users = {1};
+  ModelRegistry registry(registry_options);
+  ASSERT_TRUE(registry.Swap(std::move(quantized).value()).ok());
+  const HotRow carried = *registry.Acquire()->hot_rows.Find(4);
+
+  // New scores for shard 0 (users 0, 1, 2): user 1 now ranks user 0
+  // far above everyone else.
+  Matrix block(3, 3);
+  block(0, 1) = 9.0;
+  block(1, 0) = 9.0;
+  block(1, 2) = -1.0;
+  block(2, 1) = -1.0;
+  ModelShard shard;
+  shard.users = {0, 1, 2};
+  shard.block = std::make_shared<DenseScores>(std::move(block));
+  ASSERT_TRUE(registry.SwapShard(0, std::move(shard)).ok());
+
+  // User 1's row is rebuilt from the published scores, not carried
+  // over from the old shard.
+  const auto model = registry.Acquire();
+  const TopKRowOrder oracle = BuildTopKRowOrder(model->session, 1);
+  ASSERT_EQ(oracle.front(), 0u);
+  auto topk = TopKOnModel(*model, 1, 3, /*exclude_known_links=*/false);
+  ASSERT_TRUE(topk.ok());
+  ASSERT_EQ(topk.value().size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(topk.value()[r].v, oracle[r]);
+    EXPECT_EQ(topk.value()[r].score,
+              model->session.ScoreUnchecked(1, oracle[r]));
+  }
+  // The other shard's carried row is untouched.
+  const HotRow* kept = model->hot_rows.Find(4);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->entries, carried.entries);
 }
 
 TEST(QuantizedServingTest, QuantizingTwiceIsRejected) {
@@ -450,7 +505,7 @@ TEST(QuantizedServingTest, SwapUnderLoadServesConsistentSnapshots) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(registry.current_version(), 21u);
   // The last swap (index 19) republished the float artifact.
-  EXPECT_FALSE(registry.Acquire()->session.IsQuantized());
+  EXPECT_FALSE(registry.Acquire()->session.scores().quantized());
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "util/fault_injection.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
+#include "score_forms.h"
 
 namespace slampred {
 namespace {
@@ -43,13 +44,12 @@ double ScoreValue(std::size_t u, std::size_t v, double offset) {
 }
 
 ModelArtifact MakeArtifact(std::size_t n, double offset) {
-  ModelArtifact artifact;
-  artifact.s = Matrix(n, n);
+  Matrix s(n, n);
   for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t v = 0; v < n; ++v) {
-      artifact.s(u, v) = ScoreValue(u, v, offset);
-    }
+    for (std::size_t v = 0; v < n; ++v) s(u, v) = ScoreValue(u, v, offset);
   }
+  ModelArtifact artifact;
+  artifact.scores = std::make_shared<DenseScores>(std::move(s));
   return artifact;
 }
 
@@ -146,7 +146,7 @@ TEST_F(ScoringServiceTest, ConcurrentMixedTrafficMatchesOracle) {
   const std::size_t n = 40;
   const ModelArtifact artifact = MakeArtifact(n, 0.0);
   const ScoringSession oracle = MakeOracle(artifact);
-  const Matrix& s = oracle.artifact().s;
+  const Matrix& s = *StoredAs<Matrix>(oracle.artifact().scores);
 
   for (const std::size_t pool_threads : {1u, 4u, 7u}) {
     ThreadPool::Global().Resize(pool_threads);
@@ -559,7 +559,7 @@ TEST_F(ScoringServiceTest, FullAdmissionQueueShedsPerPolicy) {
 TEST_F(ScoringServiceTest, OverloadAccountsForEveryResponse) {
   const std::size_t n = 32;
   const ModelArtifact artifact = MakeArtifact(n, 0.0);
-  const Matrix& s = artifact.s;
+  const Matrix& s = *StoredAs<Matrix>(artifact.scores);
   ModelRegistry registry;
   ASSERT_TRUE(registry.Swap(ModelArtifact(artifact)).ok());
   BatchScorerOptions batch;

@@ -84,7 +84,7 @@ TEST_F(SlamPredTest, FitProducesValidScoreMatrix) {
   config.optimization = FastOptimization();
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  const Matrix& s = model.ScoreMatrix();
+  const Matrix s = DenseScoreMatrix(*model.scores());
   EXPECT_EQ(s.rows(), generated_->networks.target().NumUsers());
   EXPECT_TRUE(s.IsSymmetric(1e-9));
   for (double v : s.data()) {
@@ -122,7 +122,7 @@ TEST_F(SlamPredTest, DeterministicGivenSeed) {
   SlamPred b(config);
   ASSERT_TRUE(a.Fit(generated_->networks, *train_graph_).ok());
   ASSERT_TRUE(b.Fit(generated_->networks, *train_graph_).ok());
-  EXPECT_EQ(a.ScoreMatrix(), b.ScoreMatrix());
+  EXPECT_EQ(DenseScoreMatrix(*a.scores()), DenseScoreMatrix(*b.scores()));
 }
 
 TEST_F(SlamPredTest, UnalignedBundleEqualsTargetOnly) {
@@ -140,7 +140,8 @@ TEST_F(SlamPredTest, UnalignedBundleEqualsTargetOnly) {
   SlamPred target_only(t_config);
   ASSERT_TRUE(target_only.Fit(generated_->networks, *train_graph_).ok());
 
-  EXPECT_EQ(full.ScoreMatrix(), target_only.ScoreMatrix());
+  EXPECT_EQ(DenseScoreMatrix(*full.scores()),
+            DenseScoreMatrix(*target_only.scores()));
 }
 
 TEST_F(SlamPredTest, TraceIsPopulated) {
@@ -182,7 +183,7 @@ TEST_F(SlamPredTest, ScoreAccessor) {
   config.optimization = FastOptimization();
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  EXPECT_DOUBLE_EQ(model.Score(0, 1).value(), model.ScoreMatrix()(0, 1));
+  EXPECT_DOUBLE_EQ(model.Score(0, 1).value(), model.scores()->At(0, 1));
 }
 
 TEST_F(SlamPredTest, ScoreBoundsChecked) {
@@ -242,7 +243,7 @@ TEST_F(SlamPredTest, ZeroIntimacyFallsBackToAdjacency) {
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
   // With no intimacy and no regularisation the optimum is S = A.
-  EXPECT_LT((model.ScoreMatrix() -
+  EXPECT_LT((DenseScoreMatrix(*model.scores()) -
              train_graph_->AdjacencyMatrix()).MaxAbs(),
             0.05);
 }

@@ -371,30 +371,6 @@ Status ApplyBudgetFlags(const Flags& flags, SlamPredConfig& config) {
   return Status::OK();
 }
 
-// One-phrase backend description of a loaded artifact for the
-// serve-bench summaries.
-std::string ArtifactBackendSummary(const ModelArtifact& artifact) {
-  if (artifact.has_shards) {
-    std::string out = "sharded, " +
-                      std::to_string(artifact.shards.num_shards()) +
-                      " shard(s)";
-    if (artifact.shards.IsQuantized()) {
-      out += ", quantized";
-    } else {
-      out += ", max rank " + std::to_string(artifact.shards.MaxRank());
-    }
-    return out;
-  }
-  if (artifact.has_quantized_s) {
-    return std::string("quantized ") +
-           QuantizationBitsName(artifact.quantized_s.bits());
-  }
-  if (artifact.has_low_rank) {
-    return "factored, rank " + std::to_string(artifact.low_rank.rank());
-  }
-  return "dense";
-}
-
 // On-disk size of `path` (0 when unreadable).
 std::uint64_t FileSizeBytes(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
@@ -631,7 +607,7 @@ int Fit(const Flags& flags) {
   std::printf("wrote model artifact %s (%zu bytes, format v%u, %s, %s)\n",
               model_path->c_str(), bytes.size(), kModelArtifactFormatVersion,
               SlamPredVariantName(model.config()),
-              ArtifactBackendSummary(artifact.value()).c_str());
+              artifact.value().scores->Describe().c_str());
   return 0;
 }
 
@@ -913,7 +889,7 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
               model->session.name().c_str(), model->num_users(),
               static_cast<unsigned long long>(model->version),
               model->checksum,
-              ArtifactBackendSummary(model->session.artifact()).c_str(),
+              model->session.scores().Describe().c_str(),
               ThreadPool::Global().num_threads());
 
   auto report = RunLoadGenerator(registry, service, options);
@@ -990,7 +966,7 @@ int ServeBench(const Flags& flags) {
   const std::size_t n = session.value().num_users();
   std::printf("loaded %s (%zu users, %s) in %.3f s\n",
               session.value().name().c_str(), n,
-              ArtifactBackendSummary(session.value().artifact()).c_str(),
+              session.value().scores().Describe().c_str(),
               load_seconds);
 
   // Deterministic batch cycling over the upper triangle.
