@@ -294,7 +294,8 @@ TEST(QuantizationTest, TruncatedStreamsAreRejected) {
   q.value().Serialize(writer);
   const std::string& bytes = writer.buffer();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    BinaryReader reader(bytes.substr(0, len));
+    const std::string prefix = bytes.substr(0, len);
+    BinaryReader reader(prefix);
     const auto result = QuantizedMatrix::Deserialize(reader);
     ASSERT_FALSE(result.ok()) << "prefix of " << len << " bytes parsed";
   }
