@@ -27,6 +27,7 @@ Status InjectedStageFault(const char* stage_name) {
   const std::string prefix = "fit stage '" + std::string(stage_name) + "': ";
   switch (SLAMPRED_FAULT_HIT(site)) {
     case FaultKind::kNone:
+    case FaultKind::kStall:
       return Status::OK();
     case FaultKind::kFailNotConverged:
       return Status::NotConverged(prefix + "injected not-converged fault");
@@ -272,6 +273,7 @@ Status InjectedClusterFault(std::size_t cluster) {
   const std::string prefix = "cluster " + std::to_string(cluster) + ": ";
   switch (SLAMPRED_FAULT_HIT("fit.cluster")) {
     case FaultKind::kNone:
+    case FaultKind::kStall:
       return Status::OK();
     case FaultKind::kFailNotConverged:
       return Status::NotConverged(prefix + "injected not-converged fault");

@@ -215,6 +215,7 @@ Status InjectedArtifactFault() {
     case FaultKind::kFailNotConverged:
       return Status::NotConverged("injected artifact read fault");
     case FaultKind::kNone:
+    case FaultKind::kStall:
       break;
   }
   return Status::OK();

@@ -46,11 +46,14 @@ class ScoringService {
   /// kOutOfRange outside the served matrix.
   Result<double> Score(std::size_t u, std::size_t v) const;
 
-  /// Batch scores answered from one consistent model snapshot;
-  /// coalesced with concurrent callers when batching is enabled.
-  /// `request` carries per-request options (deadline): a request whose
-  /// deadline passes while queued is answered kDeadlineExceeded, and a
-  /// full admission queue sheds with kResourceExhausted. The response's
+  /// Batch scores answered from one consistent model snapshot. With
+  /// batching enabled, a request that finds no dispatch in flight is
+  /// dispatched at once; requests that arrive during a dispatch are
+  /// coalesced into the next one (see BatchScorer). `request` carries
+  /// per-request options (deadline): a request whose deadline passes
+  /// while queued is answered kDeadlineExceeded, and a full admission
+  /// queue sheds with kResourceExhausted. A request already claimed into
+  /// a batch is answered by it, even past its deadline. The response's
   /// `tier` says which path answered (full / cached / degraded).
   Result<ScoreBatchResponse> ScorePairs(const std::vector<UserPair>& pairs,
                                         const RequestOptions& request = {});

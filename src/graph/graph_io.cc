@@ -84,6 +84,7 @@ Status HandleBadRecord(const ParseOptions& options, ParseStats* stats,
 Status InjectedParseFault(std::size_t line_number) {
   switch (SLAMPRED_FAULT_HIT("graph_io.parse")) {
     case FaultKind::kNone:
+    case FaultKind::kStall:
       break;
     case FaultKind::kFailIo:
       return Status::IoError("line " + std::to_string(line_number) +

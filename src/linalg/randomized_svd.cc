@@ -112,6 +112,7 @@ Result<Matrix> ProxNuclearRandomized(const Matrix& s, double threshold,
       return poisoned;
     }
     case FaultKind::kNone:
+    case FaultKind::kStall:
       break;
   }
   auto svd = ComputeRandomizedSvd(s, options);

@@ -89,6 +89,7 @@ Matrix RangeFinder(const HalfStepOp& op, std::size_t sketch,
 void ApplyGradStepFault(Matrix* b) {
   switch (SLAMPRED_FAULT_HIT("fb.grad_step")) {
     case FaultKind::kNone:
+    case FaultKind::kStall:
       break;
     case FaultKind::kPoisonInf:
       if (!b->empty()) b->data()[0] = std::numeric_limits<double>::infinity();
@@ -143,6 +144,7 @@ bool HandleProxFault(FaultKind kind, const char* site, const Matrix& q,
                      const Matrix& b, Result<FactoredMatrix>* result) {
   switch (kind) {
     case FaultKind::kNone:
+    case FaultKind::kStall:
       return false;
     case FaultKind::kFailNotConverged:
       *result = Status::NotConverged(std::string("injected fault at ") + site);

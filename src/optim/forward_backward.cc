@@ -18,6 +18,7 @@ namespace {
 void ApplyGradStepFault(Matrix* s) {
   switch (SLAMPRED_FAULT_HIT("fb.grad_step")) {
     case FaultKind::kNone:
+    case FaultKind::kStall:
       break;
     case FaultKind::kPoisonInf:
       if (!s->empty()) s->data()[0] = std::numeric_limits<double>::infinity();

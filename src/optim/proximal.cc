@@ -20,6 +20,7 @@ namespace {
 Result<Matrix> ApplyProxFault(FaultKind fault, Result<Matrix> result) {
   switch (fault) {
     case FaultKind::kNone:
+    case FaultKind::kStall:
       break;
     case FaultKind::kFailNotConverged:
       return Status::NotConverged("injected fault at svd.prox");

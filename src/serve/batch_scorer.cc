@@ -22,6 +22,7 @@ Status InjectedBatchFault() {
     case FaultKind::kFailNotConverged:
       return Status::NotConverged("injected batch dispatch fault");
     case FaultKind::kNone:
+    case FaultKind::kStall:
       break;
   }
   return Status::OK();
@@ -103,7 +104,6 @@ void BatchScorer::RunQueued(Request& request) {
     // Reject-oldest: evict the front of the queue to make room.
     Request* victim = queue_.front();
     queue_.pop_front();
-    queued_pairs_ -= Cost(*victim);
     victim->status = Status::ResourceExhausted(
         "shed from a full admission queue (reject-oldest, cap " +
         std::to_string(options_.queue_cap) + ")");
@@ -113,45 +113,29 @@ void BatchScorer::RunQueued(Request& request) {
   }
 
   queue_.push_back(&request);
-  queued_pairs_ += Cost(request);
-  const auto coalesce_deadline =
-      std::chrono::steady_clock::now() + options_.max_wait;
   while (!request.done) {
-    if (has_deadline && std::chrono::steady_clock::now() >= request.deadline) {
-      // Shed only while still queued: once a leader has claimed this
-      // request the stack storage must stay live until the batch marks
-      // it done (and that batch will answer it).
-      auto it = std::find(queue_.begin(), queue_.end(), &request);
-      if (it != queue_.end()) {
-        queue_.erase(it);
-        queued_pairs_ -= Cost(request);
-        request.status = Status::DeadlineExceeded(
-            "deadline passed while waiting in the admission queue");
-        request.done = true;
-        registry_->NoteDeadlineExceeded();
-        return;
-      }
-    }
-    if (!dispatching_ &&
-        (queued_pairs_ >= options_.max_batch_pairs ||
-         queue_.size() >= options_.max_batch_requests ||
-         std::chrono::steady_clock::now() >= coalesce_deadline)) {
+    if (!dispatching_) {
+      // Idle lane: lead at once, claiming this request together with
+      // whatever queued behind the previous dispatch.
       DispatchLocked(lock);
       continue;
     }
-    if (dispatching_) {
-      // A dispatch (possibly carrying this request) is in flight; it
-      // always ends with notify_all, so the wait cannot hang. A timed
-      // wait lets a still-queued request wake at its own deadline.
-      if (has_deadline) {
-        cv_.wait_until(lock, request.deadline);
-      } else {
-        cv_.wait(lock);
-      }
-    } else {
-      cv_.wait_until(lock, has_deadline
-                               ? std::min(coalesce_deadline, request.deadline)
-                               : coalesce_deadline);
+    // A dispatch is in flight; it always ends with notify_all, so the
+    // wait cannot hang. Only a still-queued request wakes at its own
+    // deadline: a claimed one sleeps until its batch answers it.
+    if (!has_deadline || request.claimed) {
+      cv_.wait(lock);
+      continue;
+    }
+    cv_.wait_until(lock, request.deadline);
+    if (!request.claimed && !request.done &&
+        std::chrono::steady_clock::now() >= request.deadline) {
+      queue_.erase(std::find(queue_.begin(), queue_.end(), &request));
+      request.status = Status::DeadlineExceeded(
+          "deadline passed while waiting in the admission queue");
+      request.done = true;
+      registry_->NoteDeadlineExceeded();
+      return;
     }
   }
 }
@@ -168,7 +152,6 @@ void BatchScorer::DispatchLocked(std::unique_lock<std::mutex>& lock) {
     if (next->deadline <= now) {
       // Expired while queued: shed before dispatch, never scored.
       queue_.pop_front();
-      queued_pairs_ -= cost;
       next->status = Status::DeadlineExceeded(
           "deadline passed while waiting in the admission queue");
       next->done = true;
@@ -180,7 +163,7 @@ void BatchScorer::DispatchLocked(std::unique_lock<std::mutex>& lock) {
       break;
     }
     queue_.pop_front();
-    queued_pairs_ -= cost;
+    next->claimed = true;
     batch.push_back(next);
     batch_pairs += cost;
   }

@@ -1,12 +1,16 @@
 // BatchScorer — coalesces many small concurrent ScorePairs / TopK
 // requests into batches dispatched over the shared thread pool.
 //
-// Leader–follower protocol: a caller enqueues its request and waits; the
-// first caller that finds no dispatch in flight and either the queued
-// work above max_batch_pairs or its own max_wait expired becomes the
-// leader, claims a FIFO slice of the queue, Acquire()s ONE model
-// snapshot for the whole batch (so a batch can never mix versions, even
-// mid-hot-swap), scores it, and wakes every claimed caller.
+// Work-conserving group commit: a caller enqueues its request, and a
+// caller that finds no dispatch in flight becomes the leader at once:
+// it claims a FIFO slice of the queue (up to max_batch_pairs pairs and
+// max_batch_requests requests), Acquire()s ONE model snapshot for the
+// whole batch (so a batch can never mix versions, even mid-hot-swap),
+// scores it, and wakes every claimed caller. Requests that arrive while
+// a dispatch is in flight queue behind it, and the first of their
+// callers to find the lane free sends them together as the next batch.
+// So a lone request on an idle service is dispatched without delay,
+// and a request is coalesced only when it would have waited anyway.
 //
 // Determinism: scoring is a pure per-element lookup fanned out with the
 // deterministic ParallelFor, so responses are bit-identical to the
@@ -26,7 +30,7 @@
 //     the leader at claim time — whichever comes first), counted in
 //     RecoveryStats::deadline_exceeded, and answered kDeadlineExceeded
 //     without being dispatched. A request already claimed into a batch
-//     is always answered by that batch.
+//     is always answered by that batch; its owner sleeps until then.
 //   * Admission control — with queue_cap set, an arrival that finds the
 //     queue full is shed per ShedPolicy (the arrival itself, or the
 //     oldest queued request making room for it), answered
@@ -62,16 +66,14 @@ enum class ShedPolicy {
 
 /// Batching knobs.
 struct BatchScorerOptions {
-  /// Off = every request dispatches immediately as a batch of one
-  /// (identical results, no coalescing latency).
+  /// Off = every request dispatches immediately as a batch of one,
+  /// concurrently with the others (identical results, no coalescing).
   bool enabled = true;
-  /// Dispatch as soon as the queued pair count reaches this.
+  /// Cap on the pairs one dispatch claims (a request larger than this
+  /// is still claimed, alone); the rest stay queued for the next one.
   std::size_t max_batch_pairs = 1024;
-  /// Cap on requests coalesced into one dispatch.
+  /// Cap on the requests one dispatch claims.
   std::size_t max_batch_requests = 256;
-  /// A request waits at most this long to be coalesced before its
-  /// caller dispatches whatever is queued.
-  std::chrono::microseconds max_wait{500};
   /// Bound on requests waiting in the admission queue (not yet claimed
   /// into a batch); 0 = unbounded (the historical behavior).
   std::size_t queue_cap = 0;
@@ -94,10 +96,11 @@ class BatchScorer {
   BatchScorer& operator=(const BatchScorer&) = delete;
 
   /// Scores `pairs` against one consistent model snapshot. Blocks the
-  /// calling thread until its batch is dispatched (bounded by
-  /// max_wait + dispatch time, or by the request deadline while still
-  /// queued). kFailedPrecondition before the first successful registry
-  /// swap; kDeadlineExceeded / kResourceExhausted when shed.
+  /// calling thread until its batch is answered: on an idle service it
+  /// is dispatched at once; otherwise it waits for the dispatch in
+  /// flight (or, while still queued, at most until its deadline), then
+  /// for its own batch. kFailedPrecondition before the first successful
+  /// registry swap; kDeadlineExceeded / kResourceExhausted when shed.
   Result<ScoreBatchResponse> ScorePairs(const std::vector<UserPair>& pairs,
                                         const RequestOptions& request = {});
 
@@ -130,6 +133,9 @@ class BatchScorer {
     bool exclude_known_links = false;
     std::chrono::steady_clock::time_point deadline =
         std::chrono::steady_clock::time_point::max();
+    // Set under the scorer mutex when a leader takes the request into a
+    // batch; from then on only that batch answers it.
+    bool claimed = false;
     // Outputs — written by the dispatching leader, read by the owner
     // only after observing done == true under the scorer mutex.
     Status status;
@@ -140,7 +146,7 @@ class BatchScorer {
     bool done = false;
   };
 
-  /// Queue weight of a request toward max_batch_pairs.
+  /// Weight of a request toward max_batch_pairs.
   static std::size_t Cost(const Request& request);
 
   /// Enqueues, waits / leads per the protocol above, returns when done.
@@ -165,11 +171,10 @@ class BatchScorer {
   CircuitBreaker breaker_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<Request*> queue_;        // Guarded by mutex_.
-  std::size_t queued_pairs_ = 0;      // Guarded by mutex_.
-  bool dispatching_ = false;          // Guarded by mutex_.
-  std::size_t batches_ = 0;           // Guarded by mutex_.
-  std::size_t coalesced_ = 0;         // Guarded by mutex_.
+  std::deque<Request*> queue_;  // Guarded by mutex_.
+  bool dispatching_ = false;    // Guarded by mutex_.
+  std::size_t batches_ = 0;     // Guarded by mutex_.
+  std::size_t coalesced_ = 0;   // Guarded by mutex_.
 };
 
 }  // namespace slampred

@@ -22,6 +22,7 @@ Status InjectedSwapFault() {
     case FaultKind::kFailNotConverged:
       return Status::NotConverged("injected model swap fault");
     case FaultKind::kNone:
+    case FaultKind::kStall:
       break;
   }
   return Status::OK();

@@ -16,6 +16,8 @@ const char* FaultKindToString(FaultKind kind) {
       return "FAIL_NUMERICAL";
     case FaultKind::kFailIo:
       return "FAIL_IO";
+    case FaultKind::kStall:
+      return "STALL";
   }
   return "UNKNOWN";
 }
@@ -33,6 +35,8 @@ void FaultInjector::Arm(const std::string& site, FaultSpec spec) {
   state.armed = true;
   state.hits = 0;
   state.triggers = 0;
+  state.arming = ++armings_;
+  stall_released_.notify_all();
 }
 
 void FaultInjector::Disarm(const std::string& site) {
@@ -41,19 +45,21 @@ void FaultInjector::Disarm(const std::string& site) {
   if (it == sites_.end() || !it->second.armed) return;
   it->second.armed = false;
   armed_sites_.fetch_sub(1, std::memory_order_relaxed);
+  stall_released_.notify_all();
 }
 
 void FaultInjector::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   sites_.clear();
   armed_sites_.store(0, std::memory_order_relaxed);
+  stall_released_.notify_all();
 }
 
 FaultKind FaultInjector::Hit(const std::string& site) {
   if (armed_sites_.load(std::memory_order_relaxed) == 0) {
     return FaultKind::kNone;
   }
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   auto it = sites_.find(site);
   if (it == sites_.end() || !it->second.armed) return FaultKind::kNone;
   SiteState& state = it->second;
@@ -69,7 +75,16 @@ FaultKind FaultInjector::Hit(const std::string& site) {
     if (eligible % state.spec.every_n != 0) return FaultKind::kNone;
   }
   ++state.triggers;
-  return state.spec.kind;
+  if (state.spec.kind != FaultKind::kStall) return state.spec.kind;
+  // The stall lasts while this arming is in force. Look the site up
+  // afresh on every wake-up: Reset erases `state`.
+  const std::uint64_t arming = state.arming;
+  stall_released_.wait(lock, [&] {
+    auto found = sites_.find(site);
+    return found == sites_.end() || !found->second.armed ||
+           found->second.arming != arming;
+  });
+  return FaultKind::kNone;
 }
 
 int FaultInjector::HitCount(const std::string& site) const {

@@ -10,6 +10,12 @@
 // that arms "fb.grad_step" to poison the 3rd hit always poisons exactly
 // the 3rd gradient step.
 //
+// Kinds: the poison kinds ask the caller to corrupt its numeric state,
+// the fail kinds to return the matching Status. kStall parks a thread
+// at a known point for tests: the triggering hit blocks inside Hit()
+// until the test disarms or re-arms the site (or resets the injector),
+// then injects nothing.
+//
 // When the library is configured with SLAMPRED_FAULT_INJECTION=OFF the
 // macro compiles to the constant kNone and the whole mechanism
 // disappears from the binary. When compiled in but nothing is armed,
@@ -30,13 +36,17 @@
 //   "artifact.read"   model artifact loading (model_artifact.cc)
 //   "serve.swap"      model hot-swap validation (serve/model_registry.cc)
 //   "serve.batch"     batch dispatch of the scoring service
-//                     (serve/batch_scorer.cc)
+//                     (serve/batch_scorer.cc); kStall there holds a
+//                     dispatch in flight, so later requests queue
+//                     behind it
 
 #ifndef SLAMPRED_UTIL_FAULT_INJECTION_H_
 #define SLAMPRED_UTIL_FAULT_INJECTION_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -51,6 +61,8 @@ enum class FaultKind : int {
   kFailNotConverged,   ///< Caller should fail with kNotConverged.
   kFailNumerical,      ///< Caller should fail with kNumericalError.
   kFailIo,             ///< Caller should fail with kIoError.
+  kStall,              ///< Hit blocks until the site is disarmed, re-armed
+                       ///< or the injector reset, then returns kNone.
 };
 
 /// Returns a stable name for a fault kind (for logs and test messages).
@@ -81,16 +93,21 @@ class FaultInjector {
   static FaultInjector& Instance();
 
   /// Arms (or re-arms) `site` with `spec`, resetting its counters.
+  /// Releases hits stalled by the site's previous arming.
   void Arm(const std::string& site, FaultSpec spec);
 
-  /// Disarms `site`; its counters survive for inspection until Reset.
+  /// Disarms `site`, releasing its stalled hits; its counters survive
+  /// for inspection until Reset.
   void Disarm(const std::string& site);
 
-  /// Disarms every site and clears all counters.
+  /// Disarms every site, releases every stalled hit and clears all
+  /// counters.
   void Reset();
 
   /// Records a hit at `site` and returns the fault to inject now
-  /// (kNone when the site is unarmed or outside its trigger window).
+  /// (kNone when the site is unarmed or outside its trigger window). A
+  /// triggered kStall counts as a trigger, blocks until its arming ends
+  /// and returns kNone.
   FaultKind Hit(const std::string& site);
 
   /// Total hits recorded at `site` since it was last armed/reset.
@@ -107,9 +124,13 @@ class FaultInjector {
     bool armed = false;
     int hits = 0;
     int triggers = 0;
+    std::uint64_t arming = 0;  // Which Arm call armed it (see armings_).
   };
 
   mutable std::mutex mu_;
+  // Notified by Arm, Disarm and Reset, which end a stall's arming.
+  std::condition_variable stall_released_;
+  std::uint64_t armings_ = 0;  // Arm calls so far; guarded by mu_.
   std::unordered_map<std::string, SiteState> sites_;
   // Fast-path gate: number of currently armed sites. Checked without the
   // lock so unarmed hot loops pay one relaxed load per hit.

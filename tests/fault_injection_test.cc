@@ -2,7 +2,11 @@
 // guardrail it exercises: NaN rollback, divergence backoff, the SVD
 // fallback chain, checkpoint resume, and the graph_io parse policies.
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +133,57 @@ TEST_F(FaultInjectionTest, EveryNOfOneKeepsHistoricalEveryHitBehavior) {
     }
     injector.Disarm("site.one");
   }
+}
+
+// kStall parks the hitting thread until the site's arming ends — by
+// Disarm, by a re-Arm or by Reset — and then injects nothing. The
+// trigger is counted before the hit blocks.
+TEST_F(FaultInjectionTest, StallBlocksUntilItsArmingEnds) {
+  SLAMPRED_REQUIRE_INJECTION();
+  auto& injector = FaultInjector::Instance();
+  FaultSpec spec;
+  spec.kind = FaultKind::kStall;
+  const std::function<void()> releases[] = {
+      [&] { injector.Disarm("site.stall"); },
+      [&] { injector.Arm("site.stall", spec); },
+      [&] { injector.Reset(); },
+  };
+  for (std::size_t r = 0; r < 3; ++r) {
+    injector.Arm("site.stall", spec);
+    std::atomic<bool> returned{false};
+    FaultKind got = FaultKind::kPoisonNaN;
+    std::thread hitter([&] {
+      got = injector.Hit("site.stall");
+      returned = true;
+    });
+    while (injector.TriggerCount("site.stall") < 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(returned) << "release " << r;
+    EXPECT_EQ(injector.HitCount("site.stall"), 1) << "release " << r;
+
+    // Other sites are not held up by the parked hit.
+    EXPECT_EQ(injector.Hit("site.other"), FaultKind::kNone);
+
+    releases[r]();
+    hitter.join();
+    EXPECT_EQ(got, FaultKind::kNone) << "release " << r;
+  }
+
+  // Past the trigger budget (max_triggers = 1) a hit passes straight
+  // through, and Disarm leaves the counters for inspection.
+  injector.Arm("site.stall", spec);
+  std::thread first([&] { injector.Hit("site.stall"); });
+  while (injector.TriggerCount("site.stall") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(injector.Hit("site.stall"), FaultKind::kNone);
+  injector.Disarm("site.stall");
+  first.join();
+  EXPECT_EQ(injector.HitCount("site.stall"), 2);
+  EXPECT_EQ(injector.TriggerCount("site.stall"), 1);
+  EXPECT_STREQ(FaultKindToString(FaultKind::kStall), "STALL");
 }
 
 // Small symmetric fixture whose solve converges hard, so fault-free and

@@ -14,6 +14,8 @@
 
 #include "core/scoring_service.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -84,6 +86,44 @@ std::vector<UserPair> DeterministicPairs(Rng& rng, std::size_t n,
     pair.v = static_cast<std::size_t>(rng.NextBounded(n));
   }
   return pairs;
+}
+
+// Tests that hold a dispatch in flight need the injection hooks
+// compiled in (-DSLAMPRED_FAULT_INJECTION=ON, the default).
+#if SLAMPRED_FAULT_INJECTION_ENABLED
+#define SLAMPRED_REQUIRE_INJECTION()
+#else
+#define SLAMPRED_REQUIRE_INJECTION() \
+  GTEST_SKIP() << "fault injection compiled out"
+#endif
+
+// Arms "serve.batch" so that the next dispatch parks inside the batcher,
+// holding the lane busy until the site is disarmed or re-armed.
+void StallNextDispatch() {
+  FaultSpec spec;
+  spec.kind = FaultKind::kStall;
+  FaultInjector::Instance().Arm("serve.batch", spec);
+}
+
+// Returns once a dispatch is parked on the stall armed above.
+void AwaitStalledDispatch() {
+  while (FaultInjector::Instance().TriggerCount("serve.batch") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+void AwaitQueueDepth(const ScoringService& service, std::size_t depth) {
+  while (service.batcher().queue_depth() < depth) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// CPU time the calling thread has used so far.
+double ThreadCpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
 }
 
 class ScoringServiceTest : public ::testing::Test {
@@ -396,31 +436,78 @@ TEST_F(ScoringServiceTest, BatchFaultFailsOneDispatchAndIsCounted) {
   EXPECT_EQ(service.recovery().batch_failures, 1);
 }
 
+// Group commit: requests that arrive while a dispatch is in flight
+// queue behind it, and all of them leave together in the next dispatch.
 TEST_F(ScoringServiceTest, CoalescesConcurrentRequestsIntoFewerBatches) {
+  SLAMPRED_REQUIRE_INJECTION();
   const std::size_t n = 16;
+  const ModelArtifact artifact = MakeArtifact(n, 0.0);
+  const Matrix& s = *StoredAs<Matrix>(artifact.scores);
   ModelRegistry registry;
-  ASSERT_TRUE(registry.Swap(MakeArtifact(n, 0.0)).ok());
-  BatchScorerOptions batch;
-  batch.max_wait = std::chrono::milliseconds(20);
-  ScoringService service(&registry, batch);
+  ASSERT_TRUE(registry.Swap(ModelArtifact(artifact)).ok());
+  ScoringService service(&registry);
+
+  StallNextDispatch();
+  std::thread holder([&] { EXPECT_TRUE(service.ScorePairs({{0, 1}}).ok()); });
+  AwaitStalledDispatch();
 
   const std::size_t num_callers = 8;
-  const std::size_t requests_each = 25;
+  std::vector<std::vector<UserPair>> pairs(num_callers);
+  std::vector<Status> statuses(num_callers);
+  std::vector<std::vector<double>> scores(num_callers);
   std::vector<std::thread> callers;
   for (std::size_t t = 0; t < num_callers; ++t) {
+    Rng rng(t);
+    pairs[t] = DeterministicPairs(rng, n, 4);
     callers.emplace_back([&, t] {
-      Rng rng(t);
-      for (std::size_t i = 0; i < requests_each; ++i) {
-        auto got = service.ScorePairs(DeterministicPairs(rng, n, 4));
-        ASSERT_TRUE(got.ok());
-      }
+      auto got = service.ScorePairs(pairs[t]);
+      statuses[t] = got.status();
+      if (got.ok()) scores[t] = std::move(got).value().scores;
     });
   }
+  AwaitQueueDepth(service, num_callers);
+  EXPECT_EQ(service.batcher().batches_dispatched(), 1u);
+  FaultInjector::Instance().Disarm("serve.batch");
+  holder.join();
   for (std::thread& caller : callers) caller.join();
-  const std::size_t total = num_callers * requests_each;
-  EXPECT_LE(service.batcher().batches_dispatched(), total);
-  // All requests answered correctly even when coalesced.
+
+  // The held dispatch plus exactly one more, carrying every caller.
+  EXPECT_EQ(service.batcher().batches_dispatched(), 2u);
+  EXPECT_EQ(service.batcher().coalesced_requests(), num_callers);
+  for (std::size_t t = 0; t < num_callers; ++t) {
+    ASSERT_TRUE(statuses[t].ok()) << statuses[t].ToString();
+    ASSERT_EQ(scores[t].size(), pairs[t].size());
+    for (std::size_t j = 0; j < pairs[t].size(); ++j) {
+      EXPECT_EQ(scores[t][j], s(pairs[t][j].u, pairs[t][j].v));
+    }
+  }
   EXPECT_EQ(service.recovery().batch_failures, 0);
+}
+
+// Work conservation: on an idle service a lone request is dispatched at
+// once instead of waiting for company; any coalescing wait of 0.25 ms
+// or more fails the bound. The median keeps the bound steady under
+// sanitizers and on a busy host.
+TEST_F(ScoringServiceTest, IdleServiceDispatchesALoneRequestAtOnce) {
+  const std::size_t n = 12;
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Swap(MakeArtifact(n, 0.0)).ok());
+  ScoringService service(&registry);
+
+  const std::vector<UserPair> pairs = {{0, 1}, {2, 3}};
+  const std::size_t calls = 200;
+  std::vector<double> micros;
+  for (std::size_t i = 0; i < calls; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(service.ScorePairs(pairs).ok());
+    micros.push_back(std::chrono::duration<double, std::micro>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  }
+  std::nth_element(micros.begin(), micros.begin() + calls / 2, micros.end());
+  EXPECT_LT(micros[calls / 2], 250.0);
+  EXPECT_EQ(service.batcher().batches_dispatched(), calls);
+  EXPECT_EQ(service.batcher().coalesced_requests(), 0u);
 }
 
 // The load generator doubles as an end-to-end smoke of the whole layer.
@@ -487,10 +574,11 @@ TEST_F(ScoringServiceTest, ExpiredDeadlineIsShedBeforeDispatch) {
   }
 }
 
-// Fills the admission queue with two parked requests (long coalesce
-// window, finite deadlines so they clean themselves up), then checks
+// Fills the admission queue with two requests parked behind a held
+// dispatch (finite deadlines, so they clean themselves up), then checks
 // what a third arrival does under each shed policy.
 TEST_F(ScoringServiceTest, FullAdmissionQueueShedsPerPolicy) {
+  SLAMPRED_REQUIRE_INJECTION();
   const std::size_t n = 12;
   for (const ShedPolicy policy :
        {ShedPolicy::kRejectNewest, ShedPolicy::kRejectOldest}) {
@@ -499,12 +587,14 @@ TEST_F(ScoringServiceTest, FullAdmissionQueueShedsPerPolicy) {
     BatchScorerOptions batch;
     batch.queue_cap = 2;
     batch.shed_policy = policy;
-    // Nothing dispatches on its own inside the test window: the queue
-    // only drains via deadlines and shedding.
-    batch.max_wait = std::chrono::seconds(10);
-    batch.max_batch_pairs = 1u << 20;
-    batch.max_batch_requests = 1u << 20;
     ScoringService service(&registry, batch);
+
+    // Nothing dispatches inside the test window: the held dispatch keeps
+    // the lane busy, so the queue only drains via deadlines and shedding.
+    StallNextDispatch();
+    std::thread holder(
+        [&] { EXPECT_TRUE(service.ScorePairs({{0, 1}}).ok()); });
+    AwaitStalledDispatch();
 
     const auto parked_deadline =
         RequestOptions::WithTimeout(std::chrono::seconds(1));
@@ -515,12 +605,10 @@ TEST_F(ScoringServiceTest, FullAdmissionQueueShedsPerPolicy) {
         parked[t] = service.ScorePairs({{0, 1}}, parked_deadline).status();
       });
     }
-    while (service.batcher().queue_depth() < 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    AwaitQueueDepth(service, 2);
 
     // Third arrival against the full queue (its own deadline keeps the
-    // reject-oldest variant, which enqueues it, from waiting 10s).
+    // reject-oldest variant, which enqueues it, from waiting forever).
     const Status third =
         service
             .ScorePairs({{0, 1}},
@@ -528,6 +616,8 @@ TEST_F(ScoringServiceTest, FullAdmissionQueueShedsPerPolicy) {
                             std::chrono::milliseconds(400)))
             .status();
     for (std::thread& owner : owners) owner.join();
+    FaultInjector::Instance().Disarm("serve.batch");
+    holder.join();
 
     if (policy == ShedPolicy::kRejectNewest) {
       // The arrival is rejected; both parked requests expire in place.
@@ -551,6 +641,67 @@ TEST_F(ScoringServiceTest, FullAdmissionQueueShedsPerPolicy) {
   }
 }
 
+// A request claimed into a batch is answered by that batch even when
+// its deadline passes first. Until then its owner must sleep, not spin
+// on a deadline wait that returns at once: two owners are claimed into
+// a held dispatch well inside their deadlines and held 300 ms past
+// them. One leads that dispatch (parked in the stall), the other waits
+// as a claimed owner; a spinning owner burns its whole wait in CPU.
+TEST_F(ScoringServiceTest, ClaimedOwnerSleepsPastItsDeadline) {
+  SLAMPRED_REQUIRE_INJECTION();
+  const std::size_t n = 12;
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Swap(MakeArtifact(n, 0.0)).ok());
+  ScoringService service(&registry);
+
+  StallNextDispatch();
+  std::thread holder([&] { EXPECT_TRUE(service.ScorePairs({{0, 1}}).ok()); });
+  AwaitStalledDispatch();
+
+  const auto budget = std::chrono::milliseconds(250);
+  struct Owner {
+    Status status;
+    double wall_s = 0.0;
+    double cpu_s = 0.0;
+  };
+  Owner owners[2];
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      const double cpu_start = ThreadCpuSeconds();
+      const auto start = std::chrono::steady_clock::now();
+      owners[t].status =
+          service.ScorePairs({{1, 2}}, RequestOptions::WithTimeout(budget))
+              .status();
+      owners[t].wall_s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+      owners[t].cpu_s = ThreadCpuSeconds() - cpu_start;
+    });
+  }
+  AwaitQueueDepth(service, 2);
+
+  // Re-arming releases the first dispatch and stalls the next, which
+  // claims both owners; then hold it past their deadlines.
+  StallNextDispatch();
+  AwaitStalledDispatch();
+  EXPECT_EQ(service.batcher().queue_depth(), 0u);
+  std::this_thread::sleep_for(budget + std::chrono::milliseconds(300));
+  FaultInjector::Instance().Disarm("serve.batch");
+  holder.join();
+  for (std::thread& thread : threads) thread.join();
+
+  for (const Owner& owner : owners) {
+    EXPECT_TRUE(owner.status.ok()) << owner.status.ToString();
+    EXPECT_GT(owner.wall_s, 0.5);
+    EXPECT_LT(owner.cpu_s, 0.1 * owner.wall_s)
+        << "owner used " << owner.cpu_s << " CPU-s over " << owner.wall_s
+        << " s";
+  }
+  EXPECT_EQ(service.batcher().batches_dispatched(), 2u);
+  EXPECT_EQ(service.recovery().deadline_exceeded, 0);
+}
+
 // The acceptance scenario: six caller threads against a tiny admission
 // queue with tight deadlines. Every response must be OK (bit-identical
 // to the oracle), shed, or deadline-exceeded — with the registry
@@ -565,7 +716,6 @@ TEST_F(ScoringServiceTest, OverloadAccountsForEveryResponse) {
   BatchScorerOptions batch;
   batch.queue_cap = 4;
   batch.max_batch_pairs = 64;
-  batch.max_wait = std::chrono::microseconds(200);
   ScoringService service(&registry, batch);
 
   const std::size_t num_callers = 6;
