@@ -32,7 +32,6 @@
 #include "linalg/matrix.h"
 #include "linalg/matrix_ops.h"
 #include "linalg/qr.h"
-#include "linalg/randomized_svd.h"
 #include "linalg/sparse_tensor3.h"
 #include "linalg/svd.h"
 #include "linalg/symmetric_eigen.h"
@@ -124,21 +123,6 @@ void BM_Svd(benchmark::State& state) {
 }
 BENCHMARK(BM_Svd)->Arg(16)->Arg(32)->Arg(64);
 
-void BM_RandomizedSvd(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  ThreadCountGuard guard(static_cast<std::size_t>(state.range(1)));
-  const Matrix a = RandomMatrix(n, 15);
-  RandomizedSvdOptions options;
-  options.rank = 16;
-  for (auto _ : state) {
-    auto svd = ComputeRandomizedSvd(a, options);
-    benchmark::DoNotOptimize(svd);
-  }
-}
-BENCHMARK(BM_RandomizedSvd)->Apply([](benchmark::internal::Benchmark* b) {
-  SizeThreadGrid(b, {64, 128, 256});
-});
-
 void BM_SymmetricEigen(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Matrix a = RandomMatrix(n, 4).Symmetrized();
@@ -173,32 +157,6 @@ void BM_ProxNuclearSymmetric(benchmark::State& state) {
 BENCHMARK(BM_ProxNuclearSymmetric)
     ->Apply([](benchmark::internal::Benchmark* b) {
       SizeThreadGrid(b, {32, 64, 128});
-    });
-
-void BM_ProxNuclearRandomized(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  ThreadCountGuard guard(static_cast<std::size_t>(state.range(1)));
-  // Near-low-rank input: the regime where the sketch pays off.
-  Rng rng(7);
-  const Matrix u = Matrix::RandomGaussian(n, 8, rng);
-  Matrix s(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double sum = 0.0;
-      for (std::size_t r = 0; r < 8; ++r) sum += u(i, r) * u(j, r);
-      s(i, j) = sum;
-    }
-  }
-  RandomizedSvdOptions options;
-  options.rank = 16;
-  for (auto _ : state) {
-    auto prox = ProxNuclearRandomized(s, 0.1, options);
-    benchmark::DoNotOptimize(prox);
-  }
-}
-BENCHMARK(BM_ProxNuclearRandomized)
-    ->Apply([](benchmark::internal::Benchmark* b) {
-      SizeThreadGrid(b, {64, 128, 256});
     });
 
 SocialGraph BenchGraph(std::size_t n) {

@@ -16,32 +16,6 @@
 #include "util/thread_pool.h"
 
 namespace slampred {
-namespace {
-
-// Stage-level fault site: fail kinds map to the matching Status; the
-// poison kinds (which ask the *caller* to corrupt numeric state) have
-// no meaningful stage-granular analogue, so they surface as a numerical
-// failure of the stage.
-Status InjectedStageFault(const char* stage_name) {
-  const std::string site = std::string("fit.") + stage_name;
-  const std::string prefix = "fit stage '" + std::string(stage_name) + "': ";
-  switch (SLAMPRED_FAULT_HIT(site)) {
-    case FaultKind::kNone:
-    case FaultKind::kStall:
-      return Status::OK();
-    case FaultKind::kFailNotConverged:
-      return Status::NotConverged(prefix + "injected not-converged fault");
-    case FaultKind::kFailIo:
-      return Status::IoError(prefix + "injected io fault");
-    case FaultKind::kFailNumerical:
-    case FaultKind::kPoisonNaN:
-    case FaultKind::kPoisonInf:
-      return Status::NumericalError(prefix + "injected numerical fault");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 FeatureStageConfig FeatureStageConfigFrom(const SlamPredConfig& config) {
   FeatureStageConfig stage;
@@ -266,27 +240,6 @@ Status PartitionStage::Run(FitContext& context) const {
 
 namespace {
 
-// Per-cluster fault site: same kind → Status mapping as the stage-level
-// sites, scoped to one cluster's sub-fit so chaos tests can fail a
-// single cluster and watch the retry / surfaced-error path.
-Status InjectedClusterFault(std::size_t cluster) {
-  const std::string prefix = "cluster " + std::to_string(cluster) + ": ";
-  switch (SLAMPRED_FAULT_HIT("fit.cluster")) {
-    case FaultKind::kNone:
-    case FaultKind::kStall:
-      return Status::OK();
-    case FaultKind::kFailNotConverged:
-      return Status::NotConverged(prefix + "injected not-converged fault");
-    case FaultKind::kFailIo:
-      return Status::IoError(prefix + "injected io fault");
-    case FaultKind::kFailNumerical:
-    case FaultKind::kPoisonNaN:
-    case FaultKind::kPoisonInf:
-      return Status::NumericalError(prefix + "injected numerical fault");
-  }
-  return Status::OK();
-}
-
 // Everything one cluster's sub-fit produces. One ParallelFor index
 // writes one slot, so the fan-out needs no locking.
 struct ClusterFitResult {
@@ -308,7 +261,10 @@ Status FitClusterOnce(const SlamPredConfig& model_config,
                       const FitContext& context,
                       const std::vector<std::size_t>& members,
                       std::size_t cluster, ClusterFitResult& out) {
-  SLAMPRED_RETURN_NOT_OK(InjectedClusterFault(cluster));
+  // The "fit.cluster" site fails one cluster's sub-fit, so chaos tests
+  // can watch the retry / surfaced-error path.
+  SLAMPRED_RETURN_NOT_OK(InjectedFaultStatus(
+      "fit.cluster", "cluster " + std::to_string(cluster) + ": "));
   auto bundle = ExtractClusterBundle(*context.networks,
                                      *context.target_structure, members);
   if (!bundle.ok()) return bundle.status();
@@ -552,7 +508,9 @@ Status RunFitPipeline(const std::vector<std::unique_ptr<FitStage>>& stages,
         "target structure must cover the target's users");
   }
   for (const auto& stage : stages) {
-    SLAMPRED_RETURN_NOT_OK(InjectedStageFault(stage->name()));
+    const std::string name = stage->name();
+    SLAMPRED_RETURN_NOT_OK(
+        InjectedFaultStatus("fit." + name, "fit stage '" + name + "': "));
     Stopwatch watch;
     const Status status = stage->Run(context);
     stage->PhaseSlot(context.phase_times) += watch.ElapsedSeconds();

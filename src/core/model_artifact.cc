@@ -94,11 +94,14 @@ void SerializeConfig(const SlamPredConfig& config, BinaryWriter& writer) {
   writer.WriteI32(o.inner.guardrails.divergence_window);
   writer.WriteI32(o.inner.guardrails.max_svd_fallbacks);
   writer.WriteI32(o.inner.guardrails.max_checkpoint_resumes);
-  writer.WriteBool(o.inner.nuclear_prox.use_randomized);
-  writer.WriteU64(o.inner.nuclear_prox.randomized.rank);
-  writer.WriteU64(o.inner.nuclear_prox.randomized.oversampling);
-  writer.WriteI32(o.inner.nuclear_prox.randomized.power_iterations);
-  writer.WriteU64(o.inner.nuclear_prox.randomized.seed);
+  // The retired randomized-prox options (use_randomized, rank,
+  // oversampling, power_iterations, seed), pinned to their last
+  // defaults so the section layout and every fixture stay unchanged.
+  writer.WriteBool(false);
+  writer.WriteU64(10);
+  writer.WriteU64(8);
+  writer.WriteI32(2);
+  writer.WriteU64(0x5eedULL);
   writer.WriteI32(o.max_outer_iterations);
   writer.WriteDouble(o.outer_tol);
 }
@@ -181,13 +184,13 @@ Result<SlamPredConfig> DeserializeConfig(BinaryReader& reader) {
   SLAMPRED_READ_INTO(o.inner.guardrails.max_svd_fallbacks, reader.ReadI32());
   SLAMPRED_READ_INTO(o.inner.guardrails.max_checkpoint_resumes,
                      reader.ReadI32());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.use_randomized, reader.ReadBool());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.randomized.rank, reader.ReadU64());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.randomized.oversampling,
-                     reader.ReadU64());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.randomized.power_iterations,
-                     reader.ReadI32());
-  SLAMPRED_READ_INTO(o.inner.nuclear_prox.randomized.seed, reader.ReadU64());
+  // The retired randomized-prox options: still read, so a corrupt bool
+  // or a truncation fails as before, then dropped.
+  SLAMPRED_RETURN_NOT_OK(reader.ReadBool().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadU64().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadU64().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadI32().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadU64().status());
   SLAMPRED_READ_INTO(o.max_outer_iterations, reader.ReadI32());
   SLAMPRED_READ_INTO(o.outer_tol, reader.ReadDouble());
   return config;
@@ -201,24 +204,6 @@ void AppendSection(std::uint32_t id, const std::string& payload,
   writer.WriteU64(payload.size());
   writer.WriteBytes(payload.data(), payload.size());
   writer.WriteU32(Crc32(payload.data(), payload.size()));
-}
-
-// Translates the "artifact.read" fault site into a load failure.
-Status InjectedArtifactFault() {
-  switch (SLAMPRED_FAULT_HIT("artifact.read")) {
-    case FaultKind::kFailIo:
-      return Status::IoError("injected artifact read fault");
-    case FaultKind::kFailNumerical:
-    case FaultKind::kPoisonNaN:
-    case FaultKind::kPoisonInf:
-      return Status::NumericalError("injected artifact read fault");
-    case FaultKind::kFailNotConverged:
-      return Status::NotConverged("injected artifact read fault");
-    case FaultKind::kNone:
-    case FaultKind::kStall:
-      break;
-  }
-  return Status::OK();
 }
 
 // The matrix behind `scores` when it is stored in form M, else null.
@@ -678,7 +663,8 @@ Status WriteArtifactAtomic(const ModelArtifact& artifact,
 }
 
 Result<ModelArtifact> LoadModelArtifact(const std::string& path) {
-  SLAMPRED_RETURN_NOT_OK(InjectedArtifactFault());
+  SLAMPRED_RETURN_NOT_OK(
+      InjectedFaultStatus("artifact.read", "artifact read: "));
   auto bytes = ReadFileToString(path);
   if (!bytes.ok()) return bytes.status();
   auto artifact = DeserializeModelArtifact(bytes.value());

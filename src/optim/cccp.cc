@@ -1,92 +1,106 @@
+// The dense backend of Algorithm 1: the forward–backward step on a
+// dense iterate, run by the shared guarded loops of optim/guardrails.h.
+
 #include "optim/cccp.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "optim/proximal.h"
 #include "util/logging.h"
 
 namespace slampred {
 
 namespace {
 
-// Shared implementation: solve from `s0` with `theta0`, running
-// `max_outer` rounds starting at round index `first_round`.
-Result<Matrix> SolveImpl(const Objective& objective, const Matrix& s0,
+// The primary nuclear prox (symmetric-eigen or Jacobi dispatch behind
+// the "svd.prox" site) with the shared fallback chain on the full
+// Jacobi SVD.
+Result<Matrix> GuardedProxNuclear(const Matrix& s, double threshold,
+                                  const GuardrailOptions& guardrails,
+                                  RecoveryStats* stats) {
+  return GuardedProx<Matrix>(
+      [&](const SvdOptions* fallback) -> Result<Matrix> {
+        if (fallback != nullptr) return ProxNuclear(s, threshold, *fallback);
+        FaultKind fault = FaultKind::kNone;
+        SLAMPRED_RETURN_NOT_OK(HitProxFaultSite("svd.prox", &fault));
+        auto out = ProxNuclearAuto(s, threshold);
+        if (out.ok()) PoisonFirstEntry(fault, &out.value());
+        return out;
+      },
+      guardrails, stats);
+}
+
+// S ← S − θ∇f(S), then prox_{θτ‖·‖_*}, prox_{θγ‖·‖₁}, the [0,1] box
+// projection and re-symmetrisation.
+class DenseStep final : public ForwardBackwardStep<Matrix> {
+ public:
+  DenseStep(const Objective& objective, const ForwardBackwardOptions& options)
+      : objective_(objective), options_(options) {}
+
+  void Forward(const Matrix& s, double theta, int /*step*/) override {
+    half_ = s - SmoothGradient(objective_, s) * theta;
+    ApplyGradStepFault(&half_);
+  }
+
+  bool HalfStepFinite() const override { return MatrixIsFinite(half_); }
+
+  Result<Matrix> Backward(double theta, const GuardrailOptions& guardrails,
+                          RecoveryStats* recovery) override {
+    Matrix s = std::move(half_);
+    if (objective_.tau > 0.0) {
+      auto prox = GuardedProxNuclear(s, theta * objective_.tau, guardrails,
+                                     recovery);
+      if (!prox.ok()) return prox.status();
+      s = std::move(prox).value();
+    }
+    if (objective_.gamma > 0.0) s = ProxL1(s, theta * objective_.gamma);
+    if (options_.project_unit_box) {
+      for (double& v : s.data()) v = std::clamp(v, 0.0, 1.0);
+    }
+    if (options_.keep_symmetric && s.IsSquare()) s = s.Symmetrized();
+    return s;
+  }
+
+ private:
+  const Objective& objective_;
+  const ForwardBackwardOptions& options_;
+  Matrix half_;
+};
+
+// Algorithm 1 from `s0`, rounds `first_round` onwards; records the
+// final iterate as the trace's resumable checkpoint.
+Result<Matrix> SolveFrom(const Objective& objective, Matrix s0,
                          double theta0, int first_round,
                          const CccpOptions& options, CccpTrace* trace) {
-  const GuardrailOptions& guard = options.inner.guardrails;
-  Matrix s = s0;
-  double theta = theta0;
-  RecoveryStats local_recovery;
-  RecoveryStats* recovery =
-      trace != nullptr ? &trace->recovery : &local_recovery;
-
-  SolverCheckpoint checkpoint;
-  checkpoint.s = s;
-  checkpoint.theta = theta;
-  checkpoint.outer_round = first_round;
-  checkpoint.valid = true;
-
-  int resumes = 0;
-  bool converged = false;
-  int outer = first_round;
-  while (outer < options.max_outer_iterations && !converged) {
-    const Matrix prev = s;
-    IterationTrace* inner_trace = trace != nullptr ? &trace->steps : nullptr;
-    ForwardBackwardOptions inner_options = options.inner;
-    inner_options.theta = theta;
-    auto inner = GeneralizedForwardBackward(objective, s, inner_options,
-                                            inner_trace, recovery);
-    if (!inner.ok()) {
-      // Guardrail: a failed round (persistent fault, exhausted inner
-      // recovery budget) restarts from the last good checkpoint with a
-      // backed-off step size instead of abandoning the whole solve.
-      const StatusCode code = inner.status().code();
-      if (guard.enabled && resumes < guard.max_checkpoint_resumes &&
-          (code == StatusCode::kNotConverged ||
-           code == StatusCode::kNumericalError)) {
-        ++resumes;
-        ++recovery->checkpoint_resumes;
-        theta *= guard.backoff_factor;
-        s = checkpoint.s;
-        continue;
-      }
-      return inner.status();
-    }
-    s = std::move(inner).value();
-    // The backoff is episodic: a clean round ends the recovery episode,
-    // so a transient fault leaves no permanent step-size change (and the
-    // solve converges to the same fixed point as a fault-free run).
-    theta = theta0;
-
-    const double change = (s - prev).NormL1();
-    const double scale = std::max(1.0, s.NormL1());
-    converged = change / scale < options.outer_tol;
-    if (trace != nullptr) trace->outer_change_l1.push_back(change);
-
-    ++outer;
-    checkpoint.s = s;
-    checkpoint.theta = theta;
-    checkpoint.outer_round = outer;
-  }
-  if (trace != nullptr) {
-    trace->outer_iterations = outer - first_round;
-    trace->converged = converged;
-    trace->checkpoint = checkpoint;
+  DenseStep step(objective, options.inner);
+  auto s = GuardedCccp(step, std::move(s0), theta0, first_round, options,
+                       trace);
+  if (s.ok() && trace != nullptr) {
+    trace->checkpoint = {s.value(), theta0,
+                         first_round + trace->outer_iterations, true};
   }
   return s;
 }
 
 }  // namespace
 
+Result<Matrix> GeneralizedForwardBackward(
+    const Objective& objective, const Matrix& s0,
+    const ForwardBackwardOptions& options, IterationTrace* trace,
+    RecoveryStats* recovery) {
+  SLAMPRED_CHECK(s0.rows() == objective.a.rows() &&
+                 s0.cols() == objective.a.cols())
+      << "initial point shape mismatch";
+  DenseStep step(objective, options);
+  return GuardedForwardBackward<Matrix>(step, s0, options, trace, recovery);
+}
+
 Result<Matrix> SolveCccp(const Objective& objective,
                          const CccpOptions& options, CccpTrace* trace) {
   // The iterate is dense; densify the CSR adjacency once for S⁰ = Aᵗ.
-  return SolveCccpFrom(objective, objective.a.ToDense(), options, trace);
-}
-
-Result<Matrix> SolveCccpFrom(const Objective& objective, const Matrix& s0,
-                             const CccpOptions& options, CccpTrace* trace) {
-  return SolveImpl(objective, s0, options.inner.theta, 0, options, trace);
+  return SolveFrom(objective, objective.a.ToDense(), options.inner.theta, 0,
+                   options, trace);
 }
 
 Result<Matrix> ResumeCccp(const Objective& objective,
@@ -107,7 +121,7 @@ Result<Matrix> ResumeCccp(const Objective& objective,
     }
     return checkpoint.s;
   }
-  return SolveImpl(objective, checkpoint.s, checkpoint.theta,
+  return SolveFrom(objective, checkpoint.s, checkpoint.theta,
                    checkpoint.outer_round, options, trace);
 }
 

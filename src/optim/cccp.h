@@ -9,10 +9,11 @@
 // from the warm iterate exactly as Algorithm 1 prescribes — and the
 // recorded trace reproduces Figure 3.
 //
-// Robustness: the outer loop keeps a SolverCheckpoint of the last good
-// iterate. If the inner loop fails (persistent fault, exhausted
-// recovery budget), the solve backs off the step size and resumes from
-// the checkpoint a bounded number of times before giving up.
+// Robustness: the outer loop is the shared guarded CCCP loop of
+// optim/guardrails.h. If the inner loop fails (persistent fault,
+// exhausted recovery budget), the solve backs off the step size and
+// resumes from the last good iterate a bounded number of times before
+// giving up; the final iterate is kept as a resumable SolverCheckpoint.
 
 #ifndef SLAMPRED_OPTIM_CCCP_H_
 #define SLAMPRED_OPTIM_CCCP_H_
@@ -51,11 +52,6 @@ struct CccpTrace {
 Result<Matrix> SolveCccp(const Objective& objective,
                          const CccpOptions& options,
                          CccpTrace* trace = nullptr);
-
-/// Same, but from an explicit starting point.
-Result<Matrix> SolveCccpFrom(const Objective& objective, const Matrix& s0,
-                             const CccpOptions& options,
-                             CccpTrace* trace = nullptr);
 
 /// Resumes a solve from a checkpoint (e.g. CccpTrace::checkpoint taken
 /// before a crash or a recovered fault): starts at the checkpointed

@@ -8,7 +8,6 @@
 #include "linalg/matrix_ops.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
-#include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -83,26 +82,6 @@ Matrix RangeFinder(const HalfStepOp& op, std::size_t sketch,
   return q;
 }
 
-// Mirrors forward_backward.cc: a failed gradient step *is* a corrupted
-// iterate, so the "fb.grad_step" site poisons the materialised
-// half-step factor.
-void ApplyGradStepFault(Matrix* b) {
-  switch (SLAMPRED_FAULT_HIT("fb.grad_step")) {
-    case FaultKind::kNone:
-    case FaultKind::kStall:
-      break;
-    case FaultKind::kPoisonInf:
-      if (!b->empty()) b->data()[0] = std::numeric_limits<double>::infinity();
-      break;
-    case FaultKind::kPoisonNaN:
-    case FaultKind::kFailNotConverged:
-    case FaultKind::kFailNumerical:
-    case FaultKind::kFailIo:
-      if (!b->empty()) b->data()[0] = std::numeric_limits<double>::quiet_NaN();
-      break;
-  }
-}
-
 // One un-guarded factored prox attempt with the given core-SVD budget.
 Result<FactoredMatrix> FactoredProxAttempt(const Matrix& q, const Matrix& b,
                                            double threshold,
@@ -138,35 +117,96 @@ Result<FactoredMatrix> FactoredProxAttempt(const Matrix& q, const Matrix& b,
   return FactoredMatrix(q * u_scaled, qr_b.value().q * v_keep);
 }
 
-// Translates a fault kind at a prox site into the prox's behaviour.
-// Returns true when the fault was handled and `*result` is the answer.
-bool HandleProxFault(FaultKind kind, const char* site, const Matrix& q,
-                     const Matrix& b, Result<FactoredMatrix>* result) {
-  switch (kind) {
-    case FaultKind::kNone:
-    case FaultKind::kStall:
-      return false;
-    case FaultKind::kFailNotConverged:
-      *result = Status::NotConverged(std::string("injected fault at ") + site);
-      return true;
-    case FaultKind::kFailNumerical:
-    case FaultKind::kFailIo:
-      *result = Status::NumericalError(std::string("injected fault at ") + site);
-      return true;
-    case FaultKind::kPoisonNaN:
-    case FaultKind::kPoisonInf: {
-      Matrix poisoned_u = q;
-      if (!poisoned_u.empty()) {
-        poisoned_u.data()[0] = kind == FaultKind::kPoisonInf
-                                   ? std::numeric_limits<double>::infinity()
-                                   : std::numeric_limits<double>::quiet_NaN();
-      }
-      *result = FactoredMatrix(std::move(poisoned_u), b);
-      return true;
-    }
-  }
-  return false;
+Status CheckFactoredLoss(const FactoredObjective& objective) {
+  if (objective.loss == LossKind::kSquaredFrobenius) return Status::OK();
+  return Status::InvalidArgument(
+      "the factored backend supports the squared-Frobenius loss only "
+      "(the squared-hinge gradient is entry-wise nonlinear)");
 }
+
+// The sketched half step S_half ≈ q·bᵀ of (1−2θ)·S + θ·Z (minus the
+// linearised ℓ₁ term −θγ·1·1ᵀ when γ > 0), the factored prox and
+// re-symmetrisation; every accepted iterate's column space seeds the
+// next range find (subspace reuse, across CCCP rounds too).
+class FactoredStep final : public ForwardBackwardStep<FactoredMatrix> {
+ public:
+  FactoredStep(const FactoredObjective& objective,
+               const ForwardBackwardOptions& options,
+               const FactoredSolverOptions& factored, Matrix basis)
+      : objective_(objective),
+        keep_symmetric_(options.keep_symmetric),
+        factored_(factored),
+        sketch_(std::min(factored.rank + factored.oversampling,
+                         objective.a.rows())),
+        z_(objective.a.Scaled(2.0).Add(objective.grad_v)),
+        basis_(std::move(basis)) {}
+
+  // Decorrelates the gaussian draws across CCCP rounds.
+  void set_sketch_seed(std::uint64_t seed) { sketch_seed_ = seed; }
+  void BeginRound(int round) override {
+    sketch_seed_ =
+        0x2545f4914f6cdd1dULL * static_cast<std::uint64_t>(round + 1);
+  }
+
+  void Forward(const FactoredMatrix& s, double theta, int step) override {
+    HalfStepOp op;
+    op.s = &s;
+    op.su = 1.0 - 2.0 * theta;
+    op.z = &z_;
+    op.sz = theta;
+    op.oc = objective_.gamma > 0.0 ? -theta * objective_.gamma : 0.0;
+    op.n = objective_.a.rows();
+    const int power = basis_.cols() > 0 ? factored_.warm_power_iterations
+                                        : factored_.power_iterations;
+    // Vary the fresh-column draw deterministically per step so a
+    // dropped subspace direction is not re-proposed forever.
+    const std::uint64_t step_seed =
+        factored_.seed ^ (sketch_seed_ + 0x9e3779b97f4a7c15ULL *
+                                             static_cast<std::uint64_t>(
+                                                 step + 1));
+    q_ = RangeFinder(op, sketch_, basis_, power, step_seed);
+    b_ = op.Apply(q_, /*transpose=*/true);
+    ApplyGradStepFault(&b_);
+  }
+
+  bool HalfStepFinite() const override {
+    return MatrixIsFinite(q_) && MatrixIsFinite(b_);
+  }
+
+  Result<FactoredMatrix> Backward(double theta,
+                                  const GuardrailOptions& guardrails,
+                                  RecoveryStats* recovery) override {
+    Matrix q = std::move(q_);
+    Matrix b = std::move(b_);
+    FactoredMatrix s;
+    if (objective_.tau > 0.0) {
+      auto prox = GuardedFactoredProxNuclear(q, b, theta * objective_.tau,
+                                             guardrails, recovery);
+      if (!prox.ok()) return prox.status();
+      s = std::move(prox).value();
+    } else {
+      // No nuclear term: the sketched half step is the new iterate.
+      s = FactoredMatrix(std::move(q), std::move(b));
+    }
+    if (keep_symmetric_ && s.rows() == s.cols()) s = s.Symmetrized();
+    return s;
+  }
+
+  void Accept(const FactoredMatrix& s) override { basis_ = s.u(); }
+
+  Matrix TakeBasis() { return std::move(basis_); }
+
+ private:
+  const FactoredObjective& objective_;
+  const bool keep_symmetric_;
+  const FactoredSolverOptions& factored_;
+  const std::size_t sketch_;
+  const CsrMatrix z_;  // Z = 2A + G, constant across the whole solve.
+  Matrix basis_;
+  std::uint64_t sketch_seed_ = 0;
+  Matrix q_;
+  Matrix b_;
+};
 
 }  // namespace
 
@@ -249,46 +289,28 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
   if (threshold < 0.0) {
     return Status::InvalidArgument("negative nuclear threshold");
   }
-  // Shares "svd.prox" with every dense prox backend — the guardrail
-  // fallback chain must see the same fault regardless of backend — and
-  // adds the factored-specific "prox.factored" site. An injected fault
-  // replaces the primary attempt (failed Status or poisoned factors) so
-  // the fallback chain below recovers it exactly like a real SVD
-  // failure, mirroring the dense GuardedProxNuclear semantics.
-  Result<FactoredMatrix> primary = Status::OK();
-  bool injected = HandleProxFault(SLAMPRED_FAULT_HIT("svd.prox"), "svd.prox",
-                                  q, b, &primary);
-  if (!injected) {
-    injected = HandleProxFault(SLAMPRED_FAULT_HIT("prox.factored"),
-                               "prox.factored", q, b, &primary);
-  }
-  if (!injected) primary = FactoredProxAttempt(q, b, threshold, SvdOptions{});
-  if (primary.ok() && primary.value().IsFinite()) return primary;
-  if (!guardrails.enabled) return primary;
-  if (!primary.ok() &&
-      primary.status().code() != StatusCode::kNotConverged &&
-      primary.status().code() != StatusCode::kNumericalError) {
-    return primary;
-  }
-
-  Status last = primary.ok() ? Status::NumericalError(
-                                   "factored prox produced non-finite factors")
-                             : primary.status();
-  // Same fallback policy as GuardedProxNuclear: bounded retries with a
-  // doubled core-SVD sweep budget each attempt.
-  SvdOptions svd_options;
-  for (int attempt = 0; attempt < guardrails.max_svd_fallbacks; ++attempt) {
-    svd_options.max_sweeps *= 2;
-    auto fallback = FactoredProxAttempt(q, b, threshold, svd_options);
-    if (fallback.ok() && fallback.value().IsFinite()) {
-      if (stats != nullptr) ++stats->svd_fallbacks;
-      return fallback;
-    }
-    last = fallback.ok()
-               ? Status::NumericalError("fallback factored prox non-finite")
-               : fallback.status();
-  }
-  return last;
+  return GuardedProx<FactoredMatrix>(
+      [&](const SvdOptions* fallback) -> Result<FactoredMatrix> {
+        if (fallback != nullptr) {
+          return FactoredProxAttempt(q, b, threshold, *fallback);
+        }
+        // "svd.prox" is shared with the dense backend — the fallback
+        // chain must see the same fault regardless of backend — and
+        // "prox.factored" singles this backend out. An injected poison
+        // replaces the attempt with poisoned factors.
+        for (const char* site : {"svd.prox", "prox.factored"}) {
+          FaultKind fault = FaultKind::kNone;
+          SLAMPRED_RETURN_NOT_OK(HitProxFaultSite(site, &fault));
+          if (fault == FaultKind::kPoisonNaN ||
+              fault == FaultKind::kPoisonInf) {
+            Matrix poisoned_u = q;
+            PoisonFirstEntry(fault, &poisoned_u);
+            return FactoredMatrix(std::move(poisoned_u), b);
+          }
+        }
+        return FactoredProxAttempt(q, b, threshold, SvdOptions{});
+      },
+      guardrails, stats);
 }
 
 Result<FactoredMatrix> FactoredApproximation(
@@ -319,160 +341,13 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
   SLAMPRED_CHECK(s0.rows() == objective.a.rows() &&
                  s0.cols() == objective.a.cols())
       << "initial point shape mismatch";
-  if (objective.loss != LossKind::kSquaredFrobenius) {
-    return Status::InvalidArgument(
-        "the factored backend supports the squared-Frobenius loss only "
-        "(the squared-hinge gradient is entry-wise nonlinear)");
-  }
-
-  const GuardrailOptions& guard = options.guardrails;
-  const std::size_t n = objective.a.rows();
-  const std::size_t sketch =
-      std::min(factored.rank + factored.oversampling, n);
-  // Z = 2A + G is constant across the whole inner loop.
-  const CsrMatrix z = objective.a.Scaled(2.0).Add(objective.grad_v);
-
-  FactoredMatrix s = s0;
-  double theta = options.theta;
-  int recoveries = 0;
-  double best_change = std::numeric_limits<double>::infinity();
-  FactoredMatrix best_s = s;
-  int divergence_streak = 0;
-  bool budget_exhausted = false;
-  Matrix basis = warm_basis != nullptr ? *warm_basis : Matrix();
-
-  const auto back_off = [&](int* counter) {
-    ++recoveries;
-    if (counter != nullptr) ++*counter;
-    theta *= guard.backoff_factor;
-    return recoveries <= guard.max_recoveries;
-  };
-
-  bool converged = false;
-  int it = 0;
-  for (; it < options.max_iterations && !converged; ++it) {
-    const FactoredMatrix prev = s;
-
-    // Forward step as an implicit operator: S_half = (1−2θ)·S + θ·Z,
-    // minus the linearised ℓ₁ term −θγ·1·1ᵀ when γ > 0.
-    HalfStepOp op;
-    op.s = &s;
-    op.su = 1.0 - 2.0 * theta;
-    op.z = &z;
-    op.sz = theta;
-    op.oc = objective.gamma > 0.0 ? -theta * objective.gamma : 0.0;
-    op.n = n;
-
-    const int power = basis.cols() > 0 ? factored.warm_power_iterations
-                                       : factored.power_iterations;
-    // Vary the fresh-column draw deterministically per step so a
-    // dropped subspace direction is not re-proposed forever.
-    const std::uint64_t step_seed =
-        factored.seed ^ (sketch_seed + 0x9e3779b97f4a7c15ULL *
-                                           static_cast<std::uint64_t>(it + 1));
-    Matrix q = RangeFinder(op, sketch, basis, power, step_seed);
-    Matrix b = op.Apply(q, /*transpose=*/true);
-    ApplyGradStepFault(&b);
-
-    // Guardrail: a non-finite half step never reaches the prox.
-    const auto half_finite = [&] {
-      for (double x : q.data()) {
-        if (!std::isfinite(x)) return false;
-      }
-      for (double x : b.data()) {
-        if (!std::isfinite(x)) return false;
-      }
-      return true;
-    };
-    if (guard.enabled && !half_finite()) {
-      s = prev;
-      if (!back_off(recovery != nullptr ? &recovery->nan_rollbacks
-                                        : nullptr)) {
-        budget_exhausted = true;
-        break;
-      }
-      continue;
-    }
-
-    if (objective.tau > 0.0) {
-      auto prox = GuardedFactoredProxNuclear(q, b, theta * objective.tau,
-                                             guard, recovery);
-      if (!prox.ok()) {
-        if (!guard.enabled) return prox.status();
-        s = prev;
-        if (!back_off(recovery != nullptr ? &recovery->prox_rollbacks
-                                          : nullptr)) {
-          budget_exhausted = true;
-          break;
-        }
-        continue;
-      }
-      s = std::move(prox).value();
-    } else {
-      // No nuclear term: the sketched half step is the new iterate.
-      s = FactoredMatrix(std::move(q), std::move(b));
-    }
-
-    if (options.keep_symmetric && s.rows() == s.cols()) {
-      s = s.Symmetrized();
-    }
-
-    if (guard.enabled && !s.IsFinite()) {
-      s = prev;
-      if (!back_off(recovery != nullptr ? &recovery->nan_rollbacks
-                                        : nullptr)) {
-        budget_exhausted = true;
-        break;
-      }
-      continue;
-    }
-
-    const double change = s.DistanceFrobenius(prev);
-    const double scale = std::max(1.0, s.FrobeniusNorm());
-
-    if (guard.enabled) {
-      if (change < best_change) {
-        best_change = change;
-        best_s = s;
-        divergence_streak = 0;
-      } else if (change >
-                 guard.divergence_factor * std::max(best_change, 1e-12)) {
-        if (++divergence_streak >= guard.divergence_window) {
-          s = best_s;
-          divergence_streak = 0;
-          if (!back_off(recovery != nullptr
-                            ? &recovery->divergence_backoffs
-                            : nullptr)) {
-            budget_exhausted = true;
-            break;
-          }
-          continue;
-        }
-      }
-    }
-
-    converged = change / scale < options.tol;
-
-    // Subspace reuse: the accepted iterate's column space seeds the
-    // next range find.
-    basis = s.u();
-
-    if (trace != nullptr) {
-      trace->s_norm_l1.push_back(s.FrobeniusNorm());
-      trace->s_change_l1.push_back(change);
-    }
-  }
-
-  if (trace != nullptr) {
-    trace->converged = converged;
-    trace->iterations += it;
-  }
-  if (warm_basis != nullptr) *warm_basis = std::move(basis);
-  if (budget_exhausted) {
-    return Status::NotConverged(
-        "factored forward-backward recovery budget exhausted after " +
-        std::to_string(recoveries) + " recoveries");
-  }
+  SLAMPRED_RETURN_NOT_OK(CheckFactoredLoss(objective));
+  FactoredStep step(objective, options, factored,
+                    warm_basis != nullptr ? *warm_basis : Matrix());
+  step.set_sketch_seed(sketch_seed);
+  auto s = GuardedForwardBackward<FactoredMatrix>(step, s0, options, trace,
+                                                  recovery);
+  if (warm_basis != nullptr) *warm_basis = step.TakeBasis();
   return s;
 }
 
@@ -480,71 +355,12 @@ Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,
                                          const CccpOptions& options,
                                          const FactoredSolverOptions& factored,
                                          CccpTrace* trace) {
-  if (objective.loss != LossKind::kSquaredFrobenius) {
-    return Status::InvalidArgument(
-        "the factored backend supports the squared-Frobenius loss only "
-        "(the squared-hinge gradient is entry-wise nonlinear)");
-  }
+  SLAMPRED_RETURN_NOT_OK(CheckFactoredLoss(objective));
   auto init = FactoredApproximation(objective.a, factored);
   if (!init.ok()) return init.status();
-
-  const GuardrailOptions& guard = options.inner.guardrails;
-  FactoredMatrix s = std::move(init).value();
-  const double theta0 = options.inner.theta;
-  double theta = theta0;
-  RecoveryStats local_recovery;
-  RecoveryStats* recovery =
-      trace != nullptr ? &trace->recovery : &local_recovery;
-
-  // The factored twin of the dense SolverCheckpoint; CccpTrace's dense
-  // checkpoint stays invalid in this mode.
-  FactoredMatrix checkpoint_s = s;
-  Matrix warm_basis;
-
-  int resumes = 0;
-  bool converged = false;
-  int outer = 0;
-  while (outer < options.max_outer_iterations && !converged) {
-    const FactoredMatrix prev = s;
-    IterationTrace* inner_trace = trace != nullptr ? &trace->steps : nullptr;
-    ForwardBackwardOptions inner_options = options.inner;
-    inner_options.theta = theta;
-    const std::uint64_t round_seed =
-        0x2545f4914f6cdd1dULL * static_cast<std::uint64_t>(outer + 1);
-    auto inner = GeneralizedForwardBackwardFactored(
-        objective, s, inner_options, factored, round_seed, &warm_basis,
-        inner_trace, recovery);
-    if (!inner.ok()) {
-      const StatusCode code = inner.status().code();
-      if (guard.enabled && resumes < guard.max_checkpoint_resumes &&
-          (code == StatusCode::kNotConverged ||
-           code == StatusCode::kNumericalError)) {
-        ++resumes;
-        ++recovery->checkpoint_resumes;
-        theta *= guard.backoff_factor;
-        s = checkpoint_s;
-        continue;
-      }
-      return inner.status();
-    }
-    s = std::move(inner).value();
-    // Episodic backoff, exactly as the dense outer loop: a clean round
-    // restores the configured step size.
-    theta = theta0;
-
-    const double change = s.DistanceFrobenius(prev);
-    const double scale = std::max(1.0, s.FrobeniusNorm());
-    converged = change / scale < options.outer_tol;
-    if (trace != nullptr) trace->outer_change_l1.push_back(change);
-
-    ++outer;
-    checkpoint_s = s;
-  }
-  if (trace != nullptr) {
-    trace->outer_iterations = outer;
-    trace->converged = converged;
-  }
-  return s;
+  FactoredStep step(objective, options.inner, factored, Matrix());
+  return GuardedCccp(step, std::move(init).value(), options.inner.theta, 0,
+                     options, trace);
 }
 
 }  // namespace slampred

@@ -80,10 +80,10 @@ double FactoredObjectiveValue(const FactoredObjective& objective,
 /// orthonormal columns): thin QR on b, SVD of the small core, singular
 /// values shrunk by `threshold` and the surviving ranks returned as a
 /// FactoredMatrix — O(n·k²) for a k-column sketch. Routed through the
-/// same "svd.prox" fault site as the dense prox backends plus its own
-/// "prox.factored" site, with the guardrail fallback chain retrying the
-/// core SVD on a doubled sweep budget (counted in
-/// RecoveryStats::svd_fallbacks).
+/// same "svd.prox" fault site as the dense prox plus its own
+/// "prox.factored" site, with the shared guardrail fallback chain
+/// (GuardedProx) retrying the core SVD on a doubled sweep budget
+/// (counted in RecoveryStats::svd_fallbacks).
 Result<FactoredMatrix> GuardedFactoredProxNuclear(
     const Matrix& q, const Matrix& b, double threshold,
     const GuardrailOptions& guardrails, RecoveryStats* stats);
@@ -94,12 +94,13 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
 Result<FactoredMatrix> FactoredApproximation(const CsrMatrix& a,
                                              const FactoredSolverOptions& options);
 
-/// The factored inner loop: mirrors GeneralizedForwardBackward's
-/// guardrail structure (NaN rollback, prox rollback, divergence
-/// backoff, recovery budget) with Frobenius-norm convergence tests.
-/// `sketch_seed` decorrelates the gaussian draws across CCCP rounds;
-/// `warm_basis` (optional in/out) carries the range-finder subspace
-/// across calls. IterationTrace fields hold Frobenius norms.
+/// The factored inner loop: the shared guarded loop of
+/// optim/guardrails.h (NaN rollback, prox rollback, divergence backoff,
+/// recovery budget) over the factored step, with Frobenius-norm
+/// convergence tests. `sketch_seed` decorrelates the gaussian draws
+/// across CCCP rounds; `warm_basis` (optional in/out) carries the
+/// range-finder subspace across calls. IterationTrace fields hold
+/// Frobenius norms.
 Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
     const FactoredObjective& objective, const FactoredMatrix& s0,
     const ForwardBackwardOptions& options,
@@ -109,8 +110,8 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
 /// Algorithm 1 on the factored iterate: S⁰ from FactoredApproximation,
 /// then CCCP outer rounds over the factored inner loop with the
 /// range-finder basis warm-started from round to round (the subspace
-/// reuse path). Keeps the dense outer loop's checkpoint-resume
-/// semantics with an internal factored checkpoint; CccpTrace::checkpoint
+/// reuse path). Runs the shared guarded CCCP loop, so checkpoint
+/// resume works exactly as on the dense path; CccpTrace::checkpoint
 /// stays invalid (it holds a dense iterate) and the trace's *_l1 series
 /// hold Frobenius values in this mode. Fails with kInvalidArgument for
 /// the squared-hinge loss (its gradient is entry-wise nonlinear and has

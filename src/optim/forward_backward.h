@@ -6,11 +6,12 @@
 // optionally followed by projection onto the admissible set 𝒮
 // (entry-wise [0, 1], matching the paper's confidence-score range).
 //
-// The loop is wrapped in solver guardrails (optim/guardrails.h): a
-// non-finite or diverging iterate rolls back to the last good one with
-// a halved θ, and a failing nuclear prox falls back to the full Jacobi
-// SVD. With guardrails at their defaults a healthy run is bit-identical
-// to the unguarded loop.
+// This is the dense backend's step; the loop around it is the shared
+// guarded loop of optim/guardrails.h (also run by the factored backend):
+// a non-finite or diverging iterate rolls back to the last good one
+// with a halved θ, and a failing nuclear prox falls back to the full
+// Jacobi SVD. With guardrails at their defaults a healthy run is
+// bit-identical to the unguarded loop.
 
 #ifndef SLAMPRED_OPTIM_FORWARD_BACKWARD_H_
 #define SLAMPRED_OPTIM_FORWARD_BACKWARD_H_
@@ -36,7 +37,6 @@ struct ForwardBackwardOptions {
   bool project_unit_box = true;  ///< Clamp S into [0, 1] each step.
   bool keep_symmetric = true;    ///< Re-symmetrise after each step.
   GuardrailOptions guardrails;   ///< Rollback/backoff/fallback controls.
-  NuclearProxOptions nuclear_prox;  ///< Nuclear-prox backend selection.
 };
 
 /// Per-step trace used by the Figure-3 convergence experiment. Recovery

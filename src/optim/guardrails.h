@@ -1,35 +1,48 @@
-// Solver guardrails: detection, backoff and fallback machinery that
-// lets the CCCP / forward–backward pipeline degrade gracefully instead
-// of aborting or silently emitting a garbage predictor matrix.
+// Solver guardrails: the one recovery policy of Algorithm 1, written
+// once over the iterate type and shared by the dense (Matrix) and the
+// factored (FactoredMatrix) backends. A backend supplies only its
+// forward–backward step (ForwardBackwardStep); the loops here own
+// every decision about it:
 //
-// The guardrails are observers on the healthy path — with no fault and
-// no divergence they only read the iterate, so traces are bit-identical
-// to an unguarded run — and only steer the solver when something is
-// measurably wrong:
-//
-//   * NaN/Inf in the iterate after a step  → roll back to the last good
-//     iterate and halve the step size θ.
+//   * NaN/Inf after the half step or after the backward steps → roll
+//     back to the last good iterate and multiply θ by backoff_factor.
 //   * Divergence (the step change blowing up well past its best value
-//     for several consecutive steps)       → same rollback + backoff.
-//   * Nuclear-prox failure (randomized or symmetric-eigen backend not
-//     converging)                          → bounded-retry fallback to
-//     the full Jacobi SVD with extra sweeps.
-//   * Inner-loop failure after its own retries → CCCP resumes from the
-//     last SolverCheckpoint with a halved θ.
+//     for several consecutive steps)      → same rollback + backoff.
+//   * Nuclear-prox failure (kNotConverged / kNumericalError or a
+//     non-finite result)                  → bounded-retry fallback on
+//     the full Jacobi SVD with a doubled sweep budget (GuardedProx);
+//     past the fallbacks, a rollback.
+//   * Recovery budget spent               → the inner loop fails with
+//     kNotConverged, and CCCP resumes from its last good iterate with a
+//     backed-off θ a bounded number of times.
 //
-// Every intervention is counted in RecoveryStats, surfaced through
-// CccpTrace and printed by tools/slampred_cli.
+// The guardrails are observers on the healthy path: with no fault and
+// no divergence they only read the iterate, so traces are bit-identical
+// to an unguarded run. Every intervention is counted in RecoveryStats,
+// surfaced through CccpTrace and printed by tools/slampred_cli.
+//
+// Fault sites (util/fault_injection.h): "fb.grad_step" poisons a
+// backend's half step through ApplyGradStepFault; "svd.prox" (both
+// backends) and "prox.factored" (factored only) fail or poison the
+// primary nuclear-prox attempt through HitProxFaultSite.
 
 #ifndef SLAMPRED_OPTIM_GUARDRAILS_H_
 #define SLAMPRED_OPTIM_GUARDRAILS_H_
 
+#include <functional>
 #include <string>
 
 #include "linalg/matrix.h"
-#include "linalg/randomized_svd.h"
+#include "linalg/svd.h"
+#include "util/fault_injection.h"
 #include "util/status.h"
 
 namespace slampred {
+
+struct ForwardBackwardOptions;
+struct IterationTrace;
+struct CccpOptions;
+struct CccpTrace;
 
 /// Counters for every recovery action the solver took. All zero on a
 /// fault-free, well-conditioned run.
@@ -94,7 +107,7 @@ struct GuardrailOptions {
   /// Maximum rollback/backoff recoveries per inner-loop run before the
   /// loop gives up and returns its last good iterate.
   int max_recoveries = 8;
-  /// Divergence test: the change ‖ΔS‖₁ must exceed
+  /// Divergence test: the change ‖ΔS‖ must exceed
   /// divergence_factor × (best change seen) for divergence_window
   /// consecutive steps. The defaults are far outside anything a healthy
   /// run produces, so the healthy path is untouched.
@@ -110,24 +123,82 @@ struct GuardrailOptions {
 /// True iff every entry of `m` is finite (no NaN, no ±Inf).
 bool MatrixIsFinite(const Matrix& m);
 
-/// Nuclear-prox backend selection for GuardedProxNuclear.
-struct NuclearProxOptions {
-  /// Use the randomized sketch as the primary backend (scalable path);
-  /// the full/symmetric decomposition remains the fallback.
-  bool use_randomized = false;
-  RandomizedSvdOptions randomized;
+/// The "fb.grad_step" site: poisons the first entry of a backend's half
+/// step with +Inf (kPoisonInf) or NaN (every other injected kind — from
+/// the solver's point of view a failed gradient step *is* a corrupted
+/// iterate).
+void ApplyGradStepFault(Matrix* half_step);
+
+/// Hits nuclear-prox fault site `site`. A fail kind returns its Status
+/// (kNotConverged, or kNumericalError for the numerical and I/O kinds);
+/// any other kind returns OK and is left in `*kind`, where a poison kind
+/// asks the caller to corrupt its result with PoisonFirstEntry.
+Status HitProxFaultSite(const char* site, FaultKind* kind);
+
+/// Writes NaN (kPoisonNaN) or +Inf (kPoisonInf) into the first entry of
+/// a non-empty `m`; every other kind leaves it untouched.
+void PoisonFirstEntry(FaultKind kind, Matrix* m);
+
+/// The nuclear-prox fallback chain of both backends. `attempt(nullptr)`
+/// is the backend's primary prox; when it fails with kNotConverged /
+/// kNumericalError or returns a non-finite iterate (and guardrails are
+/// on), `attempt(&svd_options)` retries on the full Jacobi SVD with the
+/// sweep budget doubled per retry, up to max_svd_fallbacks times. A
+/// recovered prox counts one RecoveryStats::svd_fallbacks (`stats` may
+/// be null). Instantiated for Matrix and FactoredMatrix.
+template <typename Iterate>
+Result<Iterate> GuardedProx(
+    const std::function<Result<Iterate>(const SvdOptions*)>& attempt,
+    const GuardrailOptions& guardrails, RecoveryStats* stats);
+
+/// One backend's forward–backward step on iterate type `Iterate`. The
+/// step only computes; the loops below decide what happens to it.
+template <typename Iterate>
+class ForwardBackwardStep {
+ public:
+  /// Called before CCCP outer round `round` starts.
+  virtual void BeginRound(int /*round*/) {}
+  /// Forward (gradient) half step from `s` with step size `theta`;
+  /// `step` counts the inner loop's steps, rolled-back ones included.
+  virtual void Forward(const Iterate& s, double theta, int step) = 0;
+  /// True iff the last half step is finite.
+  virtual bool HalfStepFinite() const = 0;
+  /// Backward steps on the last half step: the guarded nuclear prox
+  /// (GuardedProx), then the backend's remaining maps. Fails only when
+  /// the nuclear prox fails past its fallback chain.
+  virtual Result<Iterate> Backward(double theta,
+                                   const GuardrailOptions& guardrails,
+                                   RecoveryStats* recovery) = 0;
+  /// Called with every accepted iterate.
+  virtual void Accept(const Iterate& /*s*/) {}
 };
 
-/// Nuclear-norm prox with a bounded-retry fallback chain:
-/// primary backend (randomized sketch or symmetric-eigen/Jacobi auto
-/// dispatch, honoring the "svd.prox" fault-injection site) and, on
-/// kNotConverged / kNumericalError / non-finite output, the full Jacobi
-/// SVD with a doubled sweep budget per retry. Each fallback taken is
-/// counted in `stats` (when non-null).
-Result<Matrix> GuardedProxNuclear(const Matrix& s, double threshold,
-                                  const NuclearProxOptions& options,
-                                  const GuardrailOptions& guardrails,
-                                  RecoveryStats* stats);
+/// The guarded inner loop: runs `step` from `s0` under the options'
+/// θ, iteration cap and tolerance (‖ΔS‖/max(1,‖S‖) < tol, entry-wise
+/// ℓ₁ norms for a Matrix iterate, Frobenius norms for a FactoredMatrix)
+/// and appends accepted iterates to `trace` (when non-null); recovery
+/// actions are counted into `recovery` (when non-null). Fails with
+/// kNotConverged when the recovery budget is exhausted, or propagates a
+/// prox failure directly when guardrails are disabled. Instantiated for
+/// Matrix and FactoredMatrix.
+template <typename Iterate>
+Result<Iterate> GuardedForwardBackward(ForwardBackwardStep<Iterate>& step,
+                                       const Iterate& s0,
+                                       const ForwardBackwardOptions& options,
+                                       IterationTrace* trace,
+                                       RecoveryStats* recovery);
+
+/// The guarded CCCP outer loop: rounds `first_round` up to
+/// options.max_outer_iterations of GuardedForwardBackward from `s` at
+/// step size `theta0`. A failed round (kNotConverged / kNumericalError)
+/// restarts from the last good iterate with a backed-off θ up to
+/// max_checkpoint_resumes times; a clean round restores `theta0`.
+/// Fills every CccpTrace field except `checkpoint`. Instantiated for
+/// Matrix and FactoredMatrix.
+template <typename Iterate>
+Result<Iterate> GuardedCccp(ForwardBackwardStep<Iterate>& step, Iterate s,
+                            double theta0, int first_round,
+                            const CccpOptions& options, CccpTrace* trace);
 
 }  // namespace slampred
 

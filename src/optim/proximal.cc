@@ -1,47 +1,15 @@
 #include "optim/proximal.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "linalg/svd.h"
 #include "linalg/symmetric_eigen.h"
-#include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace slampred {
-
-namespace {
-
-// Applies an injected fault from the "svd.prox" site to a computed prox
-// result: fail kinds replace the result with an error, poison kinds
-// corrupt one entry. Returns the (possibly replaced) result.
-Result<Matrix> ApplyProxFault(FaultKind fault, Result<Matrix> result) {
-  switch (fault) {
-    case FaultKind::kNone:
-    case FaultKind::kStall:
-      break;
-    case FaultKind::kFailNotConverged:
-      return Status::NotConverged("injected fault at svd.prox");
-    case FaultKind::kFailNumerical:
-    case FaultKind::kFailIo:
-      return Status::NumericalError("injected fault at svd.prox");
-    case FaultKind::kPoisonNaN:
-      if (result.ok() && !result.value().empty()) {
-        result.value().data()[0] = std::numeric_limits<double>::quiet_NaN();
-      }
-      break;
-    case FaultKind::kPoisonInf:
-      if (result.ok() && !result.value().empty()) {
-        result.value().data()[0] = std::numeric_limits<double>::infinity();
-      }
-      break;
-  }
-  return result;
-}
-
-}  // namespace
 
 Matrix ProxL1(const Matrix& s, double threshold) {
   SLAMPRED_CHECK(threshold >= 0.0) << "negative l1 threshold";
@@ -146,15 +114,10 @@ Result<Matrix> ProxNuclearSymmetric(const Matrix& s, double threshold) {
 }
 
 Result<Matrix> ProxNuclearAuto(const Matrix& s, double threshold) {
-  const FaultKind fault = SLAMPRED_FAULT_HIT("svd.prox");
-  if (fault == FaultKind::kFailNotConverged ||
-      fault == FaultKind::kFailNumerical || fault == FaultKind::kFailIo) {
-    return ApplyProxFault(fault, Matrix());
-  }
   if (s.IsSquare() && s.IsSymmetric(1e-9 * std::max(1.0, s.MaxAbs()))) {
-    return ApplyProxFault(fault, ProxNuclearSymmetric(s, threshold));
+    return ProxNuclearSymmetric(s, threshold);
   }
-  return ApplyProxFault(fault, ProxNuclear(s, threshold));
+  return ProxNuclear(s, threshold);
 }
 
 }  // namespace slampred

@@ -8,27 +8,6 @@
 #include "util/thread_pool.h"
 
 namespace slampred {
-namespace {
-
-// Translates the "serve.batch" fault site into a dispatch failure.
-Status InjectedBatchFault() {
-  switch (SLAMPRED_FAULT_HIT("serve.batch")) {
-    case FaultKind::kFailIo:
-      return Status::IoError("injected batch dispatch fault");
-    case FaultKind::kFailNumerical:
-    case FaultKind::kPoisonNaN:
-    case FaultKind::kPoisonInf:
-      return Status::NumericalError("injected batch dispatch fault");
-    case FaultKind::kFailNotConverged:
-      return Status::NotConverged("injected batch dispatch fault");
-    case FaultKind::kNone:
-    case FaultKind::kStall:
-      break;
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 BatchScorer::BatchScorer(ModelRegistry* registry, BatchScorerOptions options)
     : registry_(registry), options_(options), breaker_(options.breaker) {}
@@ -190,7 +169,8 @@ void BatchScorer::ProcessBatch(const std::vector<Request*>& batch) {
     ProcessBatchCheap(batch);
     return;
   }
-  const Status injected = InjectedBatchFault();
+  const Status injected =
+      InjectedFaultStatus("serve.batch", "batch dispatch: ");
   if (!injected.ok()) {
     registry_->NoteBatchFailure();
     if (breaker_.RecordFailure()) registry_->NoteBreakerTrip();

@@ -8,27 +8,6 @@
 #include "util/fault_injection.h"
 
 namespace slampred {
-namespace {
-
-// Translates the "serve.swap" fault site into a swap failure.
-Status InjectedSwapFault() {
-  switch (SLAMPRED_FAULT_HIT("serve.swap")) {
-    case FaultKind::kFailIo:
-      return Status::IoError("injected model swap fault");
-    case FaultKind::kFailNumerical:
-    case FaultKind::kPoisonNaN:
-    case FaultKind::kPoisonInf:
-      return Status::NumericalError("injected model swap fault");
-    case FaultKind::kFailNotConverged:
-      return Status::NotConverged("injected model swap fault");
-    case FaultKind::kNone:
-    case FaultKind::kStall:
-      break;
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 ModelRegistry::ModelRegistry(ModelRegistryOptions options)
     : options_(options), swap_breaker_(options.breaker) {}
@@ -58,7 +37,7 @@ Status ModelRegistry::SwapValidated(ModelArtifact artifact,
   const std::uint32_t checksum = Crc32(bytes.data(), bytes.size());
 
   // Mid-swap fault window: validation has started, nothing published.
-  const Status injected = InjectedSwapFault();
+  const Status injected = InjectedFaultStatus("serve.swap", "model swap: ");
   if (!injected.ok()) return injected;
 
   auto reparsed = DeserializeModelArtifact(bytes);

@@ -22,6 +22,26 @@ const char* FaultKindToString(FaultKind kind) {
   return "UNKNOWN";
 }
 
+Status InjectedFaultStatus(const std::string& site, std::string_view prefix) {
+  const auto message = [prefix](const char* what) {
+    return std::string(prefix) + "injected " + what + " fault";
+  };
+  switch (SLAMPRED_FAULT_HIT(site)) {
+    case FaultKind::kNone:
+    case FaultKind::kStall:
+      return Status::OK();
+    case FaultKind::kFailNotConverged:
+      return Status::NotConverged(message("not-converged"));
+    case FaultKind::kFailIo:
+      return Status::IoError(message("io"));
+    case FaultKind::kFailNumerical:
+    case FaultKind::kPoisonNaN:
+    case FaultKind::kPoisonInf:
+      return Status::NumericalError(message("numerical"));
+  }
+  return Status::OK();
+}
+
 FaultInjector& FaultInjector::Instance() {
   static FaultInjector* instance = new FaultInjector();
   return *instance;

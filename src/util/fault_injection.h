@@ -21,14 +21,19 @@
 // disappears from the binary. When compiled in but nothing is armed,
 // each hit costs one relaxed atomic load.
 //
+// Callers with no numeric state to corrupt map a hit to a Status with
+// InjectedFaultStatus; the solver sites map theirs through the helpers
+// of optim/guardrails.h.
+//
 // Known injection sites wired into the library:
-//   "svd.prox"        nuclear-norm prox (proximal.cc, randomized_svd.cc,
-//                     factored_solver.cc)
+//   "svd.prox"        primary nuclear-norm prox of both solver backends
+//                     (cccp.cc, factored_solver.cc; the fallback chain
+//                     in guardrails.cc skips it)
 //   "prox.factored"   factored-backend prox only (factored_solver.cc);
 //                     "svd.prox" also covers it, this site singles the
 //                     factored path out
-//   "fb.grad_step"    forward–backward gradient step (forward_backward.cc
-//                     and the factored inner loop)
+//   "fb.grad_step"    forward–backward half step of both solver
+//                     backends (ApplyGradStepFault, guardrails.cc)
 //   "graph_io.parse"  per-line network/anchor parsing (graph_io.cc)
 //   "fit.features"    feature stage of the fit pipeline (fit_pipeline.cc)
 //   "fit.embedding"   embedding stage of the fit pipeline (fit_pipeline.cc)
@@ -49,7 +54,10 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+
+#include "util/status.h"
 
 namespace slampred {
 
@@ -67,6 +75,13 @@ enum class FaultKind : int {
 
 /// Returns a stable name for a fault kind (for logs and test messages).
 const char* FaultKindToString(FaultKind kind);
+
+/// Hits `site` and maps what it injects to a Status: kFailIo to
+/// kIoError; kFailNumerical and both poison kinds (which have no
+/// numeric state to corrupt here) to kNumericalError; kFailNotConverged
+/// to kNotConverged; kNone and kStall to OK. The message is `prefix`
+/// followed by "injected <io|numerical|not-converged> fault".
+Status InjectedFaultStatus(const std::string& site, std::string_view prefix);
 
 /// How an armed site behaves over successive hits.
 struct FaultSpec {

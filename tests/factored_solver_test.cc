@@ -503,6 +503,31 @@ TEST_F(FactoredFaultTest, UnrecoverableFaultReturnsStatusNotAbort) {
   EXPECT_GE(trace.recovery.checkpoint_resumes, 1);
 }
 
+TEST_F(FactoredFaultTest, DivergenceBackoffTamesUnstableStepSize) {
+  // The factored twin of the dense suite's test: θ = 5 is far beyond
+  // the 1/L = 0.5 stability bound, so without the guardrail the
+  // iterates oscillate with geometrically growing change.
+  FactoredObjective objective;
+  objective.a = CsrMatrix::FromDense(Matrix{{0.0, 1.0}, {1.0, 0.0}});
+  objective.grad_v = CsrMatrix::FromDense(Matrix(2, 2));
+
+  ForwardBackwardOptions options;
+  options.theta = 5.0;
+  options.max_iterations = 400;
+  options.tol = 1e-10;
+
+  IterationTrace trace;
+  RecoveryStats recovery;
+  auto s = GeneralizedForwardBackwardFactored(
+      objective, FactoredMatrix::Zero(2, 2), options, FullRankSketch(2),
+      /*sketch_seed=*/1, /*warm_basis=*/nullptr, &trace, &recovery);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_GE(recovery.divergence_backoffs, 1);
+  // After the backoffs bring θ into the stable range the loop converges
+  // to the unregularised minimiser S = A.
+  EXPECT_LT((s.value().ToDense() - objective.a.ToDense()).MaxAbs(), 1e-3);
+}
+
 TEST_F(FactoredFaultTest, GuardrailsDisabledPropagatesProxFailure) {
   SLAMPRED_REQUIRE_INJECTION();
   const FactoredObjective objective = SmallObjective();

@@ -16,7 +16,6 @@
 #include "graph/social_graph.h"
 #include "linalg/matrix.h"
 #include "linalg/matrix_ops.h"
-#include "linalg/randomized_svd.h"
 #include "linalg/tensor3.h"
 #include "optim/objective.h"
 #include "optim/proximal.h"
@@ -146,22 +145,6 @@ TEST(ParallelDeterminismTest, TensorSumAndNormalize) {
               << "flat index " << i << " at " << threads << " threads";
         }
       });
-}
-
-TEST(ParallelDeterminismTest, RandomizedSvdAndProx) {
-  const Matrix a = RandomMatrix(kN, kN, 12);
-  RandomizedSvdOptions options;
-  options.rank = 8;
-  CheckMatrixInvariance([&] {
-    auto svd = ComputeRandomizedSvd(a, options);
-    EXPECT_TRUE(svd.ok());
-    return svd.ok() ? svd.value().u : Matrix();
-  });
-  CheckMatrixInvariance([&] {
-    auto prox = ProxNuclearRandomized(a, 0.5, options);
-    EXPECT_TRUE(prox.ok());
-    return prox.ok() ? prox.value() : Matrix();
-  });
 }
 
 TEST(ParallelDeterminismTest, ProximalOperators) {
