@@ -70,8 +70,8 @@ Result<HotRowCache> HotRowCache::Deserialize(BinaryReader& reader) {
     first = false;
     prev_user = user.value();
     // Each entry costs 12 bytes; bound the allocation by what can
-    // actually be present.
-    if (reader.remaining() < entry_count.value() * 12) {
+    // actually be present, dividing so that no count wraps the product.
+    if (entry_count.value() > reader.remaining() / 12) {
       return reader.Truncated(
           static_cast<std::size_t>(entry_count.value()) * 12,
           "hot-row entries");

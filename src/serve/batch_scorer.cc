@@ -47,21 +47,6 @@ void BatchScorer::RunQueued(Request& request) {
   const bool has_deadline =
       request.deadline != std::chrono::steady_clock::time_point::max();
 
-  if (!options_.enabled) {
-    // Batch of one through the identical dispatch path (same snapshot
-    // discipline, same fault site), skipping the queue.
-    if (has_deadline && std::chrono::steady_clock::now() >= request.deadline) {
-      request.status = Status::DeadlineExceeded(
-          "deadline passed before the request could be dispatched");
-      registry_->NoteDeadlineExceeded();
-      return;
-    }
-    ProcessBatch({&request});
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++batches_;
-    return;
-  }
-
   std::unique_lock<std::mutex> lock(mutex_);
 
   if (has_deadline && std::chrono::steady_clock::now() >= request.deadline) {

@@ -14,9 +14,8 @@
 //
 // Determinism: scoring is a pure per-element lookup fanned out with the
 // deterministic ParallelFor, so responses are bit-identical to the
-// serial ScoringSession oracle regardless of batching, coalescing
-// boundaries, or thread count. Disabling batching routes each request
-// through the same dispatch code as a batch of one.
+// serial ScoringSession oracle regardless of coalescing boundaries or
+// thread count.
 //
 // The "serve.batch" fault site fires once per dispatch; an injected
 // fault fails every request of that batch (counted in
@@ -66,9 +65,6 @@ enum class ShedPolicy {
 
 /// Batching knobs.
 struct BatchScorerOptions {
-  /// Off = every request dispatches immediately as a batch of one,
-  /// concurrently with the others (identical results, no coalescing).
-  bool enabled = true;
   /// Cap on the pairs one dispatch claims (a request larger than this
   /// is still claimed, alone); the rest stay queued for the next one.
   std::size_t max_batch_pairs = 1024;

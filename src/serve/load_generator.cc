@@ -229,8 +229,6 @@ std::string LoadGeneratorReport::ToJson() const {
   out += "\"mode\":\"" + mode + "\"";
   first = false;
   AppendJsonSize(out, "concurrency", concurrency, &first);
-  out += ",\"batching\":";
-  out += batching ? "true" : "false";
   AppendJsonSize(out, "requests", requests, &first);
   AppendJsonSize(out, "score_requests", score_requests, &first);
   AppendJsonSize(out, "topk_requests", topk_requests, &first);
@@ -298,12 +296,12 @@ std::string LoadGeneratorReport::ToString() const {
   char buffer[512];
   std::snprintf(
       buffer, sizeof(buffer),
-      "serve-load: %s loop, %zu caller(s), batching %s\n"
+      "serve-load: %s loop, %zu caller(s)\n"
       "  %zu requests (%zu score, %zu topk), %zu error(s), %llu swap(s), "
       "final version %llu\n"
       "  %.0f req/sec over %.2f s; latency ms p50 %.3f  p95 %.3f  "
       "p99 %.3f  max %.3f",
-      mode.c_str(), concurrency, batching ? "on" : "off", requests,
+      mode.c_str(), concurrency, requests,
       score_requests, topk_requests, errors,
       static_cast<unsigned long long>(swaps),
       static_cast<unsigned long long>(final_version), throughput_rps,
@@ -472,7 +470,6 @@ Result<LoadGeneratorReport> RunLoadGenerator(
                     ? "closed"
                     : "open";
   report.concurrency = concurrency;
-  report.batching = service.batcher().options().enabled;
   report.swaps = swaps;
   report.final_version = registry.current_version();
   report.duration_seconds = elapsed;

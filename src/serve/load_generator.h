@@ -100,7 +100,6 @@ struct ServeTierCounts {
 struct LoadGeneratorReport {
   std::string mode;
   std::size_t concurrency = 0;
-  bool batching = false;
   std::size_t requests = 0;
   std::size_t score_requests = 0;
   std::size_t topk_requests = 0;

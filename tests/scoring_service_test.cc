@@ -1,10 +1,10 @@
 // Deterministic concurrency harness for the serving layer: N caller
 // threads issue interleaved Score / ScorePairs / TopK against one
 // ModelRegistry while the suite bit-compares every response against the
-// serial ScoringSession oracle — at 1/4/7 pool threads, with batching
-// on and off, and during artifact hot-swap (every response must match
-// exactly one artifact version, never a torn mix). Also covers the
-// serve.swap / serve.batch fault-injection sites and version draining.
+// serial ScoringSession oracle — at 1/4/7 pool threads, and during
+// artifact hot-swap (every response must match exactly one artifact
+// version, never a torn mix). Also covers the serve.swap / serve.batch
+// fault-injection sites and version draining.
 //
 // The overload suite at the bottom drives the robustness features:
 // per-request deadlines, bounded admission with both shed policies,
@@ -181,7 +181,7 @@ TEST_F(ScoringServiceTest, ErrorsMatchTheOracleContract) {
 }
 
 // The core harness: at 1/4/7 pool threads, concurrent mixed traffic
-// must be bit-identical to the serial oracle, with batching on and off.
+// must be bit-identical to the serial oracle.
 TEST_F(ScoringServiceTest, ConcurrentMixedTrafficMatchesOracle) {
   const std::size_t n = 40;
   const ModelArtifact artifact = MakeArtifact(n, 0.0);
@@ -190,110 +190,104 @@ TEST_F(ScoringServiceTest, ConcurrentMixedTrafficMatchesOracle) {
 
   for (const std::size_t pool_threads : {1u, 4u, 7u}) {
     ThreadPool::Global().Resize(pool_threads);
-    for (const bool batching : {true, false}) {
-      ModelRegistry registry;
-      ASSERT_TRUE(registry.Swap(ModelArtifact(artifact)).ok());
-      BatchScorerOptions batch;
-      batch.enabled = batching;
-      ScoringService service(&registry, batch);
+    ModelRegistry registry;
+    ASSERT_TRUE(registry.Swap(ModelArtifact(artifact)).ok());
+    ScoringService service(&registry);
 
-      const std::size_t num_callers = 6;
-      const std::size_t iterations = 40;
-      std::vector<std::string> failures(num_callers);
-      std::vector<std::thread> callers;
-      for (std::size_t t = 0; t < num_callers; ++t) {
-        callers.emplace_back([&, t] {
-          Rng rng(1000 + t);
-          for (std::size_t i = 0; i < iterations; ++i) {
-            const std::size_t op = i % 3;
-            if (op == 0) {
-              const std::size_t u = rng.NextBounded(n);
-              const std::size_t v = rng.NextBounded(n);
-              auto got = service.Score(u, v);
-              if (!got.ok() || got.value() != s(u, v)) {
-                failures[t] = "Score mismatch at iteration " +
+    const std::size_t num_callers = 6;
+    const std::size_t iterations = 40;
+    std::vector<std::string> failures(num_callers);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < num_callers; ++t) {
+      callers.emplace_back([&, t] {
+        Rng rng(1000 + t);
+        for (std::size_t i = 0; i < iterations; ++i) {
+          const std::size_t op = i % 3;
+          if (op == 0) {
+            const std::size_t u = rng.NextBounded(n);
+            const std::size_t v = rng.NextBounded(n);
+            auto got = service.Score(u, v);
+            if (!got.ok() || got.value() != s(u, v)) {
+              failures[t] = "Score mismatch at iteration " +
+                            std::to_string(i);
+              return;
+            }
+          } else if (op == 1) {
+            const auto pairs = DeterministicPairs(
+                rng, n, 1 + rng.NextBounded(96));
+            auto got = service.ScorePairs(pairs);
+            if (!got.ok()) {
+              failures[t] = got.status().ToString();
+              return;
+            }
+            for (std::size_t j = 0; j < pairs.size(); ++j) {
+              if (got.value().scores[j] != s(pairs[j].u, pairs[j].v)) {
+                failures[t] = "ScorePairs mismatch at iteration " +
+                              std::to_string(i) + " element " +
+                              std::to_string(j);
+                return;
+              }
+            }
+          } else {
+            const std::size_t u = rng.NextBounded(n);
+            const std::size_t k = rng.NextBounded(n + 2);
+            auto got = service.TopK(u, k);
+            if (!got.ok()) {
+              failures[t] = got.status().ToString();
+              return;
+            }
+            const auto expected = ReferenceTopK(s, u, k);
+            if (got.value().entries.size() != expected.size()) {
+              failures[t] = "TopK size mismatch at iteration " +
+                            std::to_string(i);
+              return;
+            }
+            for (std::size_t j = 0; j < expected.size(); ++j) {
+              if (!(got.value().entries[j] == expected[j])) {
+                failures[t] = "TopK order mismatch at iteration " +
                               std::to_string(i);
                 return;
-              }
-            } else if (op == 1) {
-              const auto pairs = DeterministicPairs(
-                  rng, n, 1 + rng.NextBounded(96));
-              auto got = service.ScorePairs(pairs);
-              if (!got.ok()) {
-                failures[t] = got.status().ToString();
-                return;
-              }
-              for (std::size_t j = 0; j < pairs.size(); ++j) {
-                if (got.value().scores[j] != s(pairs[j].u, pairs[j].v)) {
-                  failures[t] = "ScorePairs mismatch at iteration " +
-                                std::to_string(i) + " element " +
-                                std::to_string(j);
-                  return;
-                }
-              }
-            } else {
-              const std::size_t u = rng.NextBounded(n);
-              const std::size_t k = rng.NextBounded(n + 2);
-              auto got = service.TopK(u, k);
-              if (!got.ok()) {
-                failures[t] = got.status().ToString();
-                return;
-              }
-              const auto expected = ReferenceTopK(s, u, k);
-              if (got.value().entries.size() != expected.size()) {
-                failures[t] = "TopK size mismatch at iteration " +
-                              std::to_string(i);
-                return;
-              }
-              for (std::size_t j = 0; j < expected.size(); ++j) {
-                if (!(got.value().entries[j] == expected[j])) {
-                  failures[t] = "TopK order mismatch at iteration " +
-                                std::to_string(i);
-                  return;
-                }
               }
             }
           }
-        });
-      }
-      for (std::thread& caller : callers) caller.join();
-      for (std::size_t t = 0; t < num_callers; ++t) {
-        EXPECT_EQ(failures[t], "")
-            << "caller " << t << " at " << pool_threads
-            << " pool threads, batching " << (batching ? "on" : "off");
-      }
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (std::size_t t = 0; t < num_callers; ++t) {
+      EXPECT_EQ(failures[t], "")
+          << "caller " << t << " at " << pool_threads << " pool threads";
     }
   }
 }
 
+// Coalesced batches answer exactly what the serial oracle does.
 TEST_F(ScoringServiceTest, BatchingOnAndOffAreBitIdentical) {
   const std::size_t n = 24;
   const ModelArtifact artifact = MakeArtifact(n, 0.0);
-  ModelRegistry registry_on, registry_off;
-  ASSERT_TRUE(registry_on.Swap(ModelArtifact(artifact)).ok());
-  ASSERT_TRUE(registry_off.Swap(ModelArtifact(artifact)).ok());
-  BatchScorerOptions on, off;
-  on.enabled = true;
-  // Tiny batch bound + long wait forces real coalescing boundaries.
-  on.max_batch_pairs = 8;
-  off.enabled = false;
-  ScoringService batched(&registry_on, on);
-  ScoringService direct(&registry_off, off);
+  const ScoringSession oracle = MakeOracle(artifact);
+  const Matrix& s = *StoredAs<Matrix>(oracle.artifact().scores);
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Swap(ModelArtifact(artifact)).ok());
+  BatchScorerOptions options;
+  // A tiny batch bound forces real coalescing boundaries.
+  options.max_batch_pairs = 8;
+  ScoringService batched(&registry, options);
 
   Rng rng(99);
   for (std::size_t i = 0; i < 30; ++i) {
     const auto pairs = DeterministicPairs(rng, n, 1 + rng.NextBounded(20));
     auto a = batched.ScorePairs(pairs);
-    auto b = direct.ScorePairs(pairs);
+    auto b = oracle.ScorePairs(pairs);
     ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a.value().scores, b.value().scores) << "request " << i;
+    EXPECT_EQ(a.value().scores, b.value()) << "request " << i;
     const std::size_t u = rng.NextBounded(n);
     auto ta = batched.TopK(u, 5, false);
-    auto tb = direct.TopK(u, 5, false);
-    ASSERT_TRUE(ta.ok() && tb.ok());
-    ASSERT_EQ(ta.value().entries.size(), tb.value().entries.size());
-    for (std::size_t j = 0; j < ta.value().entries.size(); ++j) {
-      EXPECT_TRUE(ta.value().entries[j] == tb.value().entries[j]);
+    ASSERT_TRUE(ta.ok());
+    const auto expected = ReferenceTopK(s, u, 5);
+    ASSERT_EQ(ta.value().entries.size(), expected.size());
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      EXPECT_TRUE(ta.value().entries[j] == expected[j]);
     }
   }
 }
@@ -553,25 +547,21 @@ RequestOptions ExpiredDeadline() {
 
 TEST_F(ScoringServiceTest, ExpiredDeadlineIsShedBeforeDispatch) {
   const std::size_t n = 12;
-  for (const bool batching : {true, false}) {
-    ModelRegistry registry;
-    ASSERT_TRUE(registry.Swap(MakeArtifact(n, 0.0)).ok());
-    BatchScorerOptions batch;
-    batch.enabled = batching;
-    ScoringService service(&registry, batch);
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Swap(MakeArtifact(n, 0.0)).ok());
+  ScoringService service(&registry);
 
-    EXPECT_EQ(service.ScorePairs({{0, 1}}, ExpiredDeadline()).status().code(),
-              StatusCode::kDeadlineExceeded);
-    EXPECT_EQ(service.TopK(0, 3, false, ExpiredDeadline()).status().code(),
-              StatusCode::kDeadlineExceeded);
-    EXPECT_EQ(service.recovery().deadline_exceeded, 2);
-    // A request with headroom still serves at the full tier.
-    auto ok = service.ScorePairs(
-        {{0, 1}}, RequestOptions::WithTimeout(std::chrono::seconds(5)));
-    ASSERT_TRUE(ok.ok());
-    EXPECT_EQ(ok.value().tier, ServeTier::kFull);
-    EXPECT_EQ(service.recovery().deadline_exceeded, 2);
-  }
+  EXPECT_EQ(service.ScorePairs({{0, 1}}, ExpiredDeadline()).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(service.TopK(0, 3, false, ExpiredDeadline()).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(service.recovery().deadline_exceeded, 2);
+  // A request with headroom still serves at the full tier.
+  auto ok = service.ScorePairs(
+      {{0, 1}}, RequestOptions::WithTimeout(std::chrono::seconds(5)));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value().tier, ServeTier::kFull);
+  EXPECT_EQ(service.recovery().deadline_exceeded, 2);
 }
 
 // Fills the admission queue with two requests parked behind a held
@@ -837,7 +827,6 @@ TEST_F(ScoringServiceTest, BreakerTripsServesDegradedAndRecovers) {
 
   auto fake_now = std::chrono::steady_clock::time_point{};
   BatchScorerOptions batch;
-  batch.enabled = false;  // Batch-of-one keeps the cycle single-threaded.
   batch.breaker.failure_threshold = 3;
   batch.breaker.base_backoff = std::chrono::milliseconds(100);
   batch.breaker.clock = [&fake_now] { return fake_now; };
@@ -908,7 +897,6 @@ TEST_F(ScoringServiceTest, OpenBreakerServesCachedRowsThenDegrades) {
 
   auto fake_now = std::chrono::steady_clock::time_point{};
   BatchScorerOptions batch;
-  batch.enabled = false;
   batch.breaker.failure_threshold = 1;
   batch.breaker.clock = [&fake_now] { return fake_now; };
   ScoringService service(&registry, batch);
@@ -951,7 +939,6 @@ TEST_F(ScoringServiceTest, TopKDegradesUnderDeadlinePressure) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Swap(MakeArtifact(n, 0.0)).ok());
   BatchScorerOptions batch;
-  batch.enabled = false;
   batch.degrade_topk_under = std::chrono::seconds(10);
   ScoringService service(&registry, batch);
 
