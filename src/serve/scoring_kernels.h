@@ -1,6 +1,6 @@
 // Request-scoring kernels shared by the direct and batched serving
 // paths. Both paths call the same functions against one Acquire()'d
-// ServableModel snapshot, so batching on/off and any thread count
+// ServableModel snapshot, so any coalescing and any thread count
 // produce bit-identical results: a pair score is a pure lookup into the
 // snapshot's S written by exactly one ParallelFor chunk, and a top-K
 // answer streams the snapshot's deterministic per-row sorted order.
