@@ -14,8 +14,7 @@
 // each request is answered from exactly one Acquire()'d model snapshot
 // (responses carry the version), old versions drain via shared
 // ownership, and results are bit-identical to the serial oracle at any
-// thread count, with batching on or off. See DESIGN.md "Concurrent
-// serving layer".
+// thread count. See DESIGN.md "Concurrent serving layer".
 
 #ifndef SLAMPRED_CORE_SCORING_SERVICE_H_
 #define SLAMPRED_CORE_SCORING_SERVICE_H_
@@ -46,10 +45,10 @@ class ScoringService {
   /// kOutOfRange outside the served matrix.
   Result<double> Score(std::size_t u, std::size_t v) const;
 
-  /// Batch scores answered from one consistent model snapshot. With
-  /// batching enabled, a request that finds no dispatch in flight is
-  /// dispatched at once; requests that arrive during a dispatch are
-  /// coalesced into the next one (see BatchScorer). `request` carries
+  /// Batch scores answered from one consistent model snapshot. A
+  /// request that finds no dispatch in flight is dispatched at once;
+  /// requests that arrive during a dispatch are coalesced into the next
+  /// one (see BatchScorer). `request` carries
   /// per-request options (deadline): a request whose deadline passes
   /// while queued is answered kDeadlineExceeded, and a full admission
   /// queue sheds with kResourceExhausted. A request already claimed into
