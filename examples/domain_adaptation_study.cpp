@@ -1,9 +1,11 @@
 // Domain-adaptation study: a look inside the feature-space projection
 // (Theorem 1). The example samples link instances, solves the joint
 // mapping inference, and reports (a) the generalized eigenvalues, (b)
-// how discriminative each latent dimension is, and (c) how much signal
-// the adapted tensors carry compared with raw features — with and
-// without the projection.
+// how discriminative each latent dimension of the adapted source is on
+// held-out target links, and (c) how much signal the source carries
+// into target coordinates with and without the projection. The target's
+// own features are never projected (DESIGN.md §5, deviation 5), so
+// every row here is source-side.
 
 #include <cstdio>
 
@@ -65,34 +67,28 @@ int main() {
     return ComputeAuc(scores, eval.value().labels).value_or(0.5);
   };
 
-  TablePrinter dims({"latent dim", "target AUC", "source(->target) AUC"});
-  const SparseTensor3& target_adapted = adapted.value().tensors[0];
-  const SparseTensor3& source_adapted = adapted.value().tensors[1];
-  for (std::size_t c = 0; c < target_adapted.dim0(); ++c) {
+  TablePrinter dims({"latent dim", "source(->target) AUC"});
+  const SparseTensor3& source_adapted = adapted.value().tensors[0];
+  for (std::size_t c = 0; c < source_adapted.dim0(); ++c) {
     dims.AddRow({std::to_string(c),
-                 FormatDouble(auc_of_map(target_adapted.Slice(c)), 3),
                  FormatDouble(auc_of_map(source_adapted.Slice(c)), 3)});
   }
   std::printf("%s", dims.ToString().c_str());
 
-  // Aggregate comparison: raw vs adapted vs passthrough-transferred.
+  // Aggregate comparison: passthrough-transferred vs adapted source.
   auto pass = PassthroughAdapt(networks, raw);
   if (!pass.ok()) return 1;
   TablePrinter agg({"signal", "AUC on held-out links"});
-  agg.AddRow({"raw target features (sum)",
-              FormatDouble(auc_of_map(raw[0].SumSlices()), 3)});
-  agg.AddRow({"adapted target features (sum)",
-              FormatDouble(auc_of_map(target_adapted.SumSlices()), 3)});
   agg.AddRow({"raw source via anchors (sum)",
-              FormatDouble(auc_of_map(pass.value().tensors[1].SumSlices()),
+              FormatDouble(auc_of_map(pass.value().tensors[0].SumSlices()),
                            3)});
   agg.AddRow({"adapted source via anchors (sum)",
               FormatDouble(auc_of_map(source_adapted.SumSlices()), 3)});
   std::printf("\n%s", agg.ToString().c_str());
   std::printf(
-      "\nReading: the projection concentrates each network's signal in\n"
-      "the shared low-dimensional space (dimension 0 carries most of\n"
-      "it), which is what lets SLAMPRED mix target and source intimacy\n"
-      "terms on a common scale.\n");
+      "\nReading: the projection maps the source's features into the\n"
+      "low-dimensional space learned jointly with the target's link\n"
+      "instances, which is what lets SLAMPRED add the source intimacy\n"
+      "term to the target's raw one on a common scale.\n");
   return 0;
 }

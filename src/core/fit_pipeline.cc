@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/score_shards.h"
+#include "embedding/domain_adapter.h"
 #include "graph/cluster_extract.h"
 #include "optim/factored_solver.h"
 #include "optim/objective.h"
@@ -16,21 +17,6 @@
 #include "util/thread_pool.h"
 
 namespace slampred {
-
-FeatureStageConfig FeatureStageConfigFrom(const SlamPredConfig& config) {
-  FeatureStageConfig stage;
-  stage.features = config.features;
-  stage.use_attributes = config.use_attributes;
-  stage.use_sources = config.use_sources;
-  // The -H variant drops every attribute slice and keeps only the
-  // structural ones.
-  if (!config.use_attributes) {
-    stage.features.word_similarity = false;
-    stage.features.location_similarity = false;
-    stage.features.time_similarity = false;
-  }
-  return stage;
-}
 
 Status FeatureStage::Run(FitContext& context) const {
   const AlignedNetworks& networks = *context.networks;
@@ -70,87 +56,45 @@ Status FeatureStage::Run(FitContext& context) const {
   for (const SparseTensor3& tensor : context.raw_tensors) {
     context.memory_stats.raw_tensor_nnz += tensor.TotalNnz();
     context.memory_stats.raw_tensor_bytes += tensor.EstimatedBytes();
-    context.memory_stats.raw_tensor_dense_bytes +=
-        tensor.DenseEquivalentBytes();
   }
   return Status::OK();
-}
-
-EmbeddingStageConfig EmbeddingStageConfigFrom(const SlamPredConfig& config) {
-  EmbeddingStageConfig stage;
-  stage.domain_adaptation = config.domain_adaptation;
-  stage.project_target_features = config.project_target_features;
-  stage.adapter = config.adapter;
-  stage.mu = config.mu;
-  stage.latent_dim = config.latent_dim;
-  stage.seed = config.seed;
-  return stage;
 }
 
 Status EmbeddingStage::Run(FitContext& context) const {
-  const AlignedNetworks& networks = *context.networks;
-  // Feature-space projection (Theorem 1) — or the ablation passthrough.
-  // The projection is applied in every variant (with no sources it
-  // degrades to a within-network embedding) so that SLAMPRED at anchor
-  // ratio 0 coincides with SLAMPRED-T exactly and source terms are pure
-  // additions on top of an identical target treatment.
-  DomainAdapterOptions adapter_options = config_.adapter;
-  adapter_options.projection.mu = config_.mu;
-  adapter_options.projection.latent_dim =
-      std::min(config_.latent_dim, NumFeatures(context.feature_options));
-
-  if (config_.domain_adaptation && context.transfer) {
+  if (context.raw_tensors.empty()) {
+    return Status::FailedPrecondition(
+        "embedding stage needs raw tensors (run the feature stage first)");
+  }
+  // The solve reads the target's own features raw (DESIGN.md §5,
+  // deviation 5); only the sources are brought into target coordinates
+  // — through the Theorem-1 projection, which is still learned jointly
+  // with the target's instances, or unadapted for the EXP-A2 ablation.
+  std::vector<SparseTensor3> sources;
+  if (context.transfer) {
+    DomainAdapterOptions options;
+    options.projection.mu = config_.mu;
+    options.projection.latent_dim =
+        std::min(config_.latent_dim, NumFeatures(context.feature_options));
     Rng rng(config_.seed);
-    auto adapted = AdaptDomains(networks, *context.target_structure,
-                                context.raw_tensors, adapter_options, rng);
+    auto adapted =
+        config_.domain_adaptation
+            ? AdaptDomains(*context.networks, *context.target_structure,
+                           context.raw_tensors, options, rng)
+            : PassthroughAdapt(*context.networks, context.raw_tensors);
     if (!adapted.ok()) return adapted.status();
-    context.adapted_tensors = std::move(adapted).value().tensors;
-    if (!config_.project_target_features) {
-      // Keep the target's own intimacy features raw (default — see the
-      // config comment); the source tensors stay projected.
-      context.adapted_tensors[0] = context.raw_tensors[0];
-    }
-  } else if (config_.domain_adaptation && !context.transfer &&
-             config_.project_target_features) {
-    // Strict-paper mode on a single network: project the target through
-    // the same pipeline with no cross-network blocks.
-    Rng rng(config_.seed);
-    AlignedNetworks target_only(networks.target());
-    std::vector<SparseTensor3> target_tensor = {context.raw_tensors[0]};
-    auto adapted = AdaptDomains(target_only, *context.target_structure,
-                                target_tensor, adapter_options, rng);
-    if (!adapted.ok()) return adapted.status();
-    context.adapted_tensors = std::move(adapted).value().tensors;
-  } else if (context.transfer) {
-    auto adapted = PassthroughAdapt(networks, context.raw_tensors);
-    if (!adapted.ok()) return adapted.status();
-    context.adapted_tensors = std::move(adapted).value().tensors;
-  } else {
-    context.adapted_tensors.clear();
-    context.adapted_tensors.push_back(std::move(context.raw_tensors[0]));
+    sources = std::move(adapted).value().tensors;
   }
 
+  context.adapted_tensors.clear();
+  context.adapted_tensors.push_back(std::move(context.raw_tensors[0]));
+  for (SparseTensor3& tensor : sources) {
+    context.adapted_tensors.push_back(std::move(tensor));
+  }
   for (const SparseTensor3& tensor : context.adapted_tensors) {
     context.memory_stats.adapted_tensor_nnz += tensor.TotalNnz();
     context.memory_stats.adapted_tensor_bytes += tensor.EstimatedBytes();
-    context.memory_stats.adapted_tensor_dense_bytes +=
-        tensor.DenseEquivalentBytes();
   }
   return Status::OK();
-}
-
-SolveStageConfig SolveStageConfigFrom(const SlamPredConfig& config) {
-  SolveStageConfig stage;
-  stage.alpha_target = config.alpha_target;
-  stage.alpha_sources = config.alpha_sources;
-  stage.intimacy_scale = config.intimacy_scale;
-  stage.gamma = config.gamma;
-  stage.tau = config.tau;
-  stage.loss = config.loss;
-  stage.optimization = config.optimization;
-  stage.solver_backend = config.solver_backend;
-  stage.factored = config.factored;
-  return stage;
 }
 
 Status SolveStage::Run(FitContext& context) const {
@@ -184,13 +128,6 @@ Status SolveStage::Run(FitContext& context) const {
   const CsrMatrix adjacency = context.target_structure->AdjacencyCsr();
   context.memory_stats.adjacency_nnz = adjacency.nnz();
   context.memory_stats.adjacency_bytes = adjacency.EstimatedBytes();
-  context.memory_stats.adjacency_dense_bytes = n * n * sizeof(double);
-  // At the end of the embedding phase the adjacency, raw and adapted
-  // tensors are all live — that is the tracked high-water mark.
-  context.memory_stats.peak_bytes = context.memory_stats.adjacency_bytes +
-                                    context.memory_stats.raw_tensor_bytes +
-                                    context.memory_stats.adapted_tensor_bytes;
-  context.memory_stats.iterate_dense_bytes = n * n * sizeof(double);
   context.trace = CccpTrace();
 
   if (config_.solver_backend == SolverBackend::kFactored) {
@@ -430,24 +367,15 @@ Status PartitionedSolveStage::Run(FitContext& context) const {
         context.trace.converged && result.trace.converged;
     context.trace.outer_iterations = std::max(
         context.trace.outer_iterations, result.trace.outer_iterations);
-    // Sparse inputs sum across clusters; the peak is the largest single
-    // cluster's high-water mark (clusters share no tensors).
+    // Sparse inputs sum across clusters.
     context.memory_stats.adjacency_nnz += result.memory.adjacency_nnz;
     context.memory_stats.adjacency_bytes += result.memory.adjacency_bytes;
-    context.memory_stats.adjacency_dense_bytes +=
-        result.memory.adjacency_dense_bytes;
     context.memory_stats.raw_tensor_nnz += result.memory.raw_tensor_nnz;
     context.memory_stats.raw_tensor_bytes += result.memory.raw_tensor_bytes;
-    context.memory_stats.raw_tensor_dense_bytes +=
-        result.memory.raw_tensor_dense_bytes;
     context.memory_stats.adapted_tensor_nnz +=
         result.memory.adapted_tensor_nnz;
     context.memory_stats.adapted_tensor_bytes +=
         result.memory.adapted_tensor_bytes;
-    context.memory_stats.adapted_tensor_dense_bytes +=
-        result.memory.adapted_tensor_dense_bytes;
-    context.memory_stats.peak_bytes =
-        std::max(context.memory_stats.peak_bytes, result.memory.peak_bytes);
     max_rank = std::max(max_rank, result.memory.solver_rank);
     if (!result.status.ok() && first_failure.ok()) {
       first_failure = Status(
@@ -476,7 +404,6 @@ Status PartitionedSolveStage::Run(FitContext& context) const {
   context.scores = std::move(sharded).value();
 
   context.memory_stats.iterate_bytes = context.scores->EstimatedBytes();
-  context.memory_stats.iterate_dense_bytes = n * n * sizeof(double);
   context.memory_stats.solver_rank = max_rank;
   return Status::OK();
 }
@@ -489,11 +416,9 @@ std::vector<std::unique_ptr<FitStage>> BuildFitPipeline(
     stages.push_back(std::make_unique<PartitionedSolveStage>(config));
     return stages;
   }
-  stages.push_back(
-      std::make_unique<FeatureStage>(FeatureStageConfigFrom(config)));
-  stages.push_back(
-      std::make_unique<EmbeddingStage>(EmbeddingStageConfigFrom(config)));
-  stages.push_back(std::make_unique<SolveStage>(SolveStageConfigFrom(config)));
+  stages.push_back(std::make_unique<FeatureStage>(config));
+  stages.push_back(std::make_unique<EmbeddingStage>(config));
+  stages.push_back(std::make_unique<SolveStage>(config));
   return stages;
 }
 

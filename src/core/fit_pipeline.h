@@ -2,18 +2,21 @@
 // three stages sharing one FitContext:
 //
 //   FeatureStage    raw intimacy tensors per network        (features/)
-//   EmbeddingStage  Theorem-1 projection / domain adaption  (embedding/)
+//   EmbeddingStage  source tensors into target coordinates  (embedding/)
 //   SolveStage      sparse + low-rank CCCP estimation       (optim/)
 //
-// Each stage is a self-contained object with its own config struct
-// derived from SlamPredConfig, so the paper's -T/-H variants are stage
-// *configuration* (FeatureStageConfig::use_sources / use_attributes)
-// rather than branches buried in one monolithic Fit. Stages are
-// independently runnable — tests drive a single stage on a hand-built
-// context, and RunFitPipeline accepts any subset in order — and
-// independently fault-injectable through the per-stage sites
-// "fit.features" / "fit.embedding" / "fit.solve" (fail kinds map to the
-// matching Status; poison kinds surface as kNumericalError).
+// Every stage holds the SlamPredConfig it was built from, so the
+// paper's -T/-H variants are stage *configuration* (use_sources /
+// use_attributes, read by FeatureStage) rather than branches buried in
+// one monolithic Fit. EmbeddingStage is the one place that decides what
+// the solve reads: the target's raw tensor, moved as is, followed by
+// one tensor per transferred source (Theorem-1 projected, or passed
+// through for the EXP-A2 ablation). Stages are independently runnable —
+// tests drive a single stage on a hand-built context, and
+// RunFitPipeline accepts any subset in order — and independently
+// fault-injectable through the per-stage sites "fit.features" /
+// "fit.embedding" / "fit.solve" (fail kinds map to the matching Status;
+// poison kinds surface as kNumericalError).
 //
 // RunFitPipeline times every stage into its FitPhaseTimes slot; memory
 // accounting is done by the stage that materialises each tensor.
@@ -21,13 +24,11 @@
 #ifndef SLAMPRED_CORE_FIT_PIPELINE_H_
 #define SLAMPRED_CORE_FIT_PIPELINE_H_
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/score_source.h"
 #include "core/slampred.h"
-#include "embedding/domain_adapter.h"
 #include "features/feature_tensor.h"
 #include "graph/aligned_networks.h"
 #include "graph/partitioner.h"
@@ -56,10 +57,11 @@ struct FitContext {
 
   /// raw_tensors[0] = target features on the training structure;
   /// raw_tensors[k>=1] = source k on its own graph (only when
-  /// transferring).
+  /// transferring). EmbeddingStage moves raw_tensors[0] out.
   std::vector<SparseTensor3> raw_tensors;
 
-  /// Set by EmbeddingStage: adapted tensors in target coordinates.
+  /// Set by EmbeddingStage, all in target coordinates: [0] is the raw
+  /// target tensor, [k>=1] source k adapted (only when transferring).
   std::vector<SparseTensor3> adapted_tensors;
 
   /// Set by SolveStage (dense or factored S) or PartitionedSolveStage
@@ -96,21 +98,12 @@ class FitStage {
   virtual double& PhaseSlot(FitPhaseTimes& times) const = 0;
 };
 
-/// FeatureStage controls — the -T / -H variant switches live here.
-struct FeatureStageConfig {
-  FeatureTensorOptions features;
-  /// False (the -H variant) drops every attribute slice.
-  bool use_attributes = true;
-  /// False (the -T / -H variants) skips source tensors entirely.
-  bool use_sources = true;
-};
-FeatureStageConfig FeatureStageConfigFrom(const SlamPredConfig& config);
-
-/// Builds the raw intimacy tensors (CSR) and decides `transfer`.
+/// Builds the raw intimacy tensors (CSR) and decides `transfer`. The -H
+/// variant (use_attributes = false) drops every attribute slice; the
+/// -T/-H variants (use_sources = false) skip the source tensors.
 class FeatureStage : public FitStage {
  public:
-  explicit FeatureStage(FeatureStageConfig config)
-      : config_(std::move(config)) {}
+  explicit FeatureStage(SlamPredConfig config) : config_(std::move(config)) {}
   const char* name() const override { return "features"; }
   Status Run(FitContext& context) const override;
   double& PhaseSlot(FitPhaseTimes& times) const override {
@@ -118,27 +111,15 @@ class FeatureStage : public FitStage {
   }
 
  private:
-  FeatureStageConfig config_;
+  SlamPredConfig config_;
 };
 
-/// EmbeddingStage controls.
-struct EmbeddingStageConfig {
-  /// False runs the EXP-A2 passthrough ablation instead of Theorem 1.
-  bool domain_adaptation = true;
-  /// Project the target's own features too (strict-paper mode).
-  bool project_target_features = false;
-  DomainAdapterOptions adapter;
-  double mu = 1.0;
-  std::size_t latent_dim = 5;
-  std::uint64_t seed = 7;
-};
-EmbeddingStageConfig EmbeddingStageConfigFrom(const SlamPredConfig& config);
-
-/// Produces the adapted tensors from the raw ones (projection,
-/// passthrough, or a plain move when nothing transfers).
+/// Moves the raw target tensor into adapted_tensors[0] and appends one
+/// tensor per transferred source in target coordinates: Theorem-1
+/// projected, or raw when domain_adaptation is false (EXP-A2).
 class EmbeddingStage : public FitStage {
  public:
-  explicit EmbeddingStage(EmbeddingStageConfig config)
+  explicit EmbeddingStage(SlamPredConfig config)
       : config_(std::move(config)) {}
   const char* name() const override { return "embedding"; }
   Status Run(FitContext& context) const override;
@@ -147,28 +128,14 @@ class EmbeddingStage : public FitStage {
   }
 
  private:
-  EmbeddingStageConfig config_;
+  SlamPredConfig config_;
 };
-
-/// SolveStage controls.
-struct SolveStageConfig {
-  double alpha_target = 1.0;
-  std::vector<double> alpha_sources = {1.0};
-  double intimacy_scale = 16.0;
-  double gamma = 0.3;
-  double tau = 6.0;
-  LossKind loss = LossKind::kSquaredFrobenius;
-  CccpOptions optimization;
-  SolverBackend solver_backend = SolverBackend::kDense;
-  FactoredSolverOptions factored;
-};
-SolveStageConfig SolveStageConfigFrom(const SlamPredConfig& config);
 
 /// Assembles the objective (intimacy weights + constant CCCP gradient)
 /// and runs Algorithm 1, producing context.scores.
 class SolveStage : public FitStage {
  public:
-  explicit SolveStage(SolveStageConfig config) : config_(std::move(config)) {}
+  explicit SolveStage(SlamPredConfig config) : config_(std::move(config)) {}
   const char* name() const override { return "solve"; }
   Status Run(FitContext& context) const override;
   double& PhaseSlot(FitPhaseTimes& times) const override {
@@ -176,7 +143,7 @@ class SolveStage : public FitStage {
   }
 
  private:
-  SolveStageConfig config_;
+  SlamPredConfig config_;
 };
 
 /// Clusters the training structure (graph/partitioner.h) into

@@ -135,19 +135,11 @@ std::string FitReportJson(const FitReport& report) {
   first = true;
   AppendField(out, "adjacency_nnz", mem.adjacency_nnz, &first);
   AppendField(out, "adjacency_bytes", mem.adjacency_bytes, &first);
-  AppendField(out, "adjacency_dense_bytes", mem.adjacency_dense_bytes,
-              &first);
   AppendField(out, "raw_tensor_nnz", mem.raw_tensor_nnz, &first);
   AppendField(out, "raw_tensor_bytes", mem.raw_tensor_bytes, &first);
-  AppendField(out, "raw_tensor_dense_bytes", mem.raw_tensor_dense_bytes,
-              &first);
   AppendField(out, "adapted_tensor_nnz", mem.adapted_tensor_nnz, &first);
   AppendField(out, "adapted_tensor_bytes", mem.adapted_tensor_bytes, &first);
-  AppendField(out, "adapted_tensor_dense_bytes",
-              mem.adapted_tensor_dense_bytes, &first);
-  AppendField(out, "peak_bytes", mem.peak_bytes, &first);
   AppendField(out, "iterate_bytes", mem.iterate_bytes, &first);
-  AppendField(out, "iterate_dense_bytes", mem.iterate_dense_bytes, &first);
   AppendField(out, "solver_rank", mem.solver_rank, &first);
   out += "}";
 

@@ -55,7 +55,7 @@ void SerializeConfig(const SlamPredConfig& config, BinaryWriter& writer) {
   writer.WriteBool(config.use_attributes);
   writer.WriteBool(config.use_sources);
   writer.WriteBool(config.domain_adaptation);
-  writer.WriteBool(config.project_target_features);
+  writer.WriteBool(false);  // The retired project_target_features flag.
   writer.WriteU8(static_cast<std::uint8_t>(config.loss));
   writer.WriteU64(config.seed);
 
@@ -73,13 +73,16 @@ void SerializeConfig(const SlamPredConfig& config, BinaryWriter& writer) {
   writer.WriteBool(f.meta_paths);
   writer.WriteBool(f.sqrt_transform);
 
-  const DomainAdapterOptions& a = config.adapter;
-  writer.WriteU64(a.projection.latent_dim);
-  writer.WriteDouble(a.projection.mu);
-  writer.WriteU64(a.sampling.positives_per_network);
-  writer.WriteU64(a.sampling.negatives_per_network);
-  writer.WriteU64(a.sampling.max_negative_attempts);
-  writer.WriteBool(a.normalize_adapted);
+  // The retired adapter options (projection latent_dim and mu, the
+  // three instance-sampling counts, normalize_adapted), pinned to their
+  // last defaults so the section layout and every fixture stay
+  // unchanged.
+  writer.WriteU64(5);
+  writer.WriteDouble(1.0);
+  writer.WriteU64(150);
+  writer.WriteU64(150);
+  writer.WriteU64(50);
+  writer.WriteBool(true);
 
   const CccpOptions& o = config.optimization;
   writer.WriteDouble(o.inner.theta);
@@ -136,7 +139,9 @@ Result<SlamPredConfig> DeserializeConfig(BinaryReader& reader) {
   SLAMPRED_READ_INTO(config.use_attributes, reader.ReadBool());
   SLAMPRED_READ_INTO(config.use_sources, reader.ReadBool());
   SLAMPRED_READ_INTO(config.domain_adaptation, reader.ReadBool());
-  SLAMPRED_READ_INTO(config.project_target_features, reader.ReadBool());
+  // The retired project_target_features flag: still read, so a corrupt
+  // bool fails as before, then dropped.
+  SLAMPRED_RETURN_NOT_OK(reader.ReadBool().status());
   const std::size_t loss_offset = reader.offset();
   std::uint8_t loss = 0;
   SLAMPRED_READ_INTO(loss, reader.ReadU8());
@@ -161,13 +166,13 @@ Result<SlamPredConfig> DeserializeConfig(BinaryReader& reader) {
   SLAMPRED_READ_INTO(f.meta_paths, reader.ReadBool());
   SLAMPRED_READ_INTO(f.sqrt_transform, reader.ReadBool());
 
-  DomainAdapterOptions& a = config.adapter;
-  SLAMPRED_READ_INTO(a.projection.latent_dim, reader.ReadU64());
-  SLAMPRED_READ_INTO(a.projection.mu, reader.ReadDouble());
-  SLAMPRED_READ_INTO(a.sampling.positives_per_network, reader.ReadU64());
-  SLAMPRED_READ_INTO(a.sampling.negatives_per_network, reader.ReadU64());
-  SLAMPRED_READ_INTO(a.sampling.max_negative_attempts, reader.ReadU64());
-  SLAMPRED_READ_INTO(a.normalize_adapted, reader.ReadBool());
+  // The retired adapter options: read and dropped, as above.
+  SLAMPRED_RETURN_NOT_OK(reader.ReadU64().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadDouble().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadU64().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadU64().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadU64().status());
+  SLAMPRED_RETURN_NOT_OK(reader.ReadBool().status());
 
   CccpOptions& o = config.optimization;
   SLAMPRED_READ_INTO(o.inner.theta, reader.ReadDouble());

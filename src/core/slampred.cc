@@ -25,19 +25,13 @@ std::string FitMemoryStats::ToString() const {
   auto mib = [](std::size_t bytes) {
     return static_cast<double>(bytes) / (1024.0 * 1024.0);
   };
-  char buffer[448];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "A^t %zu nnz (%.2f MiB csr, dense %.2f) | X %zu nnz (%.2f, dense "
-      "%.2f) | X-hat %zu nnz (%.2f, dense %.2f) | S %.2f MiB (dense %.2f, "
-      "rank %zu) | peak %.2f MiB (dense %.2f)",
-      adjacency_nnz, mib(adjacency_bytes), mib(adjacency_dense_bytes),
-      raw_tensor_nnz, mib(raw_tensor_bytes), mib(raw_tensor_dense_bytes),
-      adapted_tensor_nnz, mib(adapted_tensor_bytes),
-      mib(adapted_tensor_dense_bytes), mib(iterate_bytes),
-      mib(iterate_dense_bytes), solver_rank, mib(peak_bytes),
-      mib(adjacency_dense_bytes + raw_tensor_dense_bytes +
-          adapted_tensor_dense_bytes));
+  char buffer[256];
+  std::snprintf(buffer, sizeof(buffer),
+                "A^t %zu nnz (%.2f MiB csr) | X %zu nnz (%.2f) | X-hat %zu "
+                "nnz (%.2f) | S %.2f MiB (rank %zu)",
+                adjacency_nnz, mib(adjacency_bytes), raw_tensor_nnz,
+                mib(raw_tensor_bytes), adapted_tensor_nnz,
+                mib(adapted_tensor_bytes), mib(iterate_bytes), solver_rank);
   return buffer;
 }
 

@@ -2,8 +2,10 @@
 // paper's primary contribution, assembled from the substrate modules:
 //
 //   1. intimacy feature tensors per network     (features/)
-//   2. feature-space projection / domain        (embedding/)
-//      adaptation via Theorem 1
+//   2. domain adaptation: the source networks'  (embedding/)
+//      features projected via Theorem 1 and
+//      mapped into target coordinates (the
+//      target's own features stay raw)
 //   3. sparse + low-rank matrix estimation by   (optim/)
 //      proximal-operator CCCP (Algorithm 1)
 //
@@ -23,11 +25,11 @@
 
 #include "baselines/link_predictor.h"
 #include "core/score_source.h"
-#include "embedding/domain_adapter.h"
 #include "features/feature_tensor.h"
 #include "graph/aligned_networks.h"
 #include "graph/partitioner.h"
 #include "graph/social_graph.h"
+#include "linalg/sparse_tensor3.h"
 #include "optim/cccp.h"
 #include "optim/solver_backend.h"
 #include "util/status.h"
@@ -65,17 +67,11 @@ struct SlamPredConfig {
   bool use_attributes = true;
   /// Transfer from aligned source networks (false = -T / -H variants).
   bool use_sources = true;
-  /// Run the Theorem-1 feature projection (false = the EXP-A2 ablation:
-  /// raw source features pass through the anchors unadapted).
+  /// Project the source features through Theorem 1 (false = the EXP-A2
+  /// ablation: raw source features pass through the anchors unadapted).
+  /// The target's own features are never projected (DESIGN.md §5,
+  /// deviation 5).
   bool domain_adaptation = true;
-  /// Also replace the *target's* intimacy features with their latent
-  /// projection, as the paper's formulas do literally. Off by default:
-  /// the projection exists to reconcile cross-network distributions, and
-  /// compressing the target's own features through it only loses signal
-  /// intra-network (see DESIGN.md "Implementation notes"). The source
-  /// projections are still learned jointly with the target block either
-  /// way, so transfer semantics are unchanged.
-  bool project_target_features = false;
 
   /// Convex surrogate for the empirical loss (Section III-D offers both
   /// forms; squared Frobenius is the paper's and this library's
@@ -83,7 +79,6 @@ struct SlamPredConfig {
   LossKind loss = LossKind::kSquaredFrobenius;
 
   FeatureTensorOptions features;
-  DomainAdapterOptions adapter;
   CccpOptions optimization;
 
   /// Iterate representation of the CCCP solve: the dense oracle or the
@@ -136,28 +131,18 @@ struct FitPhaseTimes {
 
 /// Memory footprint of the last Fit's sparse data path, surfaced next to
 /// FitPhaseTimes by the CLI and the Figure-3 bench. All `*_bytes` are
-/// CSR heap bytes; the `*_dense_bytes` twins are what the same data
-/// would occupy densified (dims · sizeof(double)).
+/// CSR heap bytes.
 struct FitMemoryStats {
   std::size_t adjacency_nnz = 0;        ///< nnz(Aᵗ).
   std::size_t adjacency_bytes = 0;      ///< CSR bytes of Aᵗ.
-  std::size_t adjacency_dense_bytes = 0;
   std::size_t raw_tensor_nnz = 0;       ///< Σ_k nnz(X^k) (features phase).
   std::size_t raw_tensor_bytes = 0;
-  std::size_t raw_tensor_dense_bytes = 0;
   std::size_t adapted_tensor_nnz = 0;   ///< Σ_k nnz(X̂^k) (embedding phase).
   std::size_t adapted_tensor_bytes = 0;
-  std::size_t adapted_tensor_dense_bytes = 0;
-  /// High-water mark of the tracked CSR footprint: adjacency + raw +
-  /// adapted tensors all live at the end of the embedding phase. (The
-  /// solver iterate is tracked separately in iterate_bytes.)
-  std::size_t peak_bytes = 0;
   /// Heap bytes of the solver iterate: n²·8 for the dense backend, the
   /// two factor matrices for the factored one — the n³-to-n·r² story in
   /// one number.
   std::size_t iterate_bytes = 0;
-  /// What a dense iterate of the same order would occupy (n²·8).
-  std::size_t iterate_dense_bytes = 0;
   /// Factor rank of the fitted iterate (0 for the dense backend).
   std::size_t solver_rank = 0;
 
@@ -172,7 +157,8 @@ struct FitMemoryStats {
 ///
 /// Fit delegates to the staged pipeline of core/fit_pipeline.h
 /// (FeatureStage → EmbeddingStage → SolveStage over one FitContext);
-/// the -T/-H variants are stage configuration derived from this config.
+/// every stage holds this config, and the -T/-H variants are the
+/// feature stage's use_sources / use_attributes.
 class SlamPred : public LinkPredictor {
  public:
   explicit SlamPred(SlamPredConfig config = {});
@@ -221,7 +207,8 @@ class SlamPred : public LinkPredictor {
   /// Sparse-path memory footprint of the last Fit.
   const FitMemoryStats& memory_stats() const { return memory_stats_; }
 
-  /// The adapted feature tensors of the last Fit (target coordinates).
+  /// The tensors the last Fit's solve read, in target coordinates: the
+  /// raw target tensor, then each transferred source adapted.
   const std::vector<SparseTensor3>& adapted_tensors() const {
     return adapted_tensors_;
   }

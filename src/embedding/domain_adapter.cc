@@ -225,31 +225,21 @@ Result<AdaptedFeatures> AdaptDomains(
 
   const std::size_t n_target = networks.target().NumUsers();
 
-  auto finalize = [&](Tensor3 adapted) {
-    if (options.normalize_adapted) adapted.NormalizeSlicesMinMax();
+  // Sources: project in source coordinates, min-max normalise each
+  // slice to [0, 1] (the intimacy terms read them as non-negative
+  // scores), weight it by its separation, then re-index through the
+  // anchors into target coordinates. The reindexed tensor is dense by
+  // construction (mean imputation fills uncovered pairs) — it still
+  // rides the SparseTensor3 interface for a uniform downstream path.
+  for (std::size_t k = 0; k < networks.num_sources(); ++k) {
+    Tensor3 adapted = ProjectTensor(raw_tensors[k + 1], scalers[k + 1],
+                                    out.projections[k + 1]);
+    adapted.NormalizeSlicesMinMax();
     for (std::size_t c = 0; c < adapted.dim0(); ++c) {
       Matrix slice = adapted.Slice(c);
       slice *= separation[c];
       adapted.SetSlice(c, slice);
     }
-    return adapted;
-  };
-
-  // Target: project in place; the adapted slices sparsify at the
-  // boundary (FromDense only drops exact zeros, so the round trip is
-  // bit-exact).
-  out.tensors.push_back(SparseTensor3::FromDense(
-      finalize(ProjectTensor(raw_tensors[0], scalers[0],
-                             out.projections[0]))));
-
-  // Sources: project in source coordinates, then re-index through the
-  // anchors into target coordinates. The reindexed tensor is dense by
-  // construction (mean imputation fills uncovered pairs) — it still
-  // rides the SparseTensor3 interface for a uniform downstream path.
-  for (std::size_t k = 0; k < networks.num_sources(); ++k) {
-    Tensor3 adapted = finalize(ProjectTensor(raw_tensors[k + 1],
-                                             scalers[k + 1],
-                                             out.projections[k + 1]));
     out.tensors.push_back(SparseTensor3::FromDense(
         ReindexToTarget(adapted, networks.anchors(k), n_target)));
   }
@@ -264,7 +254,6 @@ Result<AdaptedFeatures> PassthroughAdapt(
   }
   AdaptedFeatures out;
   const std::size_t n_target = networks.target().NumUsers();
-  out.tensors.push_back(raw_tensors[0]);
   for (std::size_t k = 0; k < networks.num_sources(); ++k) {
     out.tensors.push_back(SparseTensor3::FromDense(ReindexToTarget(
         raw_tensors[k + 1].ToDense(), networks.anchors(k), n_target)));

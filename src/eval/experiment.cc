@@ -177,7 +177,6 @@ Result<MethodResult> ExperimentRunner::RunMethod(MethodId method,
   result.precision_folds = std::move(precision_folds);
   result.auc = ComputeMeanStd(result.auc_folds);
   result.precision = ComputeMeanStd(result.precision_folds);
-  result.memory_stats = result.fold0_report.memory_stats;
   return result;
 }
 
@@ -234,8 +233,7 @@ Result<std::pair<double, double>> ExperimentRunner::RunFold(
       SLAMPRED_RETURN_NOT_OK(model.Fit(bundle, train_graph));
       if (fold_report != nullptr) *fold_report = MakeFitReport(model);
       if (!options_.save_model_dir.empty()) {
-        auto artifact =
-            MakeModelArtifact(model, options_.save_adapted_tensors);
+        auto artifact = MakeModelArtifact(model);
         if (!artifact.ok()) return artifact.status();
         SLAMPRED_RETURN_NOT_OK(SaveModelArtifact(
             artifact.value(),

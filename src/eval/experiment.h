@@ -72,8 +72,6 @@ struct ExperimentOptions {
   /// model artifact to FoldModelPath(save_model_dir, ...) so the fold
   /// can later be rescored without refitting (see RescoreMethod).
   std::string save_model_dir;
-  /// Include the adapted CSR tensors in saved per-fold artifacts.
-  bool save_adapted_tensors = false;
 };
 
 /// Aggregated result of one (method, anchor ratio) cell.
@@ -84,9 +82,6 @@ struct MethodResult {
   MeanStd precision;
   std::vector<double> auc_folds;
   std::vector<double> precision_folds;
-  /// Sparse-path footprint of the fold-0 SLAMPRED fit (all folds share
-  /// the same data shapes); zero-valued for methods without such a fit.
-  FitMemoryStats memory_stats;
   /// Full fit diagnostics of the fold-0 SLAMPRED fit (phase times,
   /// memory, recoveries); zero-valued for methods without such a fit.
   FitReport fold0_report;

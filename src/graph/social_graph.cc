@@ -4,7 +4,6 @@
 #include <set>
 
 #include "graph/heterogeneous_network.h"
-#include "util/logging.h"
 
 namespace slampred {
 
@@ -27,16 +26,6 @@ SocialGraph SocialGraph::FromHeterogeneousNetwork(
         graph.AddEdge(u, v);
       }
     }
-  }
-  return graph;
-}
-
-SocialGraph SocialGraph::FromEdges(std::size_t num_users,
-                                   const std::vector<UserPair>& edges) {
-  SocialGraph graph(num_users);
-  for (const UserPair& e : edges) {
-    const Status st = graph.AddEdge(e.u, e.v);
-    SLAMPRED_CHECK(st.ok()) << st.ToString();
   }
   return graph;
 }

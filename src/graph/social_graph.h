@@ -43,10 +43,6 @@ class SocialGraph {
   static SocialGraph FromHeterogeneousNetwork(
       const HeterogeneousNetwork& network);
 
-  /// Builds a graph from an explicit edge list.
-  static SocialGraph FromEdges(std::size_t num_users,
-                               const std::vector<UserPair>& edges);
-
   std::size_t num_users() const { return adjacency_.size(); }
   std::size_t num_edges() const { return num_edges_; }
 

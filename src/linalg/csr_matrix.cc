@@ -356,20 +356,6 @@ CsrMatrix CsrMatrix::Hadamard(const CsrMatrix& other) const {
   return FromRows(cols_, std::move(out_rows));
 }
 
-CsrMatrix CsrMatrix::HadamardDense(const Matrix& dense) const {
-  SLAMPRED_CHECK(rows_ == dense.rows() && cols_ == dense.cols())
-      << "CSR HadamardDense shape mismatch";
-  std::vector<std::vector<RowEntry>> out_rows(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    out_rows[i].reserve(row_ptr_[i + 1] - row_ptr_[i]);
-    for (std::size_t p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
-      out_rows[i].push_back(
-          {col_idx_[p], values_[p] * dense(i, col_idx_[p])});
-    }
-  }
-  return FromRows(cols_, std::move(out_rows));
-}
-
 double CsrMatrix::Sum() const {
   double sum = 0.0;
   for (double v : values_) sum += v;

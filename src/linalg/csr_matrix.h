@@ -113,10 +113,6 @@ class CsrMatrix {
   /// intersection of both patterns.
   CsrMatrix Hadamard(const CsrMatrix& other) const;
 
-  /// Masked read: gathers `dense` at this matrix's sparsity pattern and
-  /// multiplies entry-wise (the ‖S ∘ X‖-style product with dense S).
-  CsrMatrix HadamardDense(const Matrix& dense) const;
-
   /// Sum of all stored values.
   double Sum() const;
 

@@ -101,26 +101,6 @@ Matrix MultiplyAtB(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix PositivePart(const Matrix& m) {
-  Matrix out = m;
-  for (double& v : out.data()) v = std::max(v, 0.0);
-  return out;
-}
-
-Matrix SignMatrix(const Matrix& m) {
-  Matrix out = m;
-  for (double& v : out.data()) {
-    v = v > 0.0 ? 1.0 : (v < 0.0 ? -1.0 : 0.0);
-  }
-  return out;
-}
-
-Matrix AbsMatrix(const Matrix& m) {
-  Matrix out = m;
-  for (double& v : out.data()) v = std::fabs(v);
-  return out;
-}
-
 Result<std::size_t> NumericalRank(const Matrix& m, double tol) {
   auto svd = ComputeSvd(m);
   if (!svd.ok()) return svd.status();
@@ -165,15 +145,6 @@ double SpectralNormEstimate(const Matrix& m, int iterations) {
     sigma = std::sqrt(norm);
   }
   return sigma;
-}
-
-double RelativeMaxDiff(const Matrix& a, const Matrix& b) {
-  SLAMPRED_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  double diff = 0.0;
-  for (std::size_t i = 0; i < a.data().size(); ++i) {
-    diff = std::max(diff, std::fabs(a.data()[i] - b.data()[i]));
-  }
-  return diff / std::max(1.0, a.MaxAbs());
 }
 
 Matrix Clamp(const Matrix& m, double lo, double hi) {

@@ -1,6 +1,6 @@
 // Free-function matrix operations beyond Matrix's own members: Gram
-// products, rank estimation, positive-part / sign transforms, and the
-// small helpers the optimizer and embedding modules share.
+// products, rank estimation, and the small helpers the optimizer and
+// embedding modules share.
 
 #ifndef SLAMPRED_LINALG_MATRIX_OPS_H_
 #define SLAMPRED_LINALG_MATRIX_OPS_H_
@@ -22,15 +22,6 @@ Matrix MultiplyABt(const Matrix& a, const Matrix& b);
 /// Computes Aᵀ·B without materialising Aᵀ; requires a.rows()==b.rows().
 Matrix MultiplyAtB(const Matrix& a, const Matrix& b);
 
-/// Entry-wise positive part (X)₊ = max(X, 0).
-Matrix PositivePart(const Matrix& m);
-
-/// Entry-wise sign matrix with sgn(0) = 0.
-Matrix SignMatrix(const Matrix& m);
-
-/// Entry-wise absolute value |X|.
-Matrix AbsMatrix(const Matrix& m);
-
 /// Numerical rank: number of singular values > tol * max singular value.
 /// Returns an error if the SVD fails.
 Result<std::size_t> NumericalRank(const Matrix& m, double tol = 1e-9);
@@ -41,9 +32,6 @@ Result<double> NuclearNorm(const Matrix& m);
 /// Spectral norm (largest singular value) via power iteration on XᵀX;
 /// cheap and sufficient for step-size selection.
 double SpectralNormEstimate(const Matrix& m, int iterations = 50);
-
-/// Max-abs relative difference ‖A−B‖_max / max(1, ‖A‖_max).
-double RelativeMaxDiff(const Matrix& a, const Matrix& b);
 
 /// Clamps every entry into [lo, hi].
 Matrix Clamp(const Matrix& m, double lo, double hi);

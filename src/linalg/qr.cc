@@ -69,35 +69,6 @@ Result<QrResult> ComputeQr(const Matrix& a) {
   return res;
 }
 
-Result<Vector> LeastSquares(const Matrix& a, const Vector& b) {
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("LeastSquares shape mismatch");
-  }
-  auto qr = ComputeQr(a);
-  if (!qr.ok()) return qr.status();
-  const Matrix& q = qr.value().q;
-  const Matrix& r = qr.value().r;
-  const std::size_t n = a.cols();
-  // x = R⁻¹ Qᵀ b.
-  Vector qtb(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) sum += q(i, j) * b[i];
-    qtb[j] = sum;
-  }
-  Vector x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    if (std::fabs(r(i, i)) < 1e-12) {
-      return Status::NumericalError("rank-deficient least squares");
-    }
-    double sum = qtb[i];
-    for (std::size_t k = i + 1; k < n; ++k) sum -= r(i, k) * x[k];
-    x[i] = sum / r(i, i);
-  }
-  return x;
-}
-
 Matrix OrthonormalizeColumns(const Matrix& a, double tol) {
   const std::size_t m = a.rows();
   std::vector<Vector> basis;

@@ -1,5 +1,5 @@
-// QR factorisation by Householder reflections; least-squares solves and
-// orthonormalisation used by the embedding solver's basis cleanups.
+// QR factorisation by Householder reflections, and the orthonormalisation
+// used by the embedding solver's basis cleanups.
 
 #ifndef SLAMPRED_LINALG_QR_H_
 #define SLAMPRED_LINALG_QR_H_
@@ -19,10 +19,6 @@ struct QrResult {
 
 /// Computes the thin QR factorisation of `a` (requires rows >= cols).
 Result<QrResult> ComputeQr(const Matrix& a);
-
-/// Solves min ‖A x − b‖₂ via QR; requires a.rows() >= a.cols() and full
-/// column rank (fails with kNumericalError otherwise).
-Result<Vector> LeastSquares(const Matrix& a, const Vector& b);
 
 /// Returns an orthonormal basis for the column space of `a` (modified
 /// Gram–Schmidt with re-orthogonalisation, dropping near-dependent

@@ -89,12 +89,6 @@ class SparseTensor3 {
   /// Heap bytes across slices (the FitMemoryStats counter).
   std::size_t EstimatedBytes() const;
 
-  /// Bytes the equivalent dense Tensor3 would hold (dim0·dim1·dim2
-  /// doubles) — the memory-stats comparison baseline.
-  std::size_t DenseEquivalentBytes() const {
-    return dim0_ * dim1_ * dim2_ * sizeof(double);
-  }
-
   /// Appends shape + every CSR slice to `writer` (binary_io layout).
   void Serialize(BinaryWriter& writer) const;
 

@@ -30,6 +30,4 @@ SvdTimerScope::~SvdTimerScope() {
 
 double SvdSecondsThisThread() { return tls_svd_seconds; }
 
-void ResetSvdSecondsThisThread() { tls_svd_seconds = 0.0; }
-
 }  // namespace slampred

@@ -31,9 +31,9 @@ class Stopwatch {
 /// the outermost scope adds its elapsed time.
 ///
 /// The counter is thread-local on purpose: a fit runs entirely on one
-/// thread (nested ParallelFor falls back to serial), so resetting before
-/// Fit and reading after it yields that fit's own SVD total even when
-/// several fits run on different pool workers concurrently.
+/// thread (nested ParallelFor falls back to serial), so the counter's
+/// delta across a Fit is that fit's own SVD total even when several
+/// fits run on different pool workers concurrently.
 class SvdTimerScope {
  public:
   SvdTimerScope();
@@ -48,11 +48,8 @@ class SvdTimerScope {
 };
 
 /// Seconds accumulated by outermost SvdTimerScope instances on the
-/// current thread since the last reset.
+/// current thread since it started (callers take deltas).
 double SvdSecondsThisThread();
-
-/// Resets the current thread's SVD time accumulator to zero.
-void ResetSvdSecondsThisThread();
 
 }  // namespace slampred
 

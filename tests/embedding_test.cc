@@ -225,12 +225,15 @@ TEST_F(EmbeddingPipelineTest, AdapterOutputsTargetCoordinates) {
                               options, rng);
   ASSERT_TRUE(adapted.ok()) << adapted.status().ToString();
   const std::size_t n = generated_->networks.target().NumUsers();
-  ASSERT_EQ(adapted.value().tensors.size(), 2u);
+  // One tensor per source; the target is never projected.
+  ASSERT_EQ(adapted.value().tensors.size(),
+            generated_->networks.num_sources());
   EXPECT_EQ(adapted.value().tensors[0].dim0(),
             options.projection.latent_dim);
   EXPECT_EQ(adapted.value().tensors[0].dim1(), n);
-  EXPECT_EQ(adapted.value().tensors[1].dim1(), n);
-  EXPECT_EQ(adapted.value().tensors[1].dim2(), n);
+  EXPECT_EQ(adapted.value().tensors[0].dim2(), n);
+  // Projections are still learned for every network.
+  EXPECT_EQ(adapted.value().projections.size(), 2u);
 }
 
 TEST_F(EmbeddingPipelineTest, AdapterOrientsPositiveInstancesHigher) {
@@ -238,8 +241,8 @@ TEST_F(EmbeddingPipelineTest, AdapterOrientsPositiveInstancesHigher) {
   auto adapted = AdaptDomains(generated_->networks, target_graph_, tensors_,
                               DomainAdapterOptions{}, rng);
   ASSERT_TRUE(adapted.ok());
-  // The best (highest-separation) latent slice must score existing links
-  // above absent pairs on average.
+  // Oriented latent slices, mapped through the anchors, must score
+  // existing target links above absent pairs on average.
   const SparseTensor3& t = adapted.value().tensors[0];
   double link_sum = 0.0;
   double non_sum = 0.0;
@@ -262,13 +265,15 @@ TEST_F(EmbeddingPipelineTest, AdapterOrientsPositiveInstancesHigher) {
   EXPECT_GT(link_sum / links, non_sum / nons);
 }
 
-TEST_F(EmbeddingPipelineTest, PassthroughKeepsRawTargetTensor) {
+TEST_F(EmbeddingPipelineTest, PassthroughReturnsOneRawTensorPerSource) {
   auto pass = PassthroughAdapt(generated_->networks, tensors_);
   ASSERT_TRUE(pass.ok());
-  EXPECT_EQ(pass.value().tensors[0].dim0(), tensors_[0].dim0());
-  // Target tensor passes through unchanged.
-  EXPECT_EQ(pass.value().tensors[0].ToDense().data(),
-            tensors_[0].ToDense().data());
+  ASSERT_EQ(pass.value().tensors.size(), generated_->networks.num_sources());
+  // The source keeps its raw slices, re-indexed into target coordinates.
+  const std::size_t n = generated_->networks.target().NumUsers();
+  EXPECT_EQ(pass.value().tensors[0].dim0(), tensors_[1].dim0());
+  EXPECT_EQ(pass.value().tensors[0].dim1(), n);
+  EXPECT_EQ(pass.value().tensors[0].dim2(), n);
 }
 
 TEST_F(EmbeddingPipelineTest, ReindexImputesUncoveredPairsAtCoveredMean) {
@@ -287,7 +292,7 @@ TEST_F(EmbeddingPipelineTest, ReindexImputesUncoveredPairsAtCoveredMean) {
   bundle.AddSource(generated_->networks.source(0), std::move(small));
   auto pass = PassthroughAdapt(bundle, tensors_);
   ASSERT_TRUE(pass.ok());
-  const SparseTensor3& t = pass.value().tensors[1];
+  const SparseTensor3& t = pass.value().tensors[0];
   // Pick a pair of certainly-unanchored users (beyond the 5 anchored
   // lefts): all its slices must equal the per-slice covered mean, which
   // is constant across uncovered pairs.
@@ -310,7 +315,7 @@ TEST_F(EmbeddingPipelineTest, NoAnchorsMeansZeroTransfer) {
   bundle.AddSource(generated_->networks.source(0), std::move(empty));
   auto pass = PassthroughAdapt(bundle, tensors_);
   ASSERT_TRUE(pass.ok());
-  EXPECT_DOUBLE_EQ(pass.value().tensors[1].MaxAbs(), 0.0);
+  EXPECT_DOUBLE_EQ(pass.value().tensors[0].MaxAbs(), 0.0);
 }
 
 }  // namespace

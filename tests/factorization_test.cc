@@ -1,4 +1,4 @@
-// Tests for SVD, symmetric eigen, generalized eigen, Cholesky, LU and QR.
+// Tests for SVD, symmetric eigen, generalized eigen, Cholesky and QR.
 
 #include <cmath>
 
@@ -6,7 +6,6 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/generalized_eigen.h"
-#include "linalg/lu.h"
 #include "linalg/matrix_ops.h"
 #include "linalg/qr.h"
 #include "linalg/svd.h"
@@ -225,44 +224,6 @@ TEST(CholeskyTest, MatrixSubstitutions) {
   EXPECT_LT((spd * x - b).MaxAbs(), 1e-8);
 }
 
-// ---------------------------------------------------------------- LU --
-
-TEST(LuTest, SolveMatchesKnownSolution) {
-  const Matrix a{{2.0, 1.0, 0.0}, {1.0, 3.0, 1.0}, {0.0, 1.0, 2.0}};
-  const Vector x_true{1.0, 2.0, 3.0};
-  const Vector b = a * x_true;
-  auto lu = ComputeLu(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_LT((LuSolve(lu.value(), b) - x_true).NormInf(), 1e-10);
-}
-
-TEST(LuTest, DeterminantMatchesHandComputation) {
-  const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  auto lu = ComputeLu(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(LuDeterminant(lu.value()), -2.0, 1e-12);
-}
-
-TEST(LuTest, SingularMatrixRejected) {
-  const Matrix singular{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_FALSE(ComputeLu(singular).ok());
-}
-
-TEST(LuTest, InverseTimesOriginalIsIdentity) {
-  Rng rng(47);
-  const Matrix a = Matrix::RandomGaussian(6, 6, rng);
-  auto inv = Inverse(a);
-  ASSERT_TRUE(inv.ok());
-  EXPECT_LT((a * inv.value() - Matrix::Identity(6)).MaxAbs(), 1e-8);
-}
-
-TEST(LuTest, PivotingHandlesZeroLeadingEntry) {
-  const Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  auto lu = ComputeLu(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(LuDeterminant(lu.value()), -1.0, 1e-12);
-}
-
 // ---------------------------------------------------------------- QR --
 
 TEST(QrTest, FactorReconstructsAndQOrthonormal) {
@@ -278,17 +239,6 @@ TEST(QrTest, FactorReconstructsAndQOrthonormal) {
       EXPECT_NEAR(qr.value().r(i, j), 0.0, 1e-12);
     }
   }
-}
-
-TEST(QrTest, LeastSquaresRecoversPlantedSolution) {
-  Rng rng(49);
-  const Matrix a = Matrix::RandomGaussian(20, 5, rng);
-  Vector x_true(5);
-  for (std::size_t i = 0; i < 5; ++i) x_true[i] = static_cast<double>(i) - 2;
-  const Vector b = a * x_true;
-  auto x = LeastSquares(a, b);
-  ASSERT_TRUE(x.ok());
-  EXPECT_LT((x.value() - x_true).NormInf(), 1e-8);
 }
 
 TEST(QrTest, WideMatrixRejected) {

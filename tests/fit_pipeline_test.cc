@@ -1,5 +1,6 @@
 // Tests for the staged fit pipeline: stage configuration for the -T/-H
-// variants, stage-by-stage execution on a shared FitContext,
+// variants, the embedding stage's one rule (raw target, adapted
+// sources), stage-by-stage execution on a shared FitContext,
 // equivalence with SlamPred::Fit, the fit-stats invariants, and the
 // per-stage fault-injection sites.
 
@@ -11,6 +12,7 @@
 #include "datagen/aligned_generator.h"
 #include "eval/link_split.h"
 #include "score_forms.h"
+#include "util/binary_io.h"
 #include "util/fault_injection.h"
 
 namespace slampred {
@@ -74,30 +76,109 @@ TEST_F(FitPipelineTest, PipelineHasTheThreeStagesInOrder) {
 }
 
 TEST_F(FitPipelineTest, VariantsAreStageConfiguration) {
-  const FeatureStageConfig full = FeatureStageConfigFrom(SlamPredConfig{});
-  EXPECT_TRUE(full.use_sources);
-  EXPECT_TRUE(full.use_attributes);
+  FitContext full = MakeContext();
+  ASSERT_TRUE(FeatureStage(SlamPredConfig{}).Run(full).ok());
+  EXPECT_TRUE(full.transfer);
+  EXPECT_TRUE(full.feature_options.word_similarity);
+  EXPECT_TRUE(full.feature_options.location_similarity);
+  EXPECT_TRUE(full.feature_options.time_similarity);
 
-  const FeatureStageConfig t =
-      FeatureStageConfigFrom(SlamPredTargetOnlyConfig());
-  EXPECT_FALSE(t.use_sources);
-  EXPECT_TRUE(t.use_attributes);
+  FitContext t = MakeContext();
+  ASSERT_TRUE(FeatureStage(SlamPredTargetOnlyConfig()).Run(t).ok());
+  EXPECT_FALSE(t.transfer);
+  EXPECT_EQ(t.raw_tensors.size(), 1u);
+  EXPECT_TRUE(t.feature_options.word_similarity);
 
-  const FeatureStageConfig h =
-      FeatureStageConfigFrom(SlamPredHomogeneousConfig());
-  EXPECT_FALSE(h.use_sources);
-  EXPECT_FALSE(h.use_attributes);
+  FitContext h = MakeContext();
+  ASSERT_TRUE(FeatureStage(SlamPredHomogeneousConfig()).Run(h).ok());
+  EXPECT_FALSE(h.transfer);
   // -H drops the attribute slices from the extraction plan itself.
-  EXPECT_FALSE(h.features.word_similarity);
-  EXPECT_FALSE(h.features.location_similarity);
-  EXPECT_FALSE(h.features.time_similarity);
+  EXPECT_FALSE(h.feature_options.word_similarity);
+  EXPECT_FALSE(h.feature_options.location_similarity);
+  EXPECT_FALSE(h.feature_options.time_similarity);
+  EXPECT_EQ(h.raw_tensors[0].dim0(), NumFeatures(h.feature_options));
 }
+
+// The embedding stage's one rule, over every way a fit reaches it:
+// adapted_tensors[0] is the target tensor FeatureStage built, bit for
+// bit, and each transferred source follows in target coordinates with
+// latent_dim slices (Theorem 1) or its raw slice count (passthrough).
+struct EmbeddingCase {
+  const char* name;
+  SlamPredConfig config;
+  bool strip_anchors = false;
+  bool transfers = true;
+};
+
+// Names the case in test output (and so in the ctest test names).
+void PrintTo(const EmbeddingCase& c, std::ostream* os) { *os << c.name; }
+
+class EmbeddingStageRuleTest
+    : public FitPipelineTest,
+      public ::testing::WithParamInterface<EmbeddingCase> {};
+
+std::string TensorBytes(const SparseTensor3& tensor) {
+  BinaryWriter writer;
+  tensor.Serialize(writer);
+  return writer.TakeBuffer();
+}
+
+TEST_P(EmbeddingStageRuleTest, TargetStaysRawAndSourcesAreAdapted) {
+  const EmbeddingCase& c = GetParam();
+  const AlignedNetworks& full = generated_->networks;
+  FitContext context = MakeContext();
+  AlignedNetworks unanchored(full.target());
+  if (c.strip_anchors) {
+    unanchored.AddSource(full.source(0),
+                         AnchorLinks(full.target().NumUsers(),
+                                     full.source(0).NumUsers()));
+    context.networks = &unanchored;
+  }
+
+  ASSERT_TRUE(FeatureStage(c.config).Run(context).ok());
+  ASSERT_EQ(context.transfer, c.transfers);
+  const std::string target = TensorBytes(context.raw_tensors[0]);
+  std::vector<std::size_t> raw_slices;
+  for (const SparseTensor3& tensor : context.raw_tensors) {
+    raw_slices.push_back(tensor.dim0());
+  }
+  ASSERT_TRUE(EmbeddingStage(c.config).Run(context).ok());
+
+  const std::size_t sources = c.transfers ? full.num_sources() : 0;
+  ASSERT_EQ(context.adapted_tensors.size(), 1 + sources);
+  EXPECT_EQ(TensorBytes(context.adapted_tensors[0]), target);
+  const std::size_t n = full.target().NumUsers();
+  for (std::size_t k = 1; k <= sources; ++k) {
+    const SparseTensor3& source = context.adapted_tensors[k];
+    EXPECT_EQ(source.dim0(), c.config.domain_adaptation
+                                 ? c.config.latent_dim
+                                 : raw_slices[k]);
+    EXPECT_EQ(source.dim1(), n);
+    EXPECT_EQ(source.dim2(), n);
+  }
+}
+
+SlamPredConfig PassthroughConfig() {
+  SlamPredConfig config = FastConfig();
+  config.domain_adaptation = false;
+  return config;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, EmbeddingStageRuleTest,
+    ::testing::Values(
+        EmbeddingCase{"TheoremOne", FastConfig()},
+        EmbeddingCase{"Passthrough", PassthroughConfig()},
+        EmbeddingCase{"NoAnchors", FastConfig(), /*strip_anchors=*/true,
+                      /*transfers=*/false},
+        EmbeddingCase{"Homogeneous", SlamPredHomogeneousConfig(),
+                      /*strip_anchors=*/false, /*transfers=*/false}));
 
 TEST_F(FitPipelineTest, StagesRunIndividuallyOnASharedContext) {
   const SlamPredConfig config = FastConfig();
   FitContext context = MakeContext();
 
-  FeatureStage features(FeatureStageConfigFrom(config));
+  FeatureStage features(config);
   ASSERT_TRUE(features.Run(context).ok());
   EXPECT_TRUE(context.transfer);
   // Target tensor plus one per source network.
@@ -105,11 +186,11 @@ TEST_F(FitPipelineTest, StagesRunIndividuallyOnASharedContext) {
             1 + generated_->networks.num_sources());
   EXPECT_GT(context.raw_tensors[0].TotalNnz(), 0u);
 
-  EmbeddingStage embedding(EmbeddingStageConfigFrom(config));
+  EmbeddingStage embedding(config);
   ASSERT_TRUE(embedding.Run(context).ok());
   ASSERT_EQ(context.adapted_tensors.size(), context.raw_tensors.size());
 
-  SolveStage solve(SolveStageConfigFrom(config));
+  SolveStage solve(config);
   ASSERT_TRUE(solve.Run(context).ok());
   const Matrix* s = StoredAs<Matrix>(context.scores);
   ASSERT_NE(s, nullptr);
@@ -117,9 +198,16 @@ TEST_F(FitPipelineTest, StagesRunIndividuallyOnASharedContext) {
   EXPECT_GT(context.trace.steps.iterations, 0);
 }
 
+TEST_F(FitPipelineTest, EmbeddingStageRequiresFeatureOutput) {
+  FitContext context = MakeContext();
+  const Status status = EmbeddingStage(FastConfig()).Run(context);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
 TEST_F(FitPipelineTest, SolveStageRequiresEmbeddingOutput) {
   FitContext context = MakeContext();
-  SolveStage solve(SolveStageConfigFrom(FastConfig()));
+  SolveStage solve(FastConfig());
   const Status status = solve.Run(context);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
@@ -158,11 +246,9 @@ TEST_F(FitPipelineTest, StatsInvariantsHold) {
   EXPECT_GT(mem.adjacency_bytes, 0u);
   EXPECT_GT(mem.raw_tensor_bytes, 0u);
   EXPECT_GT(mem.adapted_tensor_bytes, 0u);
-  EXPECT_GE(mem.peak_bytes, mem.adjacency_bytes);
-  EXPECT_GE(mem.peak_bytes, mem.raw_tensor_bytes);
-  EXPECT_GE(mem.peak_bytes, mem.adapted_tensor_bytes);
-  EXPECT_EQ(mem.peak_bytes, mem.adjacency_bytes + mem.raw_tensor_bytes +
-                                mem.adapted_tensor_bytes);
+  // Aᵗ stores both directions of every training edge.
+  EXPECT_EQ(mem.adjacency_nnz, 2 * train_graph_->num_edges());
+  EXPECT_GT(mem.iterate_bytes, 0u);
 
   const FitPhaseTimes& times = model.phase_times();
   EXPECT_GE(times.features_seconds, 0.0);
@@ -188,13 +274,14 @@ TEST_F(FitPipelineTest, StatsResetOnSecondFit) {
   EXPECT_EQ(second.adapted_tensor_nnz, first.adapted_tensor_nnz);
   EXPECT_EQ(second.adapted_tensor_bytes, first.adapted_tensor_bytes);
   EXPECT_EQ(second.adjacency_nnz, first.adjacency_nnz);
-  EXPECT_EQ(second.peak_bytes, first.peak_bytes);
+  EXPECT_EQ(second.adjacency_bytes, first.adjacency_bytes);
+  EXPECT_EQ(second.iterate_bytes, first.iterate_bytes);
 }
 
 TEST_F(FitPipelineTest, FailedFitStillResetsStats) {
   SlamPred model(FastConfig());
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  ASSERT_GT(model.memory_stats().peak_bytes, 0u);
+  ASSERT_GT(model.memory_stats().raw_tensor_bytes, 0u);
 
   FaultSpec spec;
   spec.kind = FaultKind::kFailNotConverged;
@@ -202,7 +289,8 @@ TEST_F(FitPipelineTest, FailedFitStillResetsStats) {
   ASSERT_FALSE(model.Fit(generated_->networks, *train_graph_).ok());
   // The failed run's (empty) stats replace the previous run's — stats
   // always describe the most recent Fit call.
-  EXPECT_EQ(model.memory_stats().peak_bytes, 0u);
+  EXPECT_EQ(model.memory_stats().raw_tensor_bytes, 0u);
+  EXPECT_EQ(model.memory_stats().iterate_bytes, 0u);
 }
 
 TEST_F(FitPipelineTest, EachStageIsFaultInjectable) {
@@ -241,10 +329,10 @@ TEST_F(FitPipelineTest, SkippingTheEmbeddingStageIsAConfiguredPipeline) {
   // stages freely.
   const SlamPredConfig config = FastConfig();
   FitContext context = MakeContext();
-  FeatureStage features(FeatureStageConfigFrom(config));
+  FeatureStage features(config);
   ASSERT_TRUE(features.Run(context).ok());
   context.adapted_tensors = context.raw_tensors;  // Hand-built adaption.
-  SolveStage solve(SolveStageConfigFrom(config));
+  SolveStage solve(config);
   ASSERT_TRUE(solve.Run(context).ok());
   const Matrix* s = StoredAs<Matrix>(context.scores);
   ASSERT_NE(s, nullptr);
@@ -257,7 +345,8 @@ TEST_F(FitPipelineTest, FitReportJsonContainsEveryBlock) {
   const std::string json = FitReportJson(MakeFitReport(model));
   for (const char* key :
        {"\"threads\"", "\"phase_times\"", "\"total_seconds\"",
-        "\"memory_stats\"", "\"peak_bytes\"", "\"recovery\"", "\"total\""}) {
+        "\"memory_stats\"", "\"adapted_tensor_nnz\"", "\"iterate_bytes\"",
+        "\"recovery\"", "\"total\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
   }
 }

@@ -173,20 +173,10 @@ TEST_F(SlamPredTest, AdaptedTensorsExposed) {
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
   ASSERT_EQ(model.adapted_tensors().size(), 2u);
-  // Default: target features stay raw (9 slices), sources are projected
-  // into the 4-dimensional latent space.
+  // Target features stay raw (9 slices); the source is projected into
+  // the 4-dimensional latent space.
   EXPECT_EQ(model.adapted_tensors()[0].dim0(), 9u);
   EXPECT_EQ(model.adapted_tensors()[1].dim0(), 4u);
-}
-
-TEST_F(SlamPredTest, StrictPaperModeProjectsTargetToo) {
-  SlamPredConfig config;
-  config.optimization = FastOptimization();
-  config.latent_dim = 4;
-  config.project_target_features = true;
-  SlamPred model(config);
-  ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  EXPECT_EQ(model.adapted_tensors()[0].dim0(), 4u);
 }
 
 TEST_F(SlamPredTest, ScoreAccessor) {
@@ -224,10 +214,11 @@ TEST_F(SlamPredTest, MismatchedStructureRejected) {
 TEST_F(SlamPredTest, HomogeneousUsesOnlyStructuralSlices) {
   SlamPredConfig config = SlamPredHomogeneousConfig();
   config.optimization = FastOptimization();
-  config.domain_adaptation = false;  // Keep raw slices observable.
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  // 6 structural slices, no attribute slices.
+  // The raw target tensor alone: 6 structural slices, no attribute
+  // slices.
+  ASSERT_EQ(model.adapted_tensors().size(), 1u);
   EXPECT_EQ(model.adapted_tensors()[0].dim0(), 6u);
 }
 
@@ -238,8 +229,10 @@ TEST_F(SlamPredTest, PassthroughAblationRuns) {
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
   EXPECT_GT(AucOf(model), 0.55);
-  // Passthrough keeps the raw 9 slices.
+  // Passthrough keeps the raw 9 slices, target and source alike.
+  ASSERT_EQ(model.adapted_tensors().size(), 2u);
   EXPECT_EQ(model.adapted_tensors()[0].dim0(), 9u);
+  EXPECT_EQ(model.adapted_tensors()[1].dim0(), 9u);
 }
 
 TEST_F(SlamPredTest, ZeroIntimacyFallsBackToAdjacency) {

@@ -123,12 +123,20 @@
 // variable; N = 1 forces the exact serial path. Results are
 // bit-identical for every thread count.
 //
+// A numeric flag whose value is empty, negative, not a number or
+// followed by junk stops the command with exit status 2 before any work,
+// naming the flag on stderr.
+//
 // Methods: SLAMPRED (default), SLAMPRED-T, SLAMPRED-H, PL, PL-T, PL-S,
 // SCAN, SCAN-T, SCAN-S, JC, CN, PA. `fit` and `predict` fit SLAMPRED
 // variants only.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
@@ -155,7 +163,10 @@ namespace {
 
 using namespace slampred;
 
-// Minimal --flag value parser.
+// Minimal --flag value parser. Numeric flags are read through Count and
+// Number, which end the program with exit status 2, naming the flag on
+// stderr, when the value is empty, negative, not a number or followed
+// by junk.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -182,7 +193,46 @@ class Flags {
     return it->second;
   }
 
+  /// --key as a non-negative integer; `fallback` when the flag is absent.
+  std::uint64_t Count(const std::string& key, std::uint64_t fallback) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    std::uint64_t value = 0;
+    if (!ParsesWhole(it->second, value)) {
+      Reject(key, "a non-negative integer", it->second);
+    }
+    return value;
+  }
+
+  /// --key as a finite non-negative number; `fallback` when absent.
+  double Number(const std::string& key, double fallback) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    double value = 0.0;
+    if (!ParsesWhole(it->second, value) || it->second.front() == '-' ||
+        !std::isfinite(value)) {
+      Reject(key, "a non-negative number", it->second);
+    }
+    return value;
+  }
+
  private:
+  // True when all of `text` (non-empty) is one number; from_chars takes
+  // no leading whitespace or '+', and no '-' for unsigned types.
+  template <typename T>
+  static bool ParsesWhole(const std::string& text, T& value) {
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    return !text.empty() && error == std::errc() && stop == end;
+  }
+
+  [[noreturn]] static void Reject(const std::string& key, const char* expects,
+                                  const std::string& text) {
+    std::fprintf(stderr, "--%s expects %s, got '%s'\n", key.c_str(), expects,
+                 text.c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -223,22 +273,18 @@ int WriteBundle(const AlignedNetworks& networks, const std::string& out_dir) {
 int Generate(const Flags& flags) {
   const auto out_dir = flags.GetRequired("out-dir");
   if (!out_dir.has_value()) return 2;
-  const std::uint64_t seed = static_cast<std::uint64_t>(
-      std::stoull(flags.Get("seed", "42")));
+  const std::uint64_t seed = flags.Count("seed", 42);
 
   const std::string scale_out = flags.Get("scale-out", "0");
   if (scale_out == "1" || scale_out == "true") {
     ScaleOutConfig config;
     config.seed = seed;
-    config.num_users = static_cast<std::size_t>(
-        std::stoull(flags.Get("users", "100000")));
-    config.num_communities = static_cast<std::size_t>(
-        std::stoull(flags.Get("communities", "64")));
-    config.avg_degree = std::stod(flags.Get("avg-degree", "8"));
-    config.power_law_exponent = std::stod(flags.Get("power-law", "2.5"));
-    config.inter_community_fraction =
-        std::stod(flags.Get("inter-fraction", "0.05"));
-    config.source_coverage = std::stod(flags.Get("coverage", "0.7"));
+    config.num_users = flags.Count("users", 100000);
+    config.num_communities = flags.Count("communities", 64);
+    config.avg_degree = flags.Number("avg-degree", 8);
+    config.power_law_exponent = flags.Number("power-law", 2.5);
+    config.inter_community_fraction = flags.Number("inter-fraction", 0.05);
+    config.source_coverage = flags.Number("coverage", 0.7);
     Stopwatch watch;
     auto generated = GenerateAlignedScaleOut(config);
     if (!generated.ok()) {
@@ -319,8 +365,7 @@ Status ApplySolverFlags(const Flags& flags, SlamPredConfig& config) {
                                    solver);
   }
   if (flags.Has("rank")) {
-    const std::size_t rank =
-        static_cast<std::size_t>(std::stoull(flags.Get("rank", "24")));
+    const std::size_t rank = flags.Count("rank", 24);
     if (rank == 0) return Status::InvalidArgument("--rank must be >= 1");
     config.factored.rank = rank;
   }
@@ -339,14 +384,12 @@ Status ApplyPartitionFlags(const Flags& flags, SlamPredConfig& config) {
                                    partition);
   }
   if (flags.Has("max-cluster")) {
-    const std::size_t cap = static_cast<std::size_t>(
-        std::stoull(flags.Get("max-cluster", "1024")));
+    const std::size_t cap = flags.Count("max-cluster", 1024);
     if (cap == 0) return Status::InvalidArgument("--max-cluster must be >= 1");
     config.partition.max_cluster_size = cap;
   }
   if (flags.Has("min-cluster")) {
-    config.partition.min_cluster_size = static_cast<std::size_t>(
-        std::stoull(flags.Get("min-cluster", "8")));
+    config.partition.min_cluster_size = flags.Count("min-cluster", 8);
   }
   if (config.partition.min_cluster_size > config.partition.max_cluster_size) {
     return Status::InvalidArgument("--min-cluster exceeds --max-cluster");
@@ -359,14 +402,12 @@ Status ApplyPartitionFlags(const Flags& flags, SlamPredConfig& config) {
 // (inner 60, outer 2) untouched.
 Status ApplyBudgetFlags(const Flags& flags, SlamPredConfig& config) {
   if (flags.Has("inner")) {
-    const std::size_t inner = static_cast<std::size_t>(
-        std::stoull(flags.Get("inner", "60")));
+    const std::size_t inner = flags.Count("inner", 60);
     if (inner == 0) return Status::InvalidArgument("--inner must be >= 1");
     config.optimization.inner.max_iterations = inner;
   }
   if (flags.Has("outer")) {
-    const std::size_t outer = static_cast<std::size_t>(
-        std::stoull(flags.Get("outer", "2")));
+    const std::size_t outer = flags.Count("outer", 2);
     if (outer == 0) return Status::InvalidArgument("--outer must be >= 1");
     config.optimization.max_outer_iterations = outer;
   }
@@ -407,10 +448,8 @@ ArtifactQuantizerOptions QuantizerOptionsFromFlags(const Flags& flags,
                                                    QuantizationBits bits) {
   ArtifactQuantizerOptions options;
   options.bits = bits;
-  options.hot_user_count = static_cast<std::size_t>(
-      std::stoull(flags.Get("hot-users", "0")));
-  options.hot_row_entries = static_cast<std::size_t>(
-      std::stoull(flags.Get("hot-row-entries", "256")));
+  options.hot_user_count = flags.Count("hot-users", 0);
+  options.hot_row_entries = flags.Count("hot-row-entries", 256);
   return options;
 }
 
@@ -729,8 +768,7 @@ int PredictFromArtifact(const Flags& flags, std::size_t top_k) {
 }
 
 int Predict(const Flags& flags) {
-  const std::size_t top_k = static_cast<std::size_t>(
-      std::stoull(flags.Get("top", "20")));
+  const std::size_t top_k = flags.Count("top", 20);
   if (flags.Has("model")) return PredictFromArtifact(flags, top_k);
 
   auto quantize_bits = QuantizeBitsFromFlags(flags, "off");
@@ -785,19 +823,15 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
                  mode.c_str());
     return 2;
   }
-  options.concurrency = static_cast<std::size_t>(
-      std::stoull(flags.Get("concurrency", "4")));
-  options.duration_seconds = std::stod(flags.Get("duration", "2"));
-  options.open_rate_rps = std::stod(flags.Get("rate", "2000"));
-  options.pairs_per_request = static_cast<std::size_t>(
-      std::stoull(flags.Get("request-pairs", "64")));
-  options.top_k = static_cast<std::size_t>(
-      std::stoull(flags.Get("topk", "10")));
-  options.seed = static_cast<std::uint64_t>(
-      std::stoull(flags.Get("seed", "42")));
+  options.concurrency = flags.Count("concurrency", 4);
+  options.duration_seconds = flags.Number("duration", 2);
+  options.open_rate_rps = flags.Number("rate", 2000);
+  options.pairs_per_request = flags.Count("request-pairs", 64);
+  options.top_k = flags.Count("topk", 10);
+  options.seed = flags.Count("seed", 42);
   const std::string swap = flags.Get("swap-under-load", "0");
   if (swap == "1" || swap == "true") options.swap_every_seconds = 0.25;
-  options.deadline_ms = std::stod(flags.Get("deadline-ms", "0"));
+  options.deadline_ms = flags.Number("deadline-ms", 0);
   const std::string chaos = flags.Get("chaos", "0");
   options.chaos = chaos == "1" || chaos == "true";
 
@@ -806,11 +840,9 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
     std::fprintf(stderr, "%s\n", quantize_bits.status().ToString().c_str());
     return 2;
   }
-  const std::size_t hot_users = static_cast<std::size_t>(
-      std::stoull(flags.Get("hot-users", "0")));
+  const std::size_t hot_users = flags.Count("hot-users", 0);
   ModelRegistryOptions registry_options;
-  registry_options.hot_row_entries = static_cast<std::size_t>(
-      std::stoull(flags.Get("hot-row-entries", "256")));
+  registry_options.hot_row_entries = flags.Count("hot-row-entries", 256);
   registry_options.hot_users.reserve(hot_users);
   for (std::size_t u = 0; u < hot_users; ++u) {
     registry_options.hot_users.push_back(static_cast<std::uint32_t>(u));
@@ -867,8 +899,7 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
     if (options.swap_every_seconds <= 0.0) options.swap_every_seconds = 0.05;
   }
   BatchScorerOptions batch;
-  batch.queue_cap = static_cast<std::size_t>(
-      std::stoull(flags.Get("queue-cap", "0")));
+  batch.queue_cap = flags.Count("queue-cap", 0);
   const std::string shed_policy = flags.Get("shed-policy", "newest");
   if (shed_policy == "oldest") {
     batch.shed_policy = ShedPolicy::kRejectOldest;
@@ -899,8 +930,7 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
   // the served scores (quantized or float) against the observed graph,
   // so the CI leg can assert quantized AUC stays within tolerance of
   // the float run.
-  const std::size_t auc_pairs = static_cast<std::size_t>(
-      std::stoull(flags.Get("auc-pairs", "0")));
+  const std::size_t auc_pairs = flags.Count("auc-pairs", 0);
   if (auc_pairs > 0) {
     const std::string target_path = flags.Get("target", "");
     if (target_path.empty()) {
@@ -942,10 +972,8 @@ int ServeBench(const Flags& flags) {
   const auto model_path = flags.GetRequired("model");
   if (!model_path.has_value()) return 2;
   if (flags.Has("mode")) return ServeLoadGen(flags, *model_path);
-  const std::size_t num_pairs = static_cast<std::size_t>(
-      std::stoull(flags.Get("pairs", "200000")));
-  const std::size_t rounds = static_cast<std::size_t>(
-      std::stoull(flags.Get("rounds", "5")));
+  const std::size_t num_pairs = flags.Count("pairs", 200000);
+  const std::size_t rounds = flags.Count("rounds", 5);
   if (num_pairs == 0 || rounds == 0) {
     std::fprintf(stderr, "--pairs and --rounds must be >= 1\n");
     return 2;
@@ -1023,8 +1051,7 @@ int Evaluate(const Flags& flags) {
   if (!method.has_value()) return 2;
 
   ExperimentOptions options;
-  options.num_folds = static_cast<std::size_t>(
-      std::stoull(flags.Get("folds", "5")));
+  options.num_folds = flags.Count("folds", 5);
   options.slampred.optimization.inner.max_iterations = 60;
   options.slampred.optimization.max_outer_iterations = 2;
   const Status solver_flags = ApplySolverFlags(flags, options.slampred);
@@ -1066,7 +1093,7 @@ int Evaluate(const Flags& flags) {
   std::printf("  Precision@100 : %s\n",
               FormatMeanStd(result.value().precision.mean,
                             result.value().precision.std).c_str());
-  if (result.value().memory_stats.peak_bytes > 0) {
+  if (rescore_dir.empty() && MethodIsSlamPred(*method)) {
     std::printf("fold-0 fit report:\n");
     const int report_rc = EmitFitReport(flags, result.value().fold0_report);
     if (report_rc != 0) return report_rc;
@@ -1095,14 +1122,13 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Flags flags(argc, argv);
-  const std::string threads = flags.Get("threads", "");
-  if (!threads.empty()) {
-    const unsigned long long n = std::stoull(threads);
+  if (flags.Has("threads")) {
+    const std::size_t n = flags.Count("threads", 0);
     if (n == 0) {
       std::fprintf(stderr, "--threads must be >= 1\n");
       return 2;
     }
-    ThreadPool::Global().Resize(static_cast<std::size_t>(n));
+    ThreadPool::Global().Resize(n);
   }
   if (command == "generate") return Generate(flags);
   if (command == "fit") return Fit(flags);
