@@ -299,7 +299,8 @@ void BM_ObjectiveSparse(benchmark::State& state) {
   const std::vector<double> weights = {0.25};
   Objective objective;
   objective.a = g1.AdjacencyCsr();
-  objective.grad_v = BuildIntimacyGradient(tensors, weights, n);
+  objective.grad_v =
+      BuildIntimacyGradientCsr(tensors[0], weights[0], {}, {}).ToDense();
   objective.gamma = 0.3;
   objective.tau = 0.0;
   const Matrix s = RandomMatrix(n, 21);
@@ -322,7 +323,8 @@ void BM_ObjectiveDense(benchmark::State& state) {
   const std::vector<double> weights = {0.25};
   Objective objective;
   objective.a = g1.AdjacencyCsr();
-  objective.grad_v = BuildIntimacyGradient(tensors, weights, n);
+  objective.grad_v =
+      BuildIntimacyGradientCsr(sparse, weights[0], {}, {}).ToDense();
   objective.gamma = 0.3;
   objective.tau = 0.0;
   const Matrix s = RandomMatrix(n, 21);
@@ -383,11 +385,10 @@ void BM_SolveFactored(benchmark::State& state) {
   const SocialGraph g1 = BenchGraph(n);
   const SocialGraph g2 = BenchGraph(n);
   ThreadCountGuard guard(static_cast<std::size_t>(state.range(1)));
-  const std::vector<SparseTensor3> tensors = {BenchSparseTensor(g1, g2)};
-  const std::vector<double> weights = {0.25};
   FactoredObjective objective;
   objective.a = g1.AdjacencyCsr();
-  objective.grad_v = BuildIntimacyGradientCsr(tensors, weights, n);
+  objective.grad_v =
+      BuildIntimacyGradientCsr(BenchSparseTensor(g1, g2), 0.25, {}, {});
   objective.gamma = 0.3;
   objective.tau = 0.1;
   const CccpOptions options = BenchSolveOptions();
@@ -407,11 +408,11 @@ void BM_SolveDense(benchmark::State& state) {
   const SocialGraph g1 = BenchGraph(n);
   const SocialGraph g2 = BenchGraph(n);
   ThreadCountGuard guard(static_cast<std::size_t>(state.range(1)));
-  const std::vector<SparseTensor3> tensors = {BenchSparseTensor(g1, g2)};
-  const std::vector<double> weights = {0.25};
   Objective objective;
   objective.a = g1.AdjacencyCsr();
-  objective.grad_v = BuildIntimacyGradient(tensors, weights, n);
+  objective.grad_v =
+      BuildIntimacyGradientCsr(BenchSparseTensor(g1, g2), 0.25, {}, {})
+          .ToDense();
   objective.gamma = 0.3;
   objective.tau = 0.1;
   const CccpOptions options = BenchSolveOptions();

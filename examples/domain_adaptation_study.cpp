@@ -1,11 +1,11 @@
 // Domain-adaptation study: a look inside the feature-space projection
 // (Theorem 1). The example samples link instances, solves the joint
 // mapping inference, and reports (a) the generalized eigenvalues, (b)
-// how discriminative each latent dimension of the adapted source is on
-// held-out target links, and (c) how much signal the source carries
-// into target coordinates with and without the projection. The target's
-// own features are never projected (DESIGN.md §5, deviation 5), so
-// every row here is source-side.
+// the separation weight the adapter gives each latent dimension, and
+// (c) how much signal the source carries into target coordinates with
+// and without the projection. The target's own features are never
+// projected (DESIGN.md §5, deviation 5), so every row here is
+// source-side.
 
 #include <cstdio>
 
@@ -58,32 +58,30 @@ int main() {
   std::printf("(a well-separated smallest eigenvalue = one strongly\n"
               " discriminative shared direction)\n\n");
 
-  // How much signal does each latent dimension carry on held-out links?
-  auto auc_of_map = [&](const Matrix& map) {
-    std::vector<double> scores;
-    for (const UserPair& p : eval.value().pairs) {
-      scores.push_back(map(p.u, p.v));
-    }
-    return ComputeAuc(scores, eval.value().labels).value_or(0.5);
-  };
-
-  TablePrinter dims({"latent dim", "source(->target) AUC"});
-  const SparseTensor3& source_adapted = adapted.value().tensors[0];
-  for (std::size_t c = 0; c < source_adapted.dim0(); ++c) {
-    dims.AddRow({std::to_string(c),
-                 FormatDouble(auc_of_map(source_adapted.Slice(c)), 3)});
+  // How discriminative is each latent dimension on the sampled
+  // instances? Its separation weights its slice in the source's sum.
+  TablePrinter dims({"latent dim", "separation weight"});
+  const Vector& separation = adapted.value().separation;
+  for (std::size_t c = 0; c < separation.size(); ++c) {
+    dims.AddRow({std::to_string(c), FormatDouble(separation[c], 3)});
   }
   std::printf("%s", dims.ToString().c_str());
 
   // Aggregate comparison: passthrough-transferred vs adapted source.
+  auto auc_of_map = [&](const CsrMatrix& map) {
+    std::vector<double> scores;
+    for (const UserPair& p : eval.value().pairs) {
+      scores.push_back(map.At(p.u, p.v));
+    }
+    return ComputeAuc(scores, eval.value().labels).value_or(0.5);
+  };
   auto pass = PassthroughAdapt(networks, raw);
   if (!pass.ok()) return 1;
   TablePrinter agg({"signal", "AUC on held-out links"});
   agg.AddRow({"raw source via anchors (sum)",
-              FormatDouble(auc_of_map(pass.value().tensors[0].SumSlices()),
-                           3)});
+              FormatDouble(auc_of_map(pass.value().slice_sums[0]), 3)});
   agg.AddRow({"adapted source via anchors (sum)",
-              FormatDouble(auc_of_map(source_adapted.SumSlices()), 3)});
+              FormatDouble(auc_of_map(adapted.value().slice_sums[0]), 3)});
   std::printf("\n%s", agg.ToString().c_str());
   std::printf(
       "\nReading: the projection maps the source's features into the\n"

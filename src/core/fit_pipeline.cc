@@ -65,11 +65,21 @@ Status EmbeddingStage::Run(FitContext& context) const {
     return Status::FailedPrecondition(
         "embedding stage needs raw tensors (run the feature stage first)");
   }
+  // Intimacy weights: αᵗ, then α^k per transferred source. Each weight is
+  // divided by its network's slice count so Σ_c X̂(c,:,:) stays on the
+  // same [0, 1] scale regardless of how many feature slices a network
+  // contributes — otherwise the intimacy gradient would drown the
+  // Frobenius loss and saturate every score at the box bound.
+  const SparseTensor3& target = context.raw_tensors[0];
+  const double target_weight = config_.alpha_target * config_.intimacy_scale /
+                               std::max<double>(1.0, target.dim0());
+
   // The solve reads the target's own features raw (DESIGN.md §5,
   // deviation 5); only the sources are brought into target coordinates
   // — through the Theorem-1 projection, which is still learned jointly
   // with the target's instances, or unadapted for the EXP-A2 ablation.
-  std::vector<SparseTensor3> sources;
+  std::vector<CsrMatrix> sources;
+  std::vector<double> source_weights;
   if (context.transfer) {
     DomainAdapterOptions options;
     options.projection.mu = config_.mu;
@@ -82,61 +92,49 @@ Status EmbeddingStage::Run(FitContext& context) const {
                            context.raw_tensors, options, rng)
             : PassthroughAdapt(*context.networks, context.raw_tensors);
     if (!adapted.ok()) return adapted.status();
-    sources = std::move(adapted).value().tensors;
-  }
-
-  context.adapted_tensors.clear();
-  context.adapted_tensors.push_back(std::move(context.raw_tensors[0]));
-  for (SparseTensor3& tensor : sources) {
-    context.adapted_tensors.push_back(std::move(tensor));
-  }
-  for (const SparseTensor3& tensor : context.adapted_tensors) {
-    context.memory_stats.adapted_tensor_nnz += tensor.TotalNnz();
-    context.memory_stats.adapted_tensor_bytes += tensor.EstimatedBytes();
-  }
-  return Status::OK();
-}
-
-Status SolveStage::Run(FitContext& context) const {
-  if (context.adapted_tensors.empty()) {
-    return Status::FailedPrecondition(
-        "solve stage needs adapted tensors (run the embedding stage first)");
-  }
-  const std::size_t n = context.networks->target().NumUsers();
-
-  // Intimacy weights: αᵗ then α^k per transferred source. Each weight is
-  // divided by its tensor's slice count so Σ_c X̂(c,:,:) stays on the
-  // same [0, 1] scale regardless of how many feature slices a network
-  // contributes — otherwise the intimacy gradient would drown the
-  // Frobenius loss and saturate every score at the box bound.
-  std::vector<double> weights;
-  const double d0 = std::max<double>(1.0, context.adapted_tensors[0].dim0());
-  weights.push_back(config_.alpha_target * config_.intimacy_scale / d0);
-  if (context.transfer) {
-    for (std::size_t k = 0; k < context.networks->num_sources(); ++k) {
+    sources = std::move(adapted).value().slice_sums;
+    for (std::size_t k = 0; k < sources.size(); ++k) {
       double alpha = 1.0;
       if (!config_.alpha_sources.empty()) {
         alpha = k < config_.alpha_sources.size() ? config_.alpha_sources[k]
                                                  : config_.alpha_sources.back();
       }
-      const double dk =
-          std::max<double>(1.0, context.adapted_tensors[k + 1].dim0());
-      weights.push_back(alpha * config_.intimacy_scale / dk);
+      const std::size_t slices = config_.domain_adaptation
+                                     ? options.projection.latent_dim
+                                     : context.raw_tensors[k + 1].dim0();
+      source_weights.push_back(alpha * config_.intimacy_scale /
+                               std::max<double>(1.0, slices));
     }
   }
 
+  context.intimacy_gradient =
+      BuildIntimacyGradientCsr(target, target_weight, sources, source_weights);
+  context.raw_tensors.clear();
+  context.memory_stats.adapted_tensor_nnz += context.intimacy_gradient.nnz();
+  context.memory_stats.adapted_tensor_bytes +=
+      context.intimacy_gradient.EstimatedBytes();
+  return Status::OK();
+}
+
+Status SolveStage::Run(FitContext& context) const {
+  const std::size_t n = context.networks->target().NumUsers();
+  if (context.intimacy_gradient.rows() != n ||
+      context.intimacy_gradient.cols() != n) {
+    return Status::FailedPrecondition(
+        "solve stage needs the intimacy gradient (run the embedding stage "
+        "first)");
+  }
   const CsrMatrix adjacency = context.target_structure->AdjacencyCsr();
   context.memory_stats.adjacency_nnz = adjacency.nnz();
   context.memory_stats.adjacency_bytes = adjacency.EstimatedBytes();
   context.trace = CccpTrace();
 
+  // The objective takes G over from the context.
   if (config_.solver_backend == SolverBackend::kFactored) {
-    // Assemble the factored estimation: the constant CCCP gradient G
-    // stays CSR so nothing n²-sized is ever materialised.
+    // G stays CSR, so nothing n²-sized is ever materialised.
     FactoredObjective objective;
     objective.a = adjacency;
-    objective.grad_v =
-        BuildIntimacyGradientCsr(context.adapted_tensors, weights, n);
+    objective.grad_v = std::exchange(context.intimacy_gradient, CsrMatrix());
     objective.gamma = config_.gamma;
     objective.tau = config_.tau;
     objective.loss = config_.loss;
@@ -155,7 +153,7 @@ Status SolveStage::Run(FitContext& context) const {
   Objective objective;
   objective.a = adjacency;
   objective.grad_v =
-      BuildIntimacyGradient(context.adapted_tensors, weights, n);
+      std::exchange(context.intimacy_gradient, CsrMatrix()).ToDense();
   objective.gamma = config_.gamma;
   objective.tau = config_.tau;
   objective.loss = config_.loss;

@@ -2,17 +2,19 @@
 // three stages sharing one FitContext:
 //
 //   FeatureStage    raw intimacy tensors per network        (features/)
-//   EmbeddingStage  source tensors into target coordinates  (embedding/)
+//   EmbeddingStage  the CCCP gradient G, in CSR             (embedding/)
 //   SolveStage      sparse + low-rank CCCP estimation       (optim/)
 //
 // Every stage holds the SlamPredConfig it was built from, so the
 // paper's -T/-H variants are stage *configuration* (use_sources /
 // use_attributes, read by FeatureStage) rather than branches buried in
-// one monolithic Fit. EmbeddingStage is the one place that decides what
-// the solve reads: the target's raw tensor, moved as is, followed by
-// one tensor per transferred source (Theorem-1 projected, or passed
-// through for the EXP-A2 ablation). Stages are independently runnable —
-// tests drive a single stage on a hand-built context, and
+// one monolithic Fit. The solve reads the features only through the
+// constant gradient G = Σ_k α_k Σ_c X̂^k(c,:,:), so EmbeddingStage is
+// the one place that decides what the solve reads: it sums the
+// target's raw slices and one slice sum per transferred source
+// (Theorem-1 projected, or passed through for the EXP-A2 ablation) into
+// G once, then releases the raw tensors. Stages are independently
+// runnable — tests drive a single stage on a hand-built context, and
 // RunFitPipeline accepts any subset in order — and independently
 // fault-injectable through the per-stage sites "fit.features" /
 // "fit.embedding" / "fit.solve" (fail kinds map to the matching Status;
@@ -33,6 +35,7 @@
 #include "graph/aligned_networks.h"
 #include "graph/partitioner.h"
 #include "graph/social_graph.h"
+#include "linalg/csr_matrix.h"
 #include "linalg/sparse_tensor3.h"
 #include "optim/cccp.h"
 #include "optim/solver_backend.h"
@@ -57,12 +60,12 @@ struct FitContext {
 
   /// raw_tensors[0] = target features on the training structure;
   /// raw_tensors[k>=1] = source k on its own graph (only when
-  /// transferring). EmbeddingStage moves raw_tensors[0] out.
+  /// transferring). EmbeddingStage releases them once G exists.
   std::vector<SparseTensor3> raw_tensors;
 
-  /// Set by EmbeddingStage, all in target coordinates: [0] is the raw
-  /// target tensor, [k>=1] source k adapted (only when transferring).
-  std::vector<SparseTensor3> adapted_tensors;
+  /// Set by EmbeddingStage: the constant CCCP gradient G (n_t x n_t),
+  /// the solve's only view of the features. SolveStage consumes it.
+  CsrMatrix intimacy_gradient;
 
   /// Set by SolveStage (dense or factored S) or PartitionedSolveStage
   /// (the sharded composite): the fitted predictor, plus its trace.
@@ -114,9 +117,10 @@ class FeatureStage : public FitStage {
   SlamPredConfig config_;
 };
 
-/// Moves the raw target tensor into adapted_tensors[0] and appends one
-/// tensor per transferred source in target coordinates: Theorem-1
-/// projected, or raw when domain_adaptation is false (EXP-A2).
+/// Builds G from the raw target tensor plus, per transferred source, its
+/// slice sum in target coordinates: Theorem-1 projected, or raw when
+/// domain_adaptation is false (EXP-A2). Each network's weight α is
+/// divided by its slice count. Releases the raw tensors.
 class EmbeddingStage : public FitStage {
  public:
   explicit EmbeddingStage(SlamPredConfig config)
@@ -131,8 +135,8 @@ class EmbeddingStage : public FitStage {
   SlamPredConfig config_;
 };
 
-/// Assembles the objective (intimacy weights + constant CCCP gradient)
-/// and runs Algorithm 1, producing context.scores.
+/// Assembles the objective around G (densified once for the dense
+/// backend) and runs Algorithm 1, producing context.scores.
 class SolveStage : public FitStage {
  public:
   explicit SolveStage(SlamPredConfig config) : config_(std::move(config)) {}

@@ -328,8 +328,7 @@ Result<ModelShard> ReadShard(BinaryReader& reader, bool quantized) {
 
 }  // namespace
 
-Result<ModelArtifact> MakeModelArtifact(const SlamPred& model,
-                                        bool include_adapted_tensors) {
+Result<ModelArtifact> MakeModelArtifact(const SlamPred& model) {
   if (!model.fitted()) {
     return Status::FailedPrecondition(
         "cannot snapshot an artifact before Fit");
@@ -337,10 +336,6 @@ Result<ModelArtifact> MakeModelArtifact(const SlamPred& model,
   ModelArtifact artifact;
   artifact.config = model.config();
   artifact.scores = model.scores();
-  if (include_adapted_tensors) {
-    artifact.adapted_tensors = model.adapted_tensors();
-    artifact.has_adapted_tensors = true;
-  }
   return artifact;
 }
 

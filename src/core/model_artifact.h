@@ -1,9 +1,9 @@
 // Versioned binary model artifact — the train-once / serve-many
 // boundary. A fitted SlamPred exports an artifact (config + predictor
-// S in any ScoreSource form + optionally the adapted CSR tensors);
-// ScoringSession loads it back and serves scores with no refit. Scores
-// from a loaded artifact are bit-identical to the in-memory model: S
-// round-trips through exact IEEE-754 bit patterns.
+// S in any ScoreSource form); ScoringSession loads it back and serves
+// scores with no refit. Scores from a loaded artifact are bit-identical
+// to the in-memory model: S round-trips through exact IEEE-754 bit
+// patterns.
 //
 // On-disk format (little-endian; see DESIGN.md "Fit pipeline and model
 // artifacts" for the full table):
@@ -53,9 +53,9 @@ struct ModelArtifact {
   /// section that readers predating it skip, failing cleanly on the
   /// missing score matrix.
   std::shared_ptr<const ScoreSource> scores;
-  /// Optionally the adapted feature tensors X̂^k of the fit (target
-  /// coordinates, CSR) — for artifact consumers that post-process
-  /// features; omitted by default to keep serving artifacts small.
+  /// Feature tensors carried by older artifacts (section 3). A fit no
+  /// longer produces them, but the codec still reads, validates and
+  /// re-writes them, so such files round-trip byte for byte.
   std::vector<SparseTensor3> adapted_tensors;
   bool has_adapted_tensors = false;
   /// Precomputed top-K row prefixes for the hot-user set, snapshotted
@@ -67,8 +67,7 @@ struct ModelArtifact {
 
 /// Snapshots a fitted model into an artifact. Fails with
 /// kFailedPrecondition before Fit.
-Result<ModelArtifact> MakeModelArtifact(const SlamPred& model,
-                                        bool include_adapted_tensors = false);
+Result<ModelArtifact> MakeModelArtifact(const SlamPred& model);
 
 /// Serializes `artifact` to its binary form.
 std::string SerializeModelArtifact(const ModelArtifact& artifact);

@@ -27,8 +27,8 @@ std::string FitMemoryStats::ToString() const {
   };
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
-                "A^t %zu nnz (%.2f MiB csr) | X %zu nnz (%.2f) | X-hat %zu "
-                "nnz (%.2f) | S %.2f MiB (rank %zu)",
+                "A^t %zu nnz (%.2f MiB csr) | X %zu nnz (%.2f) | G %zu nnz "
+                "(%.2f) | S %.2f MiB (rank %zu)",
                 adjacency_nnz, mib(adjacency_bytes), raw_tensor_nnz,
                 mib(raw_tensor_bytes), adapted_tensor_nnz,
                 mib(adapted_tensor_bytes), mib(iterate_bytes), solver_rank);
@@ -72,7 +72,6 @@ Status SlamPred::Fit(const AlignedNetworks& networks,
   // A fitted model never resumes its solve; holding the checkpoint's
   // copy of a dense S would double the iterate's footprint.
   trace_.checkpoint = SolverCheckpoint();
-  adapted_tensors_ = std::move(context.adapted_tensors);
   if (!run.ok()) return run;
   scores_ = std::move(context.scores);
   return Status::OK();

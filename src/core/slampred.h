@@ -4,10 +4,14 @@
 //   1. intimacy feature tensors per network     (features/)
 //   2. domain adaptation: the source networks'  (embedding/)
 //      features projected via Theorem 1 and
-//      mapped into target coordinates (the
-//      target's own features stay raw)
+//      mapped into target coordinates, summed
+//      with the target's raw ones into the
+//      CCCP gradient G (built once, in CSR)
 //   3. sparse + low-rank matrix estimation by   (optim/)
 //      proximal-operator CCCP (Algorithm 1)
+//
+// A fitted model keeps only its predictor S; the feature tensors and G
+// are fit transients.
 //
 // The same class covers the paper's variants through its config:
 //   SLAMPRED    — everything (default)
@@ -29,7 +33,6 @@
 #include "graph/aligned_networks.h"
 #include "graph/partitioner.h"
 #include "graph/social_graph.h"
-#include "linalg/sparse_tensor3.h"
 #include "optim/cccp.h"
 #include "optim/solver_backend.h"
 #include "util/status.h"
@@ -137,7 +140,9 @@ struct FitMemoryStats {
   std::size_t adjacency_bytes = 0;      ///< CSR bytes of Aᵗ.
   std::size_t raw_tensor_nnz = 0;       ///< Σ_k nnz(X^k) (features phase).
   std::size_t raw_tensor_bytes = 0;
-  std::size_t adapted_tensor_nnz = 0;   ///< Σ_k nnz(X̂^k) (embedding phase).
+  /// nnz(G), the CCCP gradient G = Σ_k α_k Σ_c X̂^k(c,:,:) the
+  /// embedding phase builds (the name predates G).
+  std::size_t adapted_tensor_nnz = 0;
   std::size_t adapted_tensor_bytes = 0;
   /// Heap bytes of the solver iterate: n²·8 for the dense backend, the
   /// two factor matrices for the factored one — the n³-to-n·r² story in
@@ -207,12 +212,6 @@ class SlamPred : public LinkPredictor {
   /// Sparse-path memory footprint of the last Fit.
   const FitMemoryStats& memory_stats() const { return memory_stats_; }
 
-  /// The tensors the last Fit's solve read, in target coordinates: the
-  /// raw target tensor, then each transferred source adapted.
-  const std::vector<SparseTensor3>& adapted_tensors() const {
-    return adapted_tensors_;
-  }
-
   std::string name() const override;
   Result<std::vector<double>> ScorePairs(
       const std::vector<UserPair>& pairs) const override;
@@ -226,7 +225,6 @@ class SlamPred : public LinkPredictor {
   CccpTrace trace_;
   FitPhaseTimes phase_times_;
   FitMemoryStats memory_stats_;
-  std::vector<SparseTensor3> adapted_tensors_;
 };
 
 }  // namespace slampred

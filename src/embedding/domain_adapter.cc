@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "embedding/indicator_matrices.h"
+#include "linalg/tensor3.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace slampred {
 
@@ -83,52 +86,70 @@ Tensor3 ProjectTensor(const SparseTensor3& raw, const FeatureScaler& scaler,
   return out;
 }
 
-// Re-indexes a source-coordinate tensor (dims x n_s x n_s) into target
-// coordinates (dims x n_t x n_t) through the anchors. Pairs without
-// transferred evidence (either endpoint unanchored) are imputed at the
-// mean of the covered pairs, per slice: transferred information should
-// *rerank* the pairs it covers, not systematically push every uncovered
-// pair below every covered one — without the imputation, partial anchor
-// ratios (Table II's sweep) degrade instead of interpolating.
-Tensor3 ReindexToTarget(const Tensor3& source_tensor,
-                        const AnchorLinks& anchors, std::size_t n_target) {
-  const std::size_t dims = source_tensor.dim0();
-  Tensor3 out(dims, n_target, n_target);
-  std::vector<double> slice_sum(dims, 0.0);
-  std::size_t covered = 0;
-  for (std::size_t ti = 0; ti < n_target; ++ti) {
-    const auto si = anchors.RightOf(ti);
-    if (!si.has_value()) continue;
-    for (std::size_t tj = 0; tj < n_target; ++tj) {
-      if (ti == tj) continue;
-      const auto sj = anchors.RightOf(tj);
-      if (!sj.has_value()) continue;
-      ++covered;
-      for (std::size_t d = 0; d < dims; ++d) {
-        const double v = source_tensor(d, *si, *sj);
-        out(d, ti, tj) = v;
-        slice_sum[d] += v;
-      }
-    }
-  }
-  if (covered == 0) return out;  // No anchors: nothing transfers.
+// Re-indexes a `slices`-slice source-coordinate feature map into target
+// coordinates through the anchors and sums it over its slices, row by
+// row, so no slices x n_t x n_t tensor is ever built. `load_row(s,
+// panel)` writes slice c of source pair (s, s') to panel(c, s'). A
+// covered pair (both endpoints anchored, off the diagonal) sums its
+// slices. Pairs without transferred evidence (either endpoint
+// unanchored) are imputed at the mean of the covered pairs, per slice:
+// transferred information should *rerank* the pairs it covers, not
+// systematically push every uncovered pair below every covered one —
+// without the imputation, partial anchor ratios (Table II's sweep)
+// degrade instead of interpolating. The diagonal stays empty, and the
+// whole map does when nothing is anchored. Each slice mean sums the
+// covered pairs in ascending (t_i, t_j), and each entry its slices in
+// ascending c.
+template <typename LoadRow>
+CsrMatrix ReindexedSliceSum(std::size_t slices, std::size_t n_source,
+                            const AnchorLinks& anchors, std::size_t n_target,
+                            const LoadRow& load_row) {
+  std::vector<std::optional<std::size_t>> right(n_target);
+  for (std::size_t t = 0; t < n_target; ++t) right[t] = anchors.RightOf(t);
 
-  // Impute uncovered off-diagonal pairs at the covered mean.
-  std::vector<double> slice_mean(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    slice_mean[d] = slice_sum[d] / static_cast<double>(covered);
-  }
+  std::vector<double> slice_sum(slices, 0.0);
+  std::size_t covered = 0;
+  Matrix panel(slices, n_source);
   for (std::size_t ti = 0; ti < n_target; ++ti) {
-    const bool ti_anchored = anchors.RightOf(ti).has_value();
+    if (!right[ti].has_value()) continue;
+    load_row(*right[ti], panel);
     for (std::size_t tj = 0; tj < n_target; ++tj) {
-      if (ti == tj) continue;
-      if (ti_anchored && anchors.RightOf(tj).has_value()) continue;
-      for (std::size_t d = 0; d < dims; ++d) {
-        out(d, ti, tj) = slice_mean[d];
+      if (tj == ti || !right[tj].has_value()) continue;
+      ++covered;
+      for (std::size_t c = 0; c < slices; ++c) {
+        slice_sum[c] += panel(c, *right[tj]);
       }
     }
   }
-  return out;
+  if (covered == 0) {
+    return CsrMatrix::FromTriplets(n_target, n_target, {});  // No anchors.
+  }
+  double fill = 0.0;
+  for (std::size_t c = 0; c < slices; ++c) {
+    fill += slice_sum[c] / static_cast<double>(covered);
+  }
+
+  std::vector<std::vector<CsrMatrix::RowEntry>> rows(n_target);
+  const std::size_t grain = GrainForWork(n_target * slices);
+  ParallelFor(0, n_target, grain, [&](std::size_t row0, std::size_t row1) {
+    Matrix row_panel(slices, n_source);
+    for (std::size_t ti = row0; ti < row1; ++ti) {
+      if (right[ti].has_value()) load_row(*right[ti], row_panel);
+      rows[ti].reserve(n_target - 1);
+      for (std::size_t tj = 0; tj < n_target; ++tj) {
+        if (tj == ti) continue;
+        double value = fill;
+        if (right[ti].has_value() && right[tj].has_value()) {
+          value = 0.0;
+          for (std::size_t c = 0; c < slices; ++c) {
+            value += row_panel(c, *right[tj]);
+          }
+        }
+        rows[ti].push_back({tj, value});
+      }
+    }
+  });
+  return CsrMatrix::FromRows(n_target, std::move(rows));
 }
 
 }  // namespace
@@ -223,25 +244,26 @@ Result<AdaptedFeatures> AdaptDomains(
   const double max_sep = std::max(separation.NormInf(), 1e-12);
   for (std::size_t c = 0; c < latent; ++c) separation[c] /= max_sep;
 
-  const std::size_t n_target = networks.target().NumUsers();
+  out.separation = separation;
 
   // Sources: project in source coordinates, min-max normalise each
   // slice to [0, 1] (the intimacy terms read them as non-negative
-  // scores), weight it by its separation, then re-index through the
-  // anchors into target coordinates. The reindexed tensor is dense by
-  // construction (mean imputation fills uncovered pairs) — it still
-  // rides the SparseTensor3 interface for a uniform downstream path.
+  // scores), then weight every slice by its separation while re-indexing
+  // through the anchors and summing.
+  const std::size_t n_target = networks.target().NumUsers();
   for (std::size_t k = 0; k < networks.num_sources(); ++k) {
-    Tensor3 adapted = ProjectTensor(raw_tensors[k + 1], scalers[k + 1],
-                                    out.projections[k + 1]);
-    adapted.NormalizeSlicesMinMax();
-    for (std::size_t c = 0; c < adapted.dim0(); ++c) {
-      Matrix slice = adapted.Slice(c);
-      slice *= separation[c];
-      adapted.SetSlice(c, slice);
-    }
-    out.tensors.push_back(SparseTensor3::FromDense(
-        ReindexToTarget(adapted, networks.anchors(k), n_target)));
+    Tensor3 projected = ProjectTensor(raw_tensors[k + 1], scalers[k + 1],
+                                      out.projections[k + 1]);
+    projected.NormalizeSlicesMinMax();
+    out.slice_sums.push_back(ReindexedSliceSum(
+        latent, projected.dim2(), networks.anchors(k), n_target,
+        [&](std::size_t s, Matrix& panel) {
+          for (std::size_t c = 0; c < latent; ++c) {
+            for (std::size_t t = 0; t < projected.dim2(); ++t) {
+              panel(c, t) = projected(c, s, t) * separation[c];
+            }
+          }
+        }));
   }
   return out;
 }
@@ -255,8 +277,19 @@ Result<AdaptedFeatures> PassthroughAdapt(
   AdaptedFeatures out;
   const std::size_t n_target = networks.target().NumUsers();
   for (std::size_t k = 0; k < networks.num_sources(); ++k) {
-    out.tensors.push_back(SparseTensor3::FromDense(ReindexToTarget(
-        raw_tensors[k + 1].ToDense(), networks.anchors(k), n_target)));
+    const SparseTensor3& raw = raw_tensors[k + 1];
+    out.slice_sums.push_back(ReindexedSliceSum(
+        raw.dim0(), raw.dim2(), networks.anchors(k), n_target,
+        [&](std::size_t s, Matrix& panel) {
+          std::fill(panel.data().begin(), panel.data().end(), 0.0);
+          for (std::size_t c = 0; c < raw.dim0(); ++c) {
+            const CsrMatrix& slice = raw.SliceCsr(c);
+            for (std::size_t p = slice.row_ptr()[s];
+                 p < slice.row_ptr()[s + 1]; ++p) {
+              panel(c, slice.col_idx()[p]) = slice.values()[p];
+            }
+          }
+        }));
   }
   return out;
 }

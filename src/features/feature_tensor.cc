@@ -71,32 +71,9 @@ Tensor3 BuildFeatureTensor(const HeterogeneousNetwork& network,
   }
   if (options.meta_paths) {
     for (MetaPath path : AllMetaPaths()) {
-      if (path == MetaPath::kUserUserUser) {
-        // The structural schema must respect the (training) structure
-        // graph, not the network's full friend layer.
-        const Matrix a = structure.AdjacencyMatrix();
-        Matrix counts = a * a;
-        Matrix sim(n, n);
-        // Full-row form so every row has one writing chunk; counts is
-        // symmetric and sqrt(cu*cv) == sqrt(cv*cu), so (u,v) and (v,u)
-        // still match exactly.
-        ParallelFor(0, n, GrainForWork(n),
-                    [&](std::size_t row0, std::size_t row1) {
-                      for (std::size_t u = row0; u < row1; ++u) {
-                        const double cu = counts(u, u);
-                        if (cu <= 0.0) continue;
-                        for (std::size_t v = 0; v < n; ++v) {
-                          if (v == u) continue;
-                          const double cv = counts(v, v);
-                          if (cv <= 0.0) continue;
-                          sim(u, v) = counts(u, v) / std::sqrt(cu * cv);
-                        }
-                      }
-                    });
-        add(std::move(sim));
-      } else {
-        add(MetaPathSimilarityMap(network, path));
-      }
+      add(path == MetaPath::kUserUserUser
+              ? StructuralPathSimilarityMap(structure)
+              : MetaPathSimilarityMap(network, path));
     }
   }
   SLAMPRED_CHECK(slice == d);
@@ -154,27 +131,9 @@ SparseTensor3 BuildSparseFeatureTensor(const HeterogeneousNetwork& network,
   }
   if (options.meta_paths) {
     for (MetaPath path : AllMetaPaths()) {
-      if (path == MetaPath::kUserUserUser) {
-        const Matrix a = structure.AdjacencyMatrix();
-        Matrix counts = a * a;
-        Matrix sim(n, n);
-        ParallelFor(0, n, GrainForWork(n),
-                    [&](std::size_t row0, std::size_t row1) {
-                      for (std::size_t u = row0; u < row1; ++u) {
-                        const double cu = counts(u, u);
-                        if (cu <= 0.0) continue;
-                        for (std::size_t v = 0; v < n; ++v) {
-                          if (v == u) continue;
-                          const double cv = counts(v, v);
-                          if (cv <= 0.0) continue;
-                          sim(u, v) = counts(u, v) / std::sqrt(cu * cv);
-                        }
-                      }
-                    });
-        add_dense(std::move(sim));
-      } else {
-        add_dense(MetaPathSimilarityMap(network, path));
-      }
+      add_dense(path == MetaPath::kUserUserUser
+                    ? StructuralPathSimilarityMap(structure)
+                    : MetaPathSimilarityMap(network, path));
     }
   }
   SLAMPRED_CHECK(slice == d);

@@ -6,6 +6,7 @@
 #include "graph/social_graph.h"
 #include "linalg/matrix_ops.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace slampred {
 
@@ -42,6 +43,29 @@ Matrix AttributeCommuting(const HeterogeneousNetwork& network,
 }
 
 }  // namespace
+
+Matrix StructuralPathSimilarityMap(const SocialGraph& structure) {
+  const std::size_t n = structure.num_users();
+  const Matrix a = structure.AdjacencyMatrix();
+  Matrix counts = a * a;
+  Matrix sim(n, n);
+  // Full-row form so every row has one writing chunk; counts is
+  // symmetric and sqrt(cu*cv) == sqrt(cv*cu), so (u,v) and (v,u) still
+  // match exactly.
+  ParallelFor(0, n, GrainForWork(n), [&](std::size_t row0, std::size_t row1) {
+    for (std::size_t u = row0; u < row1; ++u) {
+      const double cu = counts(u, u);
+      if (cu <= 0.0) continue;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (v == u) continue;
+        const double cv = counts(v, v);
+        if (cv <= 0.0) continue;
+        sim(u, v) = counts(u, v) / std::sqrt(cu * cv);
+      }
+    }
+  });
+  return sim;
+}
 
 Matrix MetaPathCountMap(const HeterogeneousNetwork& network, MetaPath path) {
   switch (path) {

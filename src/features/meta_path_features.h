@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "graph/heterogeneous_network.h"
+#include "graph/social_graph.h"
 #include "linalg/matrix.h"
 #include "util/status.h"
 
@@ -46,6 +47,12 @@ std::vector<MetaPath> AllMetaPaths();
 /// [0, 1].
 Matrix MetaPathSimilarityMap(const HeterogeneousNetwork& network,
                              MetaPath path);
+
+/// The U-U-U slice of the feature tensor: the PathSim-normalised A²
+/// similarity over `structure` — the (training) structure graph, not
+/// the network's full friend layer, so held-out links never leak. Rows
+/// are built in parallel, one writing chunk per row.
+Matrix StructuralPathSimilarityMap(const SocialGraph& structure);
 
 /// Computes the *raw* (unnormalised) commuting-count matrix for the
 /// schema — exposed for tests and for callers that want their own

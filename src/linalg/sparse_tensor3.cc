@@ -78,29 +78,6 @@ Vector SparseTensor3::Fiber(std::size_t i, std::size_t j) const {
   return out;
 }
 
-Matrix SparseTensor3::SumSlices() const {
-  Matrix out(dim1_, dim2_);
-  // One writing chunk per output row; within a row the slices scatter in
-  // k order, so each element accumulates its fibre with k ascending —
-  // the dense gather's order — and the skipped zeros are exact no-ops.
-  const std::size_t avg_row_work =
-      dim1_ == 0 ? 1 : TotalNnz() / dim1_ + 1;
-  ParallelFor(0, dim1_, GrainForWork(avg_row_work),
-              [&](std::size_t row0, std::size_t row1) {
-                for (std::size_t i = row0; i < row1; ++i) {
-                  double* out_row = out.data().data() + i * dim2_;
-                  for (std::size_t k = 0; k < dim0_; ++k) {
-                    const CsrMatrix& slice = slices_[k];
-                    for (std::size_t p = slice.row_ptr()[i];
-                         p < slice.row_ptr()[i + 1]; ++p) {
-                      out_row[slice.col_idx()[p]] += slice.values()[p];
-                    }
-                  }
-                }
-              });
-  return out;
-}
-
 void SparseTensor3::NormalizeSlicesMinMax() {
   const std::size_t per_slice = dim1_ * dim2_;
   if (per_slice == 0) return;

@@ -62,12 +62,6 @@ class SparseTensor3 {
   /// (length dim0, zeros where slices have no entry).
   Vector Fiber(std::size_t i, std::size_t j) const;
 
-  /// Sum of all slices along dim0. Bit-identical to the dense
-  /// Tensor3::SumSlices of ToDense(): each output element accumulates
-  /// its stored fibre entries with k ascending, and skipped zeros are
-  /// exact no-ops.
-  Matrix SumSlices() const;
-
   /// Min-max scales each slice to [0, 1], matching the dense
   /// Tensor3::NormalizeSlicesMinMax entry for entry: the slice min/max
   /// include the implicit zeros, and constant slices map to all-zero.

@@ -210,28 +210,6 @@ class FactoredStep final : public ForwardBackwardStep<FactoredMatrix> {
 
 }  // namespace
 
-CsrMatrix BuildIntimacyGradientCsr(const std::vector<SparseTensor3>& tensors,
-                                   const std::vector<double>& weights,
-                                   std::size_t n) {
-  SLAMPRED_CHECK(tensors.size() == weights.size())
-      << "one weight per tensor required";
-  CsrMatrix g = CsrMatrix::FromTriplets(n, n, {});
-  for (std::size_t k = 0; k < tensors.size(); ++k) {
-    if (weights[k] == 0.0 || tensors[k].empty()) continue;
-    SLAMPRED_CHECK(tensors[k].dim1() == n && tensors[k].dim2() == n)
-        << "tensor " << k << " shape mismatch";
-    // Sum the slices first, then scale once — the same per-entry
-    // expression g + w·(Σ_c x_c) as the dense builder, so stored
-    // entries match it bit for bit.
-    CsrMatrix sum = tensors[k].SliceCsr(0);
-    for (std::size_t c = 1; c < tensors[k].dim0(); ++c) {
-      sum = sum.Add(tensors[k].SliceCsr(c));
-    }
-    g = g.AddScaled(sum, weights[k]);
-  }
-  return g;
-}
-
 double FactoredObjectiveValue(const FactoredObjective& objective,
                               const FactoredMatrix& s,
                               const std::vector<SparseTensor3>& tensors,

@@ -57,13 +57,6 @@ struct FactoredObjective {
   LossKind loss = LossKind::kSquaredFrobenius;
 };
 
-/// CSR twin of BuildIntimacyGradient: G = Σ_k α_k Σ_c tensors[k](c,:,:).
-/// Stored entries match the dense builder bit for bit (slices accumulate
-/// in the same order, then scale).
-CsrMatrix BuildIntimacyGradientCsr(const std::vector<SparseTensor3>& tensors,
-                                   const std::vector<double>& weights,
-                                   std::size_t n);
-
 /// Full objective value u(S) − v(S) evaluated against the factored S
 /// without densifying: the loss via ‖S‖²_F − 2⟨S,A⟩ + ‖A‖²_F (Gram +
 /// stored-entry sweeps), the intimacy term over stored entries, the

@@ -26,17 +26,25 @@ Matrix BuildIntimacyGradient(const std::vector<Tensor3>& tensors,
   return g;
 }
 
-Matrix BuildIntimacyGradient(const std::vector<SparseTensor3>& tensors,
-                             const std::vector<double>& weights,
-                             std::size_t n) {
-  SLAMPRED_CHECK(tensors.size() == weights.size())
-      << "one weight per tensor required";
-  Matrix g(n, n);
-  for (std::size_t k = 0; k < tensors.size(); ++k) {
-    if (weights[k] == 0.0 || tensors[k].empty()) continue;
-    SLAMPRED_CHECK(tensors[k].dim1() == n && tensors[k].dim2() == n)
-        << "tensor " << k << " shape mismatch";
-    g += tensors[k].SumSlices() * weights[k];
+CsrMatrix BuildIntimacyGradientCsr(const SparseTensor3& target,
+                                   double target_weight,
+                                   const std::vector<CsrMatrix>& sources,
+                                   const std::vector<double>& source_weights) {
+  SLAMPRED_CHECK(sources.size() == source_weights.size())
+      << "one weight per source required";
+  const std::size_t n = target.dim1();
+  CsrMatrix g = CsrMatrix::FromTriplets(n, n, {});
+  if (target_weight != 0.0 && !target.empty()) {
+    // Sum the slices first (1.0 * x is exact), then scale once.
+    CsrMatrix sum = target.SliceCsr(0);
+    for (std::size_t c = 1; c < target.dim0(); ++c) {
+      sum = sum.AddScaled(target.SliceCsr(c), 1.0);
+    }
+    g = g.AddScaled(sum, target_weight);
+  }
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    if (source_weights[k] == 0.0) continue;
+    g = g.AddScaled(sources[k], source_weights[k]);
   }
   return g;
 }

@@ -47,19 +47,26 @@ struct Objective {
   LossKind loss = LossKind::kSquaredFrobenius;
 };
 
-/// Builds G = Σ_k α_k Σ_c tensors[k](c,:,:). Each tensor must be square
-/// n x n in its last two dims with n = a-rows; weights.size() must match
+/// Builds G = Σ_k α_k Σ_c tensors[k](c,:,:) densely — the test oracle of
+/// BuildIntimacyGradientCsr. Each tensor must be square n x n in its
+/// last two dims with n = a-rows; weights.size() must match
 /// tensors.size().
 Matrix BuildIntimacyGradient(const std::vector<Tensor3>& tensors,
                              const std::vector<double>& weights,
                              std::size_t n);
 
-/// Sparse-tensor overload — the pipeline's default. SumSlices on a
-/// SparseTensor3 is bit-identical to the dense gather, so G matches the
-/// dense overload exactly.
-Matrix BuildIntimacyGradient(const std::vector<SparseTensor3>& tensors,
-                             const std::vector<double>& weights,
-                             std::size_t n);
+/// The fit's one G builder: G = α_t Σ_c target(c,:,:) + Σ_k α_k
+/// sources[k], in CSR, where each sources[k] is a source network's
+/// adapted slices already summed in target coordinates. Every step is a
+/// sorted row merge (CsrMatrix::AddScaled): per entry the target slices
+/// add in ascending c, then g + α_k·s_k runs over the networks in
+/// order, so G densifies to the dense oracle over [target, sources as
+/// one-slice tensors] bit for bit. A network whose weight is 0 (or an
+/// empty target tensor) is skipped.
+CsrMatrix BuildIntimacyGradientCsr(const SparseTensor3& target,
+                                   double target_weight,
+                                   const std::vector<CsrMatrix>& sources,
+                                   const std::vector<double>& source_weights);
 
 /// Smooth part of the linearised subproblem:
 /// f(S) = ‖S − A‖²_F − <S, G>.

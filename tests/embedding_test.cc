@@ -225,15 +225,20 @@ TEST_F(EmbeddingPipelineTest, AdapterOutputsTargetCoordinates) {
                               options, rng);
   ASSERT_TRUE(adapted.ok()) << adapted.status().ToString();
   const std::size_t n = generated_->networks.target().NumUsers();
-  // One tensor per source; the target is never projected.
-  ASSERT_EQ(adapted.value().tensors.size(),
+  // One slice sum per source; the target is never projected.
+  ASSERT_EQ(adapted.value().slice_sums.size(),
             generated_->networks.num_sources());
-  EXPECT_EQ(adapted.value().tensors[0].dim0(),
-            options.projection.latent_dim);
-  EXPECT_EQ(adapted.value().tensors[0].dim1(), n);
-  EXPECT_EQ(adapted.value().tensors[0].dim2(), n);
-  // Projections are still learned for every network.
+  EXPECT_EQ(adapted.value().slice_sums[0].rows(), n);
+  EXPECT_EQ(adapted.value().slice_sums[0].cols(), n);
+  // Projections are still learned for every network, and every latent
+  // slice carries a separation weight in [0, 1].
   EXPECT_EQ(adapted.value().projections.size(), 2u);
+  const Vector& separation = adapted.value().separation;
+  ASSERT_EQ(separation.size(), options.projection.latent_dim);
+  EXPECT_DOUBLE_EQ(separation.NormInf(), 1.0);
+  for (std::size_t c = 0; c < separation.size(); ++c) {
+    EXPECT_GE(separation[c], 0.0);
+  }
 }
 
 TEST_F(EmbeddingPipelineTest, AdapterOrientsPositiveInstancesHigher) {
@@ -243,12 +248,11 @@ TEST_F(EmbeddingPipelineTest, AdapterOrientsPositiveInstancesHigher) {
   ASSERT_TRUE(adapted.ok());
   // Oriented latent slices, mapped through the anchors, must score
   // existing target links above absent pairs on average.
-  const SparseTensor3& t = adapted.value().tensors[0];
   double link_sum = 0.0;
   double non_sum = 0.0;
   std::size_t links = 0;
   std::size_t nons = 0;
-  const Matrix sum = t.SumSlices();
+  const Matrix sum = adapted.value().slice_sums[0].ToDense();
   for (std::size_t u = 0; u < target_graph_.num_users(); ++u) {
     for (std::size_t v = u + 1; v < target_graph_.num_users(); ++v) {
       if (target_graph_.HasEdge(u, v)) {
@@ -268,12 +272,14 @@ TEST_F(EmbeddingPipelineTest, AdapterOrientsPositiveInstancesHigher) {
 TEST_F(EmbeddingPipelineTest, PassthroughReturnsOneRawTensorPerSource) {
   auto pass = PassthroughAdapt(generated_->networks, tensors_);
   ASSERT_TRUE(pass.ok());
-  ASSERT_EQ(pass.value().tensors.size(), generated_->networks.num_sources());
-  // The source keeps its raw slices, re-indexed into target coordinates.
+  ASSERT_EQ(pass.value().slice_sums.size(),
+            generated_->networks.num_sources());
+  // The source's raw slices, re-indexed into target coordinates and
+  // summed; nothing is learned.
   const std::size_t n = generated_->networks.target().NumUsers();
-  EXPECT_EQ(pass.value().tensors[0].dim0(), tensors_[1].dim0());
-  EXPECT_EQ(pass.value().tensors[0].dim1(), n);
-  EXPECT_EQ(pass.value().tensors[0].dim2(), n);
+  EXPECT_EQ(pass.value().slice_sums[0].rows(), n);
+  EXPECT_EQ(pass.value().slice_sums[0].cols(), n);
+  EXPECT_TRUE(pass.value().projections.empty());
 }
 
 TEST_F(EmbeddingPipelineTest, ReindexImputesUncoveredPairsAtCoveredMean) {
@@ -292,20 +298,19 @@ TEST_F(EmbeddingPipelineTest, ReindexImputesUncoveredPairsAtCoveredMean) {
   bundle.AddSource(generated_->networks.source(0), std::move(small));
   auto pass = PassthroughAdapt(bundle, tensors_);
   ASSERT_TRUE(pass.ok());
-  const SparseTensor3& t = pass.value().tensors[0];
-  // Pick a pair of certainly-unanchored users (beyond the 5 anchored
-  // lefts): all its slices must equal the per-slice covered mean, which
-  // is constant across uncovered pairs.
+  const CsrMatrix& sum = pass.value().slice_sums[0];
+  // Pick pairs of certainly-unanchored users (beyond the 5 anchored
+  // lefts): each must hold the sum of the per-slice covered means,
+  // which is constant across uncovered pairs.
   std::vector<std::size_t> unanchored;
   for (std::size_t u = 0; u < bundle.target().NumUsers(); ++u) {
     if (!bundle.anchors(0).RightOf(u).has_value()) unanchored.push_back(u);
   }
   ASSERT_GE(unanchored.size(), 3u);
-  for (std::size_t d = 0; d < t.dim0(); ++d) {
-    const double a = t.At(d, unanchored[0], unanchored[1]);
-    const double b = t.At(d, unanchored[1], unanchored[2]);
-    EXPECT_DOUBLE_EQ(a, b) << "uncovered pairs share the imputed mean";
-  }
+  const double a = sum.At(unanchored[0], unanchored[1]);
+  EXPECT_GT(a, 0.0) << "uncovered pairs are imputed, not left at zero";
+  EXPECT_EQ(a, sum.At(unanchored[1], unanchored[2]))
+      << "uncovered pairs share the imputed mean";
 }
 
 TEST_F(EmbeddingPipelineTest, NoAnchorsMeansZeroTransfer) {
@@ -315,7 +320,63 @@ TEST_F(EmbeddingPipelineTest, NoAnchorsMeansZeroTransfer) {
   bundle.AddSource(generated_->networks.source(0), std::move(empty));
   auto pass = PassthroughAdapt(bundle, tensors_);
   ASSERT_TRUE(pass.ok());
-  EXPECT_DOUBLE_EQ(pass.value().tensors[0].MaxAbs(), 0.0);
+  EXPECT_EQ(pass.value().slice_sums[0].nnz(), 0u);
+}
+
+// A 4-user target over a 3-user source, target users 0-2 anchored to
+// source users 0-2 and user 3 unanchored. Two raw source slices:
+//   slice 0: (0,1) = 1, (1,2) = 0.5        (both symmetric)
+//   slice 1: (1,2) = 0.75, diagonal (1,1) = 8
+// The six covered pairs sum to 3 in slice 0 and 1.5 in slice 1, so the
+// per-slice means are 0.5 and 0.25, and every uncovered pair gets 0.75.
+TEST(PassthroughAdaptTest, HandBuiltFourUserSum) {
+  HeterogeneousNetwork target("target");
+  target.AddNodes(NodeType::kUser, 4);
+  HeterogeneousNetwork source("source");
+  source.AddNodes(NodeType::kUser, 3);
+  SparseTensor3 raw_source(2, 3, 3);
+  raw_source.SetSlice(0, CsrMatrix::FromTriplets(3, 3,
+                                                 {{0, 1, 1.0},
+                                                  {1, 0, 1.0},
+                                                  {1, 2, 0.5},
+                                                  {2, 1, 0.5}}));
+  raw_source.SetSlice(1, CsrMatrix::FromTriplets(3, 3,
+                                                 {{1, 1, 8.0},
+                                                  {1, 2, 0.75},
+                                                  {2, 1, 0.75}}));
+  const std::vector<SparseTensor3> raw = {SparseTensor3(1, 4, 4),
+                                          raw_source};
+
+  AnchorLinks anchors(4, 3);
+  for (std::size_t u = 0; u < 3; ++u) ASSERT_TRUE(anchors.Add(u, u).ok());
+  AlignedNetworks anchored(target);
+  anchored.AddSource(source, anchors);
+  auto pass = PassthroughAdapt(anchored, raw);
+  ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+  const CsrMatrix& g = pass.value().slice_sums[0];
+  ASSERT_EQ(g.rows(), 4u);
+  ASSERT_EQ(g.cols(), 4u);
+  // Covered pairs: their slice sums (a zero sum stays unstored).
+  EXPECT_EQ(g.At(0, 1), 1.0);
+  EXPECT_EQ(g.At(1, 0), 1.0);
+  EXPECT_EQ(g.At(1, 2), 1.25);
+  EXPECT_EQ(g.At(2, 1), 1.25);
+  EXPECT_EQ(g.At(0, 2), 0.0);
+  // Uncovered pairs: Σ_c of the covered means.
+  for (std::size_t u = 0; u < 3; ++u) {
+    EXPECT_EQ(g.At(u, 3), 0.75) << u;
+    EXPECT_EQ(g.At(3, u), 0.75) << u;
+  }
+  // The diagonal is empty: 12 off-diagonal pairs less the zero pair.
+  for (std::size_t u = 0; u < 4; ++u) EXPECT_EQ(g.At(u, u), 0.0) << u;
+  EXPECT_EQ(g.nnz(), 10u);
+
+  AlignedNetworks unaligned(target);
+  unaligned.AddSource(source, AnchorLinks(4, 3));
+  auto none = PassthroughAdapt(unaligned, raw);
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(none.value().slice_sums[0].rows(), 4u);
+  EXPECT_EQ(none.value().slice_sums[0].nnz(), 0u);
 }
 
 }  // namespace

@@ -109,19 +109,23 @@ constexpr std::size_t kN = 24;
 TEST(FactoredSolverTest, IntimacyGradientCsrMatchesDenseBitForBit) {
   const std::size_t n = 19;
   Rng rng(5);
-  std::vector<SparseTensor3> tensors;
+  std::vector<Tensor3> tensors;
   for (std::size_t k = 0; k < 2; ++k) {
     Tensor3 dense(3, n, n);
     for (double& v : dense.data()) {
       const double gauss = rng.NextGaussian();
       if (rng.NextDouble() < 0.2) v = std::abs(gauss);
     }
-    tensors.push_back(SparseTensor3::FromDense(dense));
+    tensors.push_back(std::move(dense));
   }
   const std::vector<double> weights = {0.7, 1.3};
 
+  // The second network enters the CSR builder as its slice sum, the
+  // form the domain adapter returns for a source.
   const Matrix dense_g = BuildIntimacyGradient(tensors, weights, n);
-  const CsrMatrix csr_g = BuildIntimacyGradientCsr(tensors, weights, n);
+  const CsrMatrix csr_g = BuildIntimacyGradientCsr(
+      SparseTensor3::FromDense(tensors[0]), weights[0],
+      {CsrMatrix::FromDense(tensors[1].SumSlices())}, {weights[1]});
   const Matrix csr_dense = csr_g.ToDense();
   ASSERT_EQ(csr_dense.rows(), n);
   for (std::size_t i = 0; i < dense_g.data().size(); ++i) {

@@ -1,8 +1,10 @@
 // Tests for the staged fit pipeline: stage configuration for the -T/-H
-// variants, the embedding stage's one rule (raw target, adapted
-// sources), stage-by-stage execution on a shared FitContext,
-// equivalence with SlamPred::Fit, the fit-stats invariants, and the
-// per-stage fault-injection sites.
+// variants, the embedding stage's one rule (G from the raw target and
+// the adapted sources), stage-by-stage execution on a shared
+// FitContext, equivalence with SlamPred::Fit, the fit-stats invariants,
+// and the per-stage fault-injection sites.
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -10,9 +12,10 @@
 #include "core/fit_report.h"
 #include "core/slampred.h"
 #include "datagen/aligned_generator.h"
+#include "embedding/domain_adapter.h"
 #include "eval/link_split.h"
+#include "optim/objective.h"
 #include "score_forms.h"
-#include "util/binary_io.h"
 #include "util/fault_injection.h"
 
 namespace slampred {
@@ -99,10 +102,11 @@ TEST_F(FitPipelineTest, VariantsAreStageConfiguration) {
   EXPECT_EQ(h.raw_tensors[0].dim0(), NumFeatures(h.feature_options));
 }
 
-// The embedding stage's one rule, over every way a fit reaches it:
-// adapted_tensors[0] is the target tensor FeatureStage built, bit for
-// bit, and each transferred source follows in target coordinates with
-// latent_dim slices (Theorem 1) or its raw slice count (passthrough).
+// The embedding stage's one rule, over every way a fit reaches it: G
+// is the raw target tensor FeatureStage built plus one slice sum per
+// transferred source, each weighted by α over its slice count, and
+// equals the dense Tensor3 oracle BuildIntimacyGradient bit for bit.
+// The raw tensors are released once G exists.
 struct EmbeddingCase {
   const char* name;
   SlamPredConfig config;
@@ -117,10 +121,47 @@ class EmbeddingStageRuleTest
     : public FitPipelineTest,
       public ::testing::WithParamInterface<EmbeddingCase> {};
 
-std::string TensorBytes(const SparseTensor3& tensor) {
-  BinaryWriter writer;
-  tensor.Serialize(writer);
-  return writer.TakeBuffer();
+// Dense oracle of the passthrough re-index: covered pairs copy the
+// source slices, uncovered off-diagonal pairs take the per-slice
+// covered mean, and nothing transfers without anchors.
+Tensor3 DenseReindex(const Tensor3& source, const AnchorLinks& anchors,
+                     std::size_t n) {
+  Tensor3 out(source.dim0(), n, n);
+  std::vector<double> sum(source.dim0(), 0.0);
+  std::size_t covered = 0;
+  for (std::size_t ti = 0; ti < n; ++ti) {
+    const auto si = anchors.RightOf(ti);
+    if (!si.has_value()) continue;
+    for (std::size_t tj = 0; tj < n; ++tj) {
+      const auto sj = anchors.RightOf(tj);
+      if (tj == ti || !sj.has_value()) continue;
+      ++covered;
+      for (std::size_t d = 0; d < source.dim0(); ++d) {
+        out(d, ti, tj) = source(d, *si, *sj);
+        sum[d] += out(d, ti, tj);
+      }
+    }
+  }
+  if (covered == 0) return out;
+  for (std::size_t ti = 0; ti < n; ++ti) {
+    for (std::size_t tj = 0; tj < n; ++tj) {
+      if (tj == ti || (anchors.RightOf(ti).has_value() &&
+                       anchors.RightOf(tj).has_value())) {
+        continue;
+      }
+      for (std::size_t d = 0; d < source.dim0(); ++d) {
+        out(d, ti, tj) = sum[d] / static_cast<double>(covered);
+      }
+    }
+  }
+  return out;
+}
+
+// One n x n slice holding `m` (a slice sum) as a dense oracle input.
+Tensor3 AsSlice(const CsrMatrix& m) {
+  Tensor3 out(1, m.rows(), m.cols());
+  out.SetSlice(0, m.ToDense());
+  return out;
 }
 
 TEST_P(EmbeddingStageRuleTest, TargetStaysRawAndSourcesAreAdapted) {
@@ -137,25 +178,41 @@ TEST_P(EmbeddingStageRuleTest, TargetStaysRawAndSourcesAreAdapted) {
 
   ASSERT_TRUE(FeatureStage(c.config).Run(context).ok());
   ASSERT_EQ(context.transfer, c.transfers);
-  const std::string target = TensorBytes(context.raw_tensors[0]);
-  std::vector<std::size_t> raw_slices;
-  for (const SparseTensor3& tensor : context.raw_tensors) {
-    raw_slices.push_back(tensor.dim0());
-  }
-  ASSERT_TRUE(EmbeddingStage(c.config).Run(context).ok());
-
-  const std::size_t sources = c.transfers ? full.num_sources() : 0;
-  ASSERT_EQ(context.adapted_tensors.size(), 1 + sources);
-  EXPECT_EQ(TensorBytes(context.adapted_tensors[0]), target);
   const std::size_t n = full.target().NumUsers();
-  for (std::size_t k = 1; k <= sources; ++k) {
-    const SparseTensor3& source = context.adapted_tensors[k];
-    EXPECT_EQ(source.dim0(), c.config.domain_adaptation
-                                 ? c.config.latent_dim
-                                 : raw_slices[k]);
-    EXPECT_EQ(source.dim1(), n);
-    EXPECT_EQ(source.dim2(), n);
+  const double scale = c.config.intimacy_scale;
+  std::vector<Tensor3> tensors = {context.raw_tensors[0].ToDense()};
+  std::vector<double> weights = {c.config.alpha_target * scale /
+                                 tensors[0].dim0()};
+  if (c.transfers) {
+    if (c.config.domain_adaptation) {
+      // The adapter's own tests pin its slice sum; here it is an input.
+      DomainAdapterOptions options;
+      options.projection.mu = c.config.mu;
+      options.projection.latent_dim = c.config.latent_dim;
+      Rng rng(c.config.seed);
+      auto adapted = AdaptDomains(full, *train_graph_, context.raw_tensors,
+                                  options, rng);
+      ASSERT_TRUE(adapted.ok()) << adapted.status().ToString();
+      tensors.push_back(AsSlice(adapted.value().slice_sums[0]));
+      weights.push_back(scale / c.config.latent_dim);
+    } else {
+      const Tensor3 raw_source = context.raw_tensors[1].ToDense();
+      tensors.push_back(DenseReindex(raw_source, full.anchors(0), n));
+      weights.push_back(scale / raw_source.dim0());
+    }
   }
+
+  ASSERT_TRUE(EmbeddingStage(c.config).Run(context).ok());
+  EXPECT_TRUE(context.raw_tensors.empty());
+  const Matrix g = context.intimacy_gradient.ToDense();
+  const Matrix oracle = BuildIntimacyGradient(tensors, weights, n);
+  ASSERT_EQ(g.rows(), n);
+  ASSERT_EQ(g.cols(), n);
+  EXPECT_EQ(std::memcmp(g.data().data(), oracle.data().data(),
+                        g.data().size() * sizeof(double)),
+            0);
+  EXPECT_EQ(context.memory_stats.adapted_tensor_nnz,
+            context.intimacy_gradient.nnz());
 }
 
 SlamPredConfig PassthroughConfig() {
@@ -169,6 +226,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         EmbeddingCase{"TheoremOne", FastConfig()},
         EmbeddingCase{"Passthrough", PassthroughConfig()},
+        EmbeddingCase{"TargetOnly", SlamPredTargetOnlyConfig(),
+                      /*strip_anchors=*/false, /*transfers=*/false},
         EmbeddingCase{"NoAnchors", FastConfig(), /*strip_anchors=*/true,
                       /*transfers=*/false},
         EmbeddingCase{"Homogeneous", SlamPredHomogeneousConfig(),
@@ -188,7 +247,8 @@ TEST_F(FitPipelineTest, StagesRunIndividuallyOnASharedContext) {
 
   EmbeddingStage embedding(config);
   ASSERT_TRUE(embedding.Run(context).ok());
-  ASSERT_EQ(context.adapted_tensors.size(), context.raw_tensors.size());
+  EXPECT_TRUE(context.raw_tensors.empty());
+  EXPECT_GT(context.intimacy_gradient.nnz(), 0u);
 
   SolveStage solve(config);
   ASSERT_TRUE(solve.Run(context).ok());
@@ -323,15 +383,15 @@ TEST_F(FitPipelineTest, EachStageIsFaultInjectable) {
 }
 
 TEST_F(FitPipelineTest, SkippingTheEmbeddingStageIsAConfiguredPipeline) {
-  // A two-stage pipeline (features -> solve) over raw tensors is a
-  // legal configuration: the solve stage consumes whatever adapted
-  // tensors the context holds, so tests and ablations can splice
-  // stages freely.
+  // A two-stage pipeline (features -> solve) over a hand-built G is a
+  // legal configuration: the solve stage consumes whatever gradient the
+  // context holds, so tests and ablations can splice stages freely.
   const SlamPredConfig config = FastConfig();
   FitContext context = MakeContext();
   FeatureStage features(config);
   ASSERT_TRUE(features.Run(context).ok());
-  context.adapted_tensors = context.raw_tensors;  // Hand-built adaption.
+  context.intimacy_gradient =
+      BuildIntimacyGradientCsr(context.raw_tensors[0], 1.0, {}, {});
   SolveStage solve(config);
   ASSERT_TRUE(solve.Run(context).ok());
   const Matrix* s = StoredAs<Matrix>(context.scores);

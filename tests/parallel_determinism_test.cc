@@ -350,11 +350,13 @@ TEST(ParallelDeterminismTest, SparseTensorOps) {
     if (rng.NextDouble() < 0.2) v = gauss;
   }
   const SparseTensor3 sparse = SparseTensor3::FromDense(t);
-  CheckMatrixInvariance([&] { return sparse.SumSlices(); });
+  CheckMatrixInvariance([&] {
+    return BuildIntimacyGradientCsr(sparse, 1.0, {}, {}).ToDense();
+  });
   CheckMatrixInvariance([&] {
     SparseTensor3 normalized = sparse;
     normalized.NormalizeSlicesMinMax();
-    return normalized.SumSlices();
+    return BuildIntimacyGradientCsr(normalized, 1.0, {}, {}).ToDense();
   });
 }
 
@@ -373,10 +375,15 @@ TEST(ParallelDeterminismTest, SparseObjectiveEvaluations) {
   }
   const std::vector<SparseTensor3> tensors = {SparseTensor3::FromDense(t)};
   const std::vector<double> weights = {0.7};
-  objective.grad_v = BuildIntimacyGradient(tensors, weights, kN);
+  objective.grad_v =
+      BuildIntimacyGradientCsr(tensors[0], weights[0], {}, {}).ToDense();
 
-  CheckMatrixInvariance(
-      [&] { return BuildIntimacyGradient(tensors, weights, kN); });
+  // G with a source slice sum next to the target slices.
+  const std::vector<CsrMatrix> sources = {CsrMatrix::FromDense(t.Slice(1))};
+  CheckMatrixInvariance([&] {
+    return BuildIntimacyGradientCsr(tensors[0], weights[0], sources, {1.3})
+        .ToDense();
+  });
   for (LossKind loss :
        {LossKind::kSquaredFrobenius, LossKind::kSquaredHinge}) {
     objective.loss = loss;

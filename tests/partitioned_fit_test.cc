@@ -249,7 +249,7 @@ TEST_F(PartitionedFitTest, PartitionDiagnosticsAreReported) {
 TEST_F(PartitionedFitTest, ShardedArtifactRoundTripsExactly) {
   SlamPred model(PartitionedConfig());
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  auto artifact = MakeModelArtifact(model, false);
+  auto artifact = MakeModelArtifact(model);
   ASSERT_TRUE(artifact.ok());
   ASSERT_NE(ShardedOf(artifact.value().scores), nullptr);
 
@@ -273,7 +273,7 @@ TEST_F(PartitionedFitTest, ShardedArtifactRoundTripsExactly) {
 TEST_F(PartitionedFitTest, ShardedArtifactDetectsCorruption) {
   SlamPred model(PartitionedConfig());
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  auto artifact = MakeModelArtifact(model, false);
+  auto artifact = MakeModelArtifact(model);
   ASSERT_TRUE(artifact.ok());
   std::string bytes = SerializeModelArtifact(artifact.value());
   // Flip one bit deep inside the shard payload region; the section
@@ -290,7 +290,7 @@ TEST_F(PartitionedFitTest, ShardedSessionServesWithoutDensifying) {
   config.factored.rank = 8;
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  auto artifact = MakeModelArtifact(model, false);
+  auto artifact = MakeModelArtifact(model);
   ASSERT_TRUE(artifact.ok());
   auto session = ScoringSession::FromArtifact(std::move(artifact).value());
   ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -317,7 +317,7 @@ TEST_F(PartitionedFitTest, FactoredSessionServesFromFactors) {
   config.factored.rank = 8;
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  auto artifact = MakeModelArtifact(model, false);
+  auto artifact = MakeModelArtifact(model);
   ASSERT_TRUE(artifact.ok());
   const FactoredMatrix* low_rank =
       StoredAs<FactoredMatrix>(artifact.value().scores);
@@ -338,7 +338,7 @@ TEST_F(PartitionedFitTest, FactoredSessionServesFromFactors) {
 TEST_F(PartitionedFitTest, ShardedTopKOrderMatchesBruteForce) {
   SlamPred model(PartitionedConfig());
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  auto artifact = MakeModelArtifact(model, false);
+  auto artifact = MakeModelArtifact(model);
   ASSERT_TRUE(artifact.ok());
   auto session = ScoringSession::FromArtifact(std::move(artifact).value());
   ASSERT_TRUE(session.ok());
@@ -365,7 +365,7 @@ TEST_F(PartitionedFitTest, ShardedTopKOrderMatchesBruteForce) {
 TEST_F(PartitionedFitTest, SwapShardRepublishesOneCluster) {
   SlamPred model(PartitionedConfig());
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  auto artifact = MakeModelArtifact(model, false);
+  auto artifact = MakeModelArtifact(model);
   ASSERT_TRUE(artifact.ok());
 
   ModelRegistry registry;
@@ -400,7 +400,7 @@ TEST_F(PartitionedFitTest, SwapShardRepublishesOneCluster) {
   // A dense (unsharded) published artifact rejects per-shard swaps.
   SlamPred dense_model(FastConfig());
   ASSERT_TRUE(dense_model.Fit(generated_->networks, *train_graph_).ok());
-  auto dense_artifact = MakeModelArtifact(dense_model, false);
+  auto dense_artifact = MakeModelArtifact(dense_model);
   ASSERT_TRUE(dense_artifact.ok());
   ModelRegistry dense_registry;
   ASSERT_TRUE(dense_registry.Swap(dense_artifact.value()).ok());

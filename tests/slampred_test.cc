@@ -166,19 +166,6 @@ TEST_F(SlamPredTest, FittedDenseModelHoldsNoCheckpointIterate) {
   EXPECT_FALSE(model.trace().checkpoint.valid);
 }
 
-TEST_F(SlamPredTest, AdaptedTensorsExposed) {
-  SlamPredConfig config;
-  config.optimization = FastOptimization();
-  config.latent_dim = 4;
-  SlamPred model(config);
-  ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  ASSERT_EQ(model.adapted_tensors().size(), 2u);
-  // Target features stay raw (9 slices); the source is projected into
-  // the 4-dimensional latent space.
-  EXPECT_EQ(model.adapted_tensors()[0].dim0(), 9u);
-  EXPECT_EQ(model.adapted_tensors()[1].dim0(), 4u);
-}
-
 TEST_F(SlamPredTest, ScoreAccessor) {
   SlamPredConfig config;
   config.optimization = FastOptimization();
@@ -218,8 +205,15 @@ TEST_F(SlamPredTest, HomogeneousUsesOnlyStructuralSlices) {
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
   // The raw target tensor alone: 6 structural slices, no attribute
   // slices.
-  ASSERT_EQ(model.adapted_tensors().size(), 1u);
-  EXPECT_EQ(model.adapted_tensors()[0].dim0(), 6u);
+  FeatureTensorOptions structural;
+  structural.word_similarity = false;
+  structural.location_similarity = false;
+  structural.time_similarity = false;
+  ASSERT_EQ(NumFeatures(structural), 6u);
+  EXPECT_EQ(model.memory_stats().raw_tensor_nnz,
+            BuildSparseFeatureTensor(generated_->networks.target(),
+                                     *train_graph_, structural)
+                .TotalNnz());
 }
 
 TEST_F(SlamPredTest, PassthroughAblationRuns) {
@@ -229,10 +223,6 @@ TEST_F(SlamPredTest, PassthroughAblationRuns) {
   SlamPred model(config);
   ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
   EXPECT_GT(AucOf(model), 0.55);
-  // Passthrough keeps the raw 9 slices, target and source alike.
-  ASSERT_EQ(model.adapted_tensors().size(), 2u);
-  EXPECT_EQ(model.adapted_tensors()[0].dim0(), 9u);
-  EXPECT_EQ(model.adapted_tensors()[1].dim0(), 9u);
 }
 
 TEST_F(SlamPredTest, ZeroIntimacyFallsBackToAdjacency) {

@@ -13,7 +13,7 @@
 //       partitioned-fit smoke path. No attributes are generated.
 //
 //   slampred_cli fit --target FILE --source FILE --anchors FILE
-//                    --save-model FILE [--method NAME] [--save-tensors 1]
+//                    --save-model FILE [--method NAME]
 //                    [--solver dense|factored] [--rank R]
 //                    [--partition none|auto] [--max-cluster N]
 //                    [--min-cluster N] [--inner N] [--outer N]
@@ -124,7 +124,9 @@
 // bit-identical for every thread count.
 //
 // A numeric flag whose value is empty, negative, not a number or
-// followed by junk stops the command with exit status 2 before any work,
+// followed by junk, a boolean flag (--scale-out, --swap-under-load,
+// --chaos) whose value is not 0, 1, true or false, and a last flag with
+// no value all stop the command with exit status 2 before any work,
 // naming the flag on stderr.
 //
 // Methods: SLAMPRED (default), SLAMPRED-T, SLAMPRED-H, PL, PL-T, PL-S,
@@ -166,13 +168,15 @@ using namespace slampred;
 // Minimal --flag value parser. Numeric flags are read through Count and
 // Number, which end the program with exit status 2, naming the flag on
 // stderr, when the value is empty, negative, not a number or followed
-// by junk.
+// by junk; boolean flags through Bool, which does the same for anything
+// but 0, 1, true or false. A last flag with no value exits 2 as well.
 class Flags {
  public:
   Flags(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
+    for (int i = 2; i < argc; i += 2) {
       std::string key = argv[i];
       if (key.rfind("--", 0) == 0) key = key.substr(2);
+      if (i + 1 == argc) Reject(key, "a value", "");
       values_[key] = argv[i + 1];
     }
   }
@@ -214,6 +218,17 @@ class Flags {
       Reject(key, "a non-negative number", it->second);
     }
     return value;
+  }
+
+  /// --key as 0/1/true/false; `fallback` when absent.
+  bool Bool(const std::string& key, bool fallback) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    if (it->second == "1" || it->second == "true") return true;
+    if (it->second != "0" && it->second != "false") {
+      Reject(key, "0, 1, true or false", it->second);
+    }
+    return false;
   }
 
  private:
@@ -275,8 +290,7 @@ int Generate(const Flags& flags) {
   if (!out_dir.has_value()) return 2;
   const std::uint64_t seed = flags.Count("seed", 42);
 
-  const std::string scale_out = flags.Get("scale-out", "0");
-  if (scale_out == "1" || scale_out == "true") {
+  if (flags.Bool("scale-out", false)) {
     ScaleOutConfig config;
     config.seed = seed;
     config.num_users = flags.Count("users", 100000);
@@ -606,9 +620,7 @@ int Fit(const Flags& flags) {
   const SlamPred& model = fitted.value().first;
   FitReport report = MakeFitReport(model);
 
-  const std::string save_tensors = flags.Get("save-tensors", "0");
-  auto artifact = MakeModelArtifact(
-      model, save_tensors == "1" || save_tensors == "true");
+  auto artifact = MakeModelArtifact(model);
   if (!artifact.ok()) {
     std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
     return 1;
@@ -787,7 +799,7 @@ int Predict(const Flags& flags) {
   if (quantize_bits.value().has_value()) {
     // --quantize: rank from the quantized artifact the fit would ship,
     // not the float model — the scores readers of the output will see.
-    auto artifact = MakeModelArtifact(model, false);
+    auto artifact = MakeModelArtifact(model);
     if (!artifact.ok()) {
       std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
       return 1;
@@ -829,11 +841,9 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
   options.pairs_per_request = flags.Count("request-pairs", 64);
   options.top_k = flags.Count("topk", 10);
   options.seed = flags.Count("seed", 42);
-  const std::string swap = flags.Get("swap-under-load", "0");
-  if (swap == "1" || swap == "true") options.swap_every_seconds = 0.25;
+  if (flags.Bool("swap-under-load", false)) options.swap_every_seconds = 0.25;
   options.deadline_ms = flags.Number("deadline-ms", 0);
-  const std::string chaos = flags.Get("chaos", "0");
-  options.chaos = chaos == "1" || chaos == "true";
+  options.chaos = flags.Bool("chaos", false);
 
   auto quantize_bits = QuantizeBitsFromFlags(flags, "off");
   if (!quantize_bits.ok()) {
