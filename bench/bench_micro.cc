@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fit_pipeline.h"
 #include "core/model_artifact.h"
 #include "core/scoring_session.h"
 #include "datagen/aligned_generator.h"
@@ -284,6 +285,45 @@ BENCHMARK(BM_DenseFeatureBuild)
     ->Apply([](benchmark::internal::Benchmark* b) {
       SizeThreadGrid(b, {256, 1024, 2048});
     });
+
+// The fit's feature and embedding stages on the seed-42 scale-out
+// bundle, monolithic: raw tensors, Theorem-1 adaptation of the source
+// and the CCCP gradient G — the stages that hold the preferential-
+// attachment slice and the source projection.
+void BM_FeatureEmbedding(benchmark::State& state) {
+  ScaleOutConfig bundle;
+  bundle.num_users = static_cast<std::size_t>(state.range(0));
+  bundle.seed = 42;
+  auto generated = GenerateAlignedScaleOut(bundle);
+  if (!generated.ok()) {
+    state.SkipWithError(generated.status().ToString().c_str());
+    return;
+  }
+  const AlignedNetworks& networks = generated.value().networks;
+  const SocialGraph structure =
+      SocialGraph::FromHeterogeneousNetwork(networks.target());
+  const SlamPredConfig config;
+  const FeatureStage features(config);
+  const EmbeddingStage embedding(config);
+  ThreadCountGuard guard(static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state) {
+    FitContext context;
+    context.networks = &networks;
+    context.target_structure = &structure;
+    Status status = features.Run(context);
+    if (status.ok()) status = embedding.Run(context);
+    if (!status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(context.intimacy_gradient);
+  }
+}
+BENCHMARK(BM_FeatureEmbedding)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      SizeThreadGrid(b, {1000, 3000});
+    })
+    ->Unit(benchmark::kMillisecond);
 
 // Objective data terms (loss + γ‖S‖₁ + the intimacy sweep) with τ = 0 so
 // the dense-SVD nuclear norm — identical in both variants — does not

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <optional>
 
 #include "embedding/indicator_matrices.h"
-#include "linalg/tensor3.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -47,108 +48,154 @@ FeatureScaler FitScaler(const InstanceSample& sample, std::size_t network) {
   return scaler;
 }
 
-// Projects every fibre of `raw` (d x n x n) through fᵀ (d x c) after
-// standardising it, giving a c x n x n tensor. The raw tensor stays CSR;
-// each row is decompressed into a d x n panel so the fibre reads are
-// O(1) and the per-element sum runs d ascending over the exact dense
-// values (absent entries are exact zeros) — bit-identical to projecting
-// the densified tensor.
-Tensor3 ProjectTensor(const SparseTensor3& raw, const FeatureScaler& scaler,
-                      const Matrix& f) {
+// Writes the fibres of row s of `raw` (d x n x n) into `panel` (d x n):
+// panel(:, j) = raw(:, s, j), standardised by `scaler` when one is given
+// (an absent entry standardises as an exact 0.0 would).
+void LoadFibres(const SparseTensor3& raw, std::size_t s,
+                const FeatureScaler* scaler, Matrix& panel) {
+  for (std::size_t dd = 0; dd < raw.dim0(); ++dd) {
+    auto scale = [&](double v) {
+      return scaler == nullptr
+                 ? v
+                 : (v - scaler->mean[dd]) * scaler->inv_std[dd];
+    };
+    double* row = panel.data().data() + dd * panel.cols();
+    std::fill(row, row + panel.cols(), scale(0.0));
+    raw.ForEachInRow(dd, s, [&](std::size_t j, double v) { row[j] = scale(v); });
+  }
+}
+
+// out[j] = Σ_d f(d, c)·panel(d, j) for every column j of `panel`, each
+// sum running d ascending from 0.0. The j loop is innermost, so the
+// columns project side by side without reassociating any sum.
+void ProjectColumns(const Matrix& f, std::size_t c, const Matrix& panel,
+                    double* out) {
+  const std::size_t n = panel.cols();
+  std::fill(out, out + n, 0.0);
+  for (std::size_t dd = 0; dd < f.rows(); ++dd) {
+    const double w = f(dd, c);
+    const double* z = panel.data().data() + dd * n;
+    for (std::size_t j = 0; j < n; ++j) out[j] += w * z[j];
+  }
+}
+
+// Each latent slice's [lo, hi] over all n x n projected source pairs,
+// the diagonal included — the extremes Tensor3::NormalizeSlicesMinMax
+// finds on the projected tensor, without building it. Min and max are
+// exact in any order, so the rows are projected in parallel.
+struct LatentRange {
+  std::vector<double> lo;
+  std::vector<double> hi;
+};
+
+LatentRange ProjectedRange(const SparseTensor3& raw,
+                           const FeatureScaler& scaler, const Matrix& f) {
   SLAMPRED_CHECK(f.rows() == raw.dim0()) << "projection dim mismatch";
   const std::size_t c = f.cols();
-  const std::size_t d = raw.dim0();
-  const std::size_t n1 = raw.dim1();
-  const std::size_t n2 = raw.dim2();
-  Tensor3 out(c, n1, n2);
-  Matrix panel(d, n2);
-  for (std::size_t i = 0; i < n1; ++i) {
-    std::fill(panel.data().begin(), panel.data().end(), 0.0);
-    for (std::size_t dd = 0; dd < d; ++dd) {
-      const CsrMatrix& slice = raw.SliceCsr(dd);
-      for (std::size_t p = slice.row_ptr()[i]; p < slice.row_ptr()[i + 1];
-           ++p) {
-        panel(dd, slice.col_idx()[p]) = slice.values()[p];
-      }
-    }
-    for (std::size_t j = 0; j < n2; ++j) {
-      for (std::size_t cc = 0; cc < c; ++cc) {
-        double sum = 0.0;
-        for (std::size_t dd = 0; dd < d; ++dd) {
-          const double z =
-              (panel(dd, j) - scaler.mean[dd]) * scaler.inv_std[dd];
-          sum += f(dd, cc) * z;
-        }
-        out(cc, i, j) = sum;
-      }
-    }
-  }
-  return out;
+  const std::size_t n = raw.dim1();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const LatentRange empty{std::vector<double>(c, kInf),
+                          std::vector<double>(c, -kInf)};
+  LatentRange range = empty;
+  std::mutex mutex;
+  ParallelFor(0, n, GrainForWork(n * c * raw.dim0()),
+              [&](std::size_t row0, std::size_t row1) {
+                Matrix panel(raw.dim0(), n);
+                std::vector<double> projected(n);
+                LatentRange chunk = empty;
+                for (std::size_t s = row0; s < row1; ++s) {
+                  LoadFibres(raw, s, &scaler, panel);
+                  for (std::size_t cc = 0; cc < c; ++cc) {
+                    ProjectColumns(f, cc, panel, projected.data());
+                    for (double v : projected) {
+                      chunk.lo[cc] = std::min(chunk.lo[cc], v);
+                      chunk.hi[cc] = std::max(chunk.hi[cc], v);
+                    }
+                  }
+                }
+                std::lock_guard<std::mutex> lock(mutex);
+                for (std::size_t cc = 0; cc < c; ++cc) {
+                  range.lo[cc] = std::min(range.lo[cc], chunk.lo[cc]);
+                  range.hi[cc] = std::max(range.hi[cc], chunk.hi[cc]);
+                }
+              });
+  return range;
 }
 
 // Re-indexes a `slices`-slice source-coordinate feature map into target
-// coordinates through the anchors and sums it over its slices, row by
-// row, so no slices x n_t x n_t tensor is ever built. `load_row(s,
-// panel)` writes slice c of source pair (s, s') to panel(c, s'). A
-// covered pair (both endpoints anchored, off the diagonal) sums its
-// slices. Pairs without transferred evidence (either endpoint
-// unanchored) are imputed at the mean of the covered pairs, per slice:
-// transferred information should *rerank* the pairs it covers, not
-// systematically push every uncovered pair below every covered one —
-// without the imputation, partial anchor ratios (Table II's sweep)
-// degrade instead of interpolating. The diagonal stays empty, and the
-// whole map does when nothing is anchored. Each slice mean sums the
-// covered pairs in ascending (t_i, t_j), and each entry its slices in
-// ascending c.
+// coordinates through the anchors and sums it over its slices, so no
+// slices x n_t x n_t tensor is ever built. `load_row(s, cols, values)`
+// writes slice c of source pair (s, cols[t]) to values[c·|cols| + t],
+// where `cols` are the anchored source users in target order — the
+// only columns a sum reads. A covered pair (both endpoints anchored,
+// off the diagonal) sums its slices. Pairs without transferred evidence
+// (either endpoint unanchored) are imputed at the mean of the covered
+// pairs, per slice: transferred information should *rerank* the pairs
+// it covers, not systematically push every uncovered pair below every
+// covered one — without the imputation, partial anchor ratios (Table
+// II's sweep) degrade instead of interpolating. The diagonal stays
+// empty, and the whole map does when nothing is anchored. Each slice
+// mean sums the covered pairs in ascending (t_i, t_j), and each entry
+// its slices in ascending c; one serial pass over the anchored rows
+// computes both, so every source row is loaded once.
 template <typename LoadRow>
-CsrMatrix ReindexedSliceSum(std::size_t slices, std::size_t n_source,
-                            const AnchorLinks& anchors, std::size_t n_target,
-                            const LoadRow& load_row) {
+CsrMatrix ReindexedSliceSum(std::size_t slices, const AnchorLinks& anchors,
+                            std::size_t n_target, const LoadRow& load_row) {
   std::vector<std::optional<std::size_t>> right(n_target);
-  for (std::size_t t = 0; t < n_target; ++t) right[t] = anchors.RightOf(t);
+  std::vector<std::size_t> cols;
+  for (std::size_t t = 0; t < n_target; ++t) {
+    right[t] = anchors.RightOf(t);
+    if (right[t].has_value()) cols.push_back(*right[t]);
+  }
+  if (cols.size() < 2) {
+    return CsrMatrix::FromTriplets(n_target, n_target, {});  // No pairs.
+  }
 
   std::vector<double> slice_sum(slices, 0.0);
-  std::size_t covered = 0;
-  Matrix panel(slices, n_source);
+  std::vector<double> values(cols.size() * slices);
+  std::vector<std::vector<CsrMatrix::RowEntry>> rows(n_target);
   for (std::size_t ti = 0; ti < n_target; ++ti) {
     if (!right[ti].has_value()) continue;
-    load_row(*right[ti], panel);
+    load_row(*right[ti], cols, values);
+    rows[ti].reserve(n_target - 1);
+    std::size_t t = 0;  // Index of tj in `cols`.
     for (std::size_t tj = 0; tj < n_target; ++tj) {
-      if (tj == ti || !right[tj].has_value()) continue;
-      ++covered;
-      for (std::size_t c = 0; c < slices; ++c) {
-        slice_sum[c] += panel(c, *right[tj]);
-      }
-    }
-  }
-  if (covered == 0) {
-    return CsrMatrix::FromTriplets(n_target, n_target, {});  // No anchors.
-  }
-  double fill = 0.0;
-  for (std::size_t c = 0; c < slices; ++c) {
-    fill += slice_sum[c] / static_cast<double>(covered);
-  }
-
-  std::vector<std::vector<CsrMatrix::RowEntry>> rows(n_target);
-  const std::size_t grain = GrainForWork(n_target * slices);
-  ParallelFor(0, n_target, grain, [&](std::size_t row0, std::size_t row1) {
-    Matrix row_panel(slices, n_source);
-    for (std::size_t ti = row0; ti < row1; ++ti) {
-      if (right[ti].has_value()) load_row(*right[ti], row_panel);
-      rows[ti].reserve(n_target - 1);
-      for (std::size_t tj = 0; tj < n_target; ++tj) {
-        if (tj == ti) continue;
-        double value = fill;
-        if (right[ti].has_value() && right[tj].has_value()) {
-          value = 0.0;
+      const bool anchored = right[tj].has_value();
+      if (tj != ti) {
+        double value = 0.0;  // Uncovered: the fill, set below.
+        if (anchored) {
           for (std::size_t c = 0; c < slices; ++c) {
-            value += row_panel(c, *right[tj]);
+            slice_sum[c] += values[c * cols.size() + t];
+            value += values[c * cols.size() + t];
           }
         }
         rows[ti].push_back({tj, value});
       }
+      if (anchored) ++t;
     }
-  });
+  }
+  const double covered =
+      static_cast<double>(cols.size() * (cols.size() - 1));
+  double fill = 0.0;
+  for (std::size_t c = 0; c < slices; ++c) fill += slice_sum[c] / covered;
+
+  ParallelFor(0, n_target, GrainForWork(n_target),
+              [&](std::size_t row0, std::size_t row1) {
+                for (std::size_t ti = row0; ti < row1; ++ti) {
+                  if (right[ti].has_value()) {
+                    for (CsrMatrix::RowEntry& entry : rows[ti]) {
+                      if (!right[entry.first].has_value()) {
+                        entry.second = fill;
+                      }
+                    }
+                    continue;
+                  }
+                  rows[ti].reserve(n_target - 1);
+                  for (std::size_t tj = 0; tj < n_target; ++tj) {
+                    if (tj != ti) rows[ti].push_back({tj, fill});
+                  }
+                }
+              });
   return CsrMatrix::FromRows(n_target, std::move(rows));
 }
 
@@ -249,18 +296,39 @@ Result<AdaptedFeatures> AdaptDomains(
   // Sources: project in source coordinates, min-max normalise each
   // slice to [0, 1] (the intimacy terms read them as non-negative
   // scores), then weight every slice by its separation while re-indexing
-  // through the anchors and summing.
+  // through the anchors and summing. The projection is streamed: one
+  // pass finds each slice's range, and the re-index projects the
+  // anchored rows at the anchored columns only.
   const std::size_t n_target = networks.target().NumUsers();
   for (std::size_t k = 0; k < networks.num_sources(); ++k) {
-    Tensor3 projected = ProjectTensor(raw_tensors[k + 1], scalers[k + 1],
-                                      out.projections[k + 1]);
-    projected.NormalizeSlicesMinMax();
+    const SparseTensor3& raw = raw_tensors[k + 1];
+    const FeatureScaler& scaler = scalers[k + 1];
+    const Matrix& f = out.projections[k + 1];
+    const LatentRange range = ProjectedRange(raw, scaler, f);
+    Matrix panel(raw.dim0(), raw.dim1());
+    Matrix anchored;
     out.slice_sums.push_back(ReindexedSliceSum(
-        latent, projected.dim2(), networks.anchors(k), n_target,
-        [&](std::size_t s, Matrix& panel) {
+        latent, networks.anchors(k), n_target,
+        [&](std::size_t s, const std::vector<std::size_t>& cols,
+            std::vector<double>& values) {
+          // Only the anchored columns are projected.
+          LoadFibres(raw, s, &scaler, panel);
+          if (anchored.cols() != cols.size()) {
+            anchored = Matrix(raw.dim0(), cols.size());
+          }
+          for (std::size_t dd = 0; dd < raw.dim0(); ++dd) {
+            for (std::size_t t = 0; t < cols.size(); ++t) {
+              anchored(dd, t) = panel(dd, cols[t]);
+            }
+          }
           for (std::size_t c = 0; c < latent; ++c) {
-            for (std::size_t t = 0; t < projected.dim2(); ++t) {
-              panel(c, t) = projected(c, s, t) * separation[c];
+            double* row = values.data() + c * cols.size();
+            ProjectColumns(f, c, anchored, row);
+            const double width = range.hi[c] - range.lo[c];
+            for (std::size_t t = 0; t < cols.size(); ++t) {
+              const double unit =
+                  width > 0.0 ? (row[t] - range.lo[c]) / width : 0.0;
+              row[t] = unit * separation[c];
             }
           }
         }));
@@ -278,15 +346,15 @@ Result<AdaptedFeatures> PassthroughAdapt(
   const std::size_t n_target = networks.target().NumUsers();
   for (std::size_t k = 0; k < networks.num_sources(); ++k) {
     const SparseTensor3& raw = raw_tensors[k + 1];
+    Matrix panel(raw.dim0(), raw.dim1());
     out.slice_sums.push_back(ReindexedSliceSum(
-        raw.dim0(), raw.dim2(), networks.anchors(k), n_target,
-        [&](std::size_t s, Matrix& panel) {
-          std::fill(panel.data().begin(), panel.data().end(), 0.0);
+        raw.dim0(), networks.anchors(k), n_target,
+        [&](std::size_t s, const std::vector<std::size_t>& cols,
+            std::vector<double>& values) {
+          LoadFibres(raw, s, nullptr, panel);
           for (std::size_t c = 0; c < raw.dim0(); ++c) {
-            const CsrMatrix& slice = raw.SliceCsr(c);
-            for (std::size_t p = slice.row_ptr()[s];
-                 p < slice.row_ptr()[s + 1]; ++p) {
-              panel(c, slice.col_idx()[p]) = slice.values()[p];
+            for (std::size_t t = 0; t < cols.size(); ++t) {
+              values[c * cols.size() + t] = panel(c, cols[t]);
             }
           }
         }));

@@ -9,7 +9,11 @@
 // row by row in *target* user coordinates through the anchor links. A
 // source pair only contributes where both endpoints are anchored, which
 // is exactly how the anchor-sampling ratio modulates how much
-// transferred signal SLAMPRED sees.
+// transferred signal SLAMPRED sees. The c x n_s x n_s projection is
+// never built: one parallel pass over the source rows finds each latent
+// slice's min-max range, and the re-index projects the anchored rows at
+// the anchored columns only, so the adapter's transients are O(n_s·d)
+// per row besides its output.
 
 #ifndef SLAMPRED_EMBEDDING_DOMAIN_ADAPTER_H_
 #define SLAMPRED_EMBEDDING_DOMAIN_ADAPTER_H_
@@ -52,8 +56,10 @@ struct AdaptedFeatures {
 /// tensor built on `target_structure` (read for the instance sample
 /// only); `raw_tensors[k]` source k's tensor on its own graph. Each
 /// source is projected into c latent slices, min-max normalised,
-/// weighted by its dimension's label separation and summed.
-/// Deterministic given `rng`'s state.
+/// weighted by its dimension's label separation and summed — bit for
+/// bit what projecting into a dense c x n_s x n_s Tensor3,
+/// Tensor3::NormalizeSlicesMinMax and a dense re-index give.
+/// Deterministic given `rng`'s state, for any thread count.
 Result<AdaptedFeatures> AdaptDomains(const AlignedNetworks& networks,
                                      const SocialGraph& target_structure,
                                      const std::vector<SparseTensor3>& raw_tensors,

@@ -1,6 +1,8 @@
 #include "features/feature_tensor.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "features/attribute_features.h"
 #include "features/meta_path_features.h"
@@ -115,7 +117,13 @@ SparseTensor3 BuildSparseFeatureTensor(const HeterogeneousNetwork& network,
   if (options.adamic_adar) add(AdamicAdarCsr(structure));
   if (options.resource_allocation) add(ResourceAllocationCsr(structure));
   if (options.preferential_attachment) {
-    add(PreferentialAttachmentCsr(structure));
+    // deg(u)·deg(v) is rank one: keep the degree vector, not its ~n²
+    // products (the tensor's transforms keep that form).
+    std::vector<double> degrees(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      degrees[v] = static_cast<double>(structure.Degree(v));
+    }
+    tensor.SetDegreeSlice(slice++, std::move(degrees));
   }
   if (options.truncated_katz) {
     add(TruncatedKatzCsr(structure, options.katz_beta));

@@ -208,31 +208,6 @@ CsrMatrix ResourceAllocationCsr(const SocialGraph& graph) {
   });
 }
 
-CsrMatrix PreferentialAttachmentCsr(const SocialGraph& graph) {
-  const std::size_t n = graph.num_users();
-  // Nonzero wherever both degrees are — the same pattern the dense map
-  // stores implicitly. Isolated users give empty rows/columns.
-  std::vector<std::size_t> active;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (graph.Degree(v) > 0) active.push_back(v);
-  }
-  std::vector<std::vector<CsrMatrix::RowEntry>> rows(n);
-  ParallelFor(0, n, GrainForWork(active.size() + 1),
-              [&](std::size_t row0, std::size_t row1) {
-                for (std::size_t u = row0; u < row1; ++u) {
-                  const double du = static_cast<double>(graph.Degree(u));
-                  if (du == 0.0) continue;
-                  rows[u].reserve(active.size());
-                  for (std::size_t v : active) {
-                    if (v == u) continue;
-                    rows[u].push_back(
-                        {v, du * static_cast<double>(graph.Degree(v))});
-                  }
-                }
-              });
-  return CsrMatrix::FromRows(n, std::move(rows));
-}
-
 CsrMatrix TruncatedKatzCsr(const SocialGraph& graph, double beta) {
   const CsrMatrix a = graph.AdjacencyCsr();
   const CsrMatrix a2 = a.MultiplySparse(a);

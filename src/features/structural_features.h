@@ -2,6 +2,10 @@
 // (observed / training) social graph: the classic neighborhood predictors
 // plus truncated path counts. Each extractor returns a full n x n
 // symmetric feature map (one slice of the paper's X^k tensor).
+// Preferential attachment has no CSR extractor: deg(u)·deg(v) is rank one,
+// so the sparse feature build keeps it as the degree vector
+// (SparseTensor3::SetDegreeSlice); PreferentialAttachmentMap is the
+// dense reference of that slice.
 
 #ifndef SLAMPRED_FEATURES_STRUCTURAL_FEATURES_H_
 #define SLAMPRED_FEATURES_STRUCTURAL_FEATURES_H_
@@ -26,7 +30,7 @@ Matrix AdamicAdarMap(const SocialGraph& graph);
 /// Resource-allocation scores Σ_{w ∈ Γ(u)∩Γ(v)} 1/deg(w).
 Matrix ResourceAllocationMap(const SocialGraph& graph);
 
-/// Preferential-attachment products deg(u) * deg(v).
+/// Preferential-attachment products deg(u) * deg(v) (0 on the diagonal).
 Matrix PreferentialAttachmentMap(const SocialGraph& graph);
 
 /// Truncated Katz index β A² + β² A³ (paths of length 2 and 3); captures
@@ -51,11 +55,6 @@ CsrMatrix AdamicAdarCsr(const SocialGraph& graph);
 
 /// CSR ResourceAllocationMap.
 CsrMatrix ResourceAllocationCsr(const SocialGraph& graph);
-
-/// CSR PreferentialAttachmentMap. Every pair of nonzero-degree users
-/// scores, so this slice is inherently ~n² nnz — it is kept CSR for
-/// interface uniformity, not for memory.
-CsrMatrix PreferentialAttachmentCsr(const SocialGraph& graph);
 
 /// CSR TruncatedKatzMap via SpGEMM (A², A³ as sparse products) — the
 /// big win over the dense O(n³) GEMM on sparse graphs.

@@ -1,6 +1,7 @@
 #include "graph/graph_io.h"
 
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -32,15 +33,29 @@ Status LineError(std::size_t line_number, const std::string& message) {
                                  ": " + message);
 }
 
+// Decimal size_t; false on an empty token, a non-digit or a value past
+// SIZE_MAX (which would otherwise wrap).
 bool ParseSize(const std::string& token, std::size_t* out) {
   if (token.empty()) return false;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
   std::size_t value = 0;
   for (char c : token) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (value > (kMax - digit) / 10) return false;
+    value = value * 10 + digit;
   }
   *out = value;
   return true;
+}
+
+// A node or anchor count the parser may allocate for.
+bool ParseCount(const std::string& token, std::size_t* out) {
+  return ParseSize(token, out) && *out <= kMaxParsedCount;
+}
+
+std::string CountLimit() {
+  return " (a count is at most " + std::to_string(kMaxParsedCount) + ")";
 }
 
 Result<std::string> ReadFile(const std::string& path) {
@@ -161,8 +176,13 @@ Result<HeterogeneousNetwork> ParseNetwork(const std::string& text,
         problem = LineError(line_number, "expected 'nodes <type> <count>'");
       } else if (!type.has_value()) {
         problem = LineError(line_number, "unknown node type " + tokens[1]);
-      } else if (!ParseSize(tokens[2], &count)) {
-        problem = LineError(line_number, "bad count " + tokens[2]);
+      } else if (!ParseCount(tokens[2], &count)) {
+        problem = LineError(line_number, "bad count " + tokens[2] + CountLimit());
+      } else if (count > kMaxParsedCount -
+                             network.NumNodes(type.value_or(NodeType::kUser))) {
+        problem = LineError(line_number, "total " + tokens[1] +
+                                             " count exceeds the limit" +
+                                             CountLimit());
       }
       if (!problem.ok()) {
         const Status handled = HandleBadRecord(options, stats, problem);
@@ -282,9 +302,9 @@ Result<AnchorLinks> ParseAnchors(const std::string& text,
       std::size_t right = 0;
       if (tokens.size() != 3) {
         problem = LineError(line_number, "expected 'anchors <left> <right>'");
-      } else if (!ParseSize(tokens[1], &left) ||
-                 !ParseSize(tokens[2], &right)) {
-        problem = LineError(line_number, "bad user counts");
+      } else if (!ParseCount(tokens[1], &left) ||
+                 !ParseCount(tokens[2], &right)) {
+        problem = LineError(line_number, "bad user counts" + CountLimit());
       }
       if (!problem.ok()) {
         const Status handled = HandleBadRecord(options, stats, problem);

@@ -16,6 +16,9 @@
 // policy the first bad record fails the parse with a line-numbered
 // Status; under the lenient policy bad records are skipped and counted
 // in ParseStats, and the parse succeeds with whatever was salvageable.
+// A number past 2^64 − 1 is malformed (it is not wrapped), and so is a
+// node or anchor count over kMaxParsedCount, so a file cannot make the
+// parser allocate more than that many users per node type or side.
 
 #ifndef SLAMPRED_GRAPH_GRAPH_IO_H_
 #define SLAMPRED_GRAPH_GRAPH_IO_H_
@@ -28,6 +31,12 @@
 #include "util/status.h"
 
 namespace slampred {
+
+/// Largest count a parse accepts: per node type (the running total of
+/// its `nodes` lines) and per side of an `anchors` header. 2^24 users
+/// is over 160 times the largest bundle the generators write (the
+/// 100k-user scale-out default), and bounds the parser's allocations.
+inline constexpr std::size_t kMaxParsedCount = std::size_t{1} << 24;
 
 /// What to do with a malformed, out-of-range or duplicate record.
 enum class ParsePolicy {

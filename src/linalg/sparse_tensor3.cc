@@ -31,50 +31,95 @@ CsrMatrix MapValues(const CsrMatrix& m, Fn fn) {
 SparseTensor3::SparseTensor3(std::size_t dim0, std::size_t dim1,
                              std::size_t dim2)
     : dim0_(dim0), dim1_(dim1), dim2_(dim2) {
-  slices_.assign(dim0, CsrMatrix::FromTriplets(dim1, dim2, {}));
+  slices_.assign(dim0, SliceData{CsrMatrix::FromTriplets(dim1, dim2, {}),
+                                 {}, {}});
 }
 
 SparseTensor3 SparseTensor3::FromDense(const Tensor3& dense,
                                        double drop_tol) {
   SparseTensor3 out(dense.dim0(), dense.dim1(), dense.dim2());
   for (std::size_t k = 0; k < dense.dim0(); ++k) {
-    out.slices_[k] = CsrMatrix::FromDense(dense.Slice(k), drop_tol);
+    out.slices_[k].csr = CsrMatrix::FromDense(dense.Slice(k), drop_tol);
   }
   return out;
 }
 
 Tensor3 SparseTensor3::ToDense() const {
   Tensor3 out(dim0_, dim1_, dim2_);
-  for (std::size_t k = 0; k < dim0_; ++k) {
-    out.SetSlice(k, slices_[k].ToDense());
-  }
+  for (std::size_t k = 0; k < dim0_; ++k) out.SetSlice(k, Slice(k));
   return out;
 }
 
 double SparseTensor3::At(std::size_t k, std::size_t i, std::size_t j) const {
   SLAMPRED_CHECK(k < dim0_) << "sparse tensor slice out of range";
-  return slices_[k].At(i, j);
-}
-
-const CsrMatrix& SparseTensor3::SliceCsr(std::size_t k) const {
-  SLAMPRED_CHECK(k < dim0_) << "sparse tensor slice out of range";
-  return slices_[k];
+  const SliceData& slice = slices_[k];
+  if (slice.x.empty()) return slice.csr.At(i, j);
+  SLAMPRED_CHECK(i < dim1_ && j < dim2_) << "sparse tensor index out of range";
+  if (i == j || slice.x[i] == 0.0 || slice.x[j] == 0.0) return 0.0;
+  return DegreeValue(slice, slice.x[i] * slice.x[j]);
 }
 
 Matrix SparseTensor3::Slice(std::size_t k) const {
-  return SliceCsr(k).ToDense();
+  SLAMPRED_CHECK(k < dim0_) << "sparse tensor slice out of range";
+  Matrix out(dim1_, dim2_);
+  for (std::size_t i = 0; i < dim1_; ++i) {
+    ForEachInRow(k, i, [&](std::size_t j, double v) { out(i, j) = v; });
+  }
+  return out;
 }
 
 void SparseTensor3::SetSlice(std::size_t k, CsrMatrix slice) {
   SLAMPRED_CHECK(k < dim0_ && slice.rows() == dim1_ && slice.cols() == dim2_)
       << "sparse slice shape mismatch";
-  slices_[k] = std::move(slice);
+  slices_[k] = SliceData{std::move(slice), {}, {}};
+}
+
+void SparseTensor3::SetDegreeSlice(std::size_t k, std::vector<double> x) {
+  SLAMPRED_CHECK(k < dim0_ && dim1_ == dim2_ && x.size() == dim1_)
+      << "degree slice shape mismatch";
+  for (double v : x) SLAMPRED_CHECK(v >= 0.0) << "negative degree";
+  if (x.empty()) {
+    SetSlice(k, CsrMatrix::FromTriplets(0, 0, {}));
+    return;
+  }
+  slices_[k] = SliceData{CsrMatrix(), std::move(x), {}};
+}
+
+bool SparseTensor3::IsDegreeSlice(std::size_t k) const {
+  SLAMPRED_CHECK(k < dim0_) << "sparse tensor slice out of range";
+  return !slices_[k].x.empty();
+}
+
+double SparseTensor3::DegreeMax(const SliceData& slice) {
+  // The largest product of two different users' x; every step is
+  // monotone non-decreasing, so it maps to the largest entry.
+  double top = 0.0;
+  double second = 0.0;
+  for (double v : slice.x) {
+    if (v > top) {
+      second = top;
+      top = v;
+    } else if (v > second) {
+      second = v;
+    }
+  }
+  return second > 0.0 ? DegreeValue(slice, top * second) : 0.0;
+}
+
+CsrMatrix SparseTensor3::DegreeSliceCsr(std::size_t k) const {
+  std::vector<std::vector<CsrMatrix::RowEntry>> rows(dim1_);
+  for (std::size_t i = 0; i < dim1_; ++i) {
+    ForEachInRow(k, i, [&](std::size_t j, double v) {
+      rows[i].push_back({j, v});
+    });
+  }
+  return CsrMatrix::FromRows(dim2_, std::move(rows));
 }
 
 Vector SparseTensor3::Fiber(std::size_t i, std::size_t j) const {
   SLAMPRED_CHECK(i < dim1_ && j < dim2_) << "sparse fibre out of range";
   Vector out(dim0_);
-  for (std::size_t k = 0; k < dim0_; ++k) out[k] = slices_[k].At(i, j);
+  for (std::size_t k = 0; k < dim0_; ++k) out[k] = At(k, i, j);
   return out;
 }
 
@@ -82,7 +127,20 @@ void SparseTensor3::NormalizeSlicesMinMax() {
   const std::size_t per_slice = dim1_ * dim2_;
   if (per_slice == 0) return;
   for (std::size_t k = 0; k < dim0_; ++k) {
-    const CsrMatrix& slice = slices_[k];
+    SliceData& data = slices_[k];
+    if (!data.x.empty()) {
+      // Entries are positive and the diagonal is an implicit zero, so
+      // the CSR scan below would find lo = +0.0 and hi = DegreeMax.
+      const double lo = 0.0;
+      const double range = DegreeMax(data) - lo;
+      if (range <= 0.0) {
+        SetSlice(k, CsrMatrix::FromTriplets(dim1_, dim2_, {}));
+      } else {
+        data.steps.push_back({false, lo, range});
+      }
+      continue;
+    }
+    const CsrMatrix& slice = data.csr;
     // min/max are exactly associative-commutative, so scanning the
     // stored values and folding in one 0.0 for the implicit zeros gives
     // the same extrema as the dense full-slice scan.
@@ -102,7 +160,7 @@ void SparseTensor3::NormalizeSlicesMinMax() {
     const double range = hi - lo;
     if (range <= 0.0) {
       // Constant slice (dense maps it to all-zero).
-      slices_[k] = CsrMatrix::FromTriplets(dim1_, dim2_, {});
+      data.csr = CsrMatrix::FromTriplets(dim1_, dim2_, {});
       continue;
     }
     if (lo < 0.0 && has_implicit_zeros) {
@@ -110,40 +168,49 @@ void SparseTensor3::NormalizeSlicesMinMax() {
       // after scaling. Feature slices never take this branch.
       Matrix dense = slice.ToDense();
       for (double& v : dense.data()) v = (v - lo) / range;
-      slices_[k] = CsrMatrix::FromDense(dense);
+      data.csr = CsrMatrix::FromDense(dense);
       continue;
     }
     // lo is exactly +0.0 when implicit zeros exist (non-negative slice),
     // so stored entries scale with the dense expression and implicit
     // zeros map to (0 − 0)/range = 0, staying implicit.
-    slices_[k] =
-        MapValues(slice, [&](double v) { return (v - lo) / range; });
+    data.csr = MapValues(slice, [&](double v) { return (v - lo) / range; });
   }
 }
 
 void SparseTensor3::ApplySqrt() {
-  for (CsrMatrix& slice : slices_) {
-    slice = MapValues(slice, [](double v) { return std::sqrt(v); });
+  for (SliceData& slice : slices_) {
+    if (!slice.x.empty()) {
+      slice.steps.push_back({true, 0.0, 0.0});
+      continue;
+    }
+    slice.csr = MapValues(slice.csr, [](double v) { return std::sqrt(v); });
   }
 }
 
 double SparseTensor3::MaxAbs() const {
   double best = 0.0;
-  for (const CsrMatrix& slice : slices_) {
-    best = std::max(best, slice.MaxAbs());
+  for (const SliceData& slice : slices_) {
+    best = std::max(best, slice.x.empty() ? slice.csr.MaxAbs()
+                                          : DegreeMax(slice));
   }
   return best;
 }
 
 std::size_t SparseTensor3::TotalNnz() const {
   std::size_t nnz = 0;
-  for (const CsrMatrix& slice : slices_) nnz += slice.nnz();
+  for (const SliceData& slice : slices_) {
+    if (slice.x.empty()) nnz += slice.csr.nnz();
+  }
   return nnz;
 }
 
 std::size_t SparseTensor3::EstimatedBytes() const {
   std::size_t bytes = 0;
-  for (const CsrMatrix& slice : slices_) bytes += slice.EstimatedBytes();
+  for (const SliceData& slice : slices_) {
+    bytes += slice.x.empty() ? slice.csr.EstimatedBytes()
+                             : slice.x.size() * sizeof(double);
+  }
   return bytes;
 }
 
@@ -151,7 +218,13 @@ void SparseTensor3::Serialize(BinaryWriter& writer) const {
   writer.WriteU64(dim0_);
   writer.WriteU64(dim1_);
   writer.WriteU64(dim2_);
-  for (const CsrMatrix& slice : slices_) slice.Serialize(writer);
+  for (std::size_t k = 0; k < dim0_; ++k) {
+    if (slices_[k].x.empty()) {
+      slices_[k].csr.Serialize(writer);
+    } else {
+      DegreeSliceCsr(k).Serialize(writer);
+    }
+  }
 }
 
 Result<SparseTensor3> SparseTensor3::Deserialize(BinaryReader& reader) {
@@ -184,7 +257,7 @@ Result<SparseTensor3> SparseTensor3::Deserialize(BinaryReader& reader) {
           std::to_string(tensor.dim1_) + "x" + std::to_string(tensor.dim2_) +
           " (record at offset " + std::to_string(header_offset) + ")");
     }
-    tensor.slices_[k] = std::move(slice).value();
+    tensor.slices_[k].csr = std::move(slice).value();
   }
   return tensor;
 }

@@ -226,23 +226,20 @@ double FactoredObjectiveValue(const FactoredObjective& objective,
   const std::size_t r = s.rank();
   for (std::size_t k = 0; k < tensors.size(); ++k) {
     if (weights[k] == 0.0 || tensors[k].empty()) continue;
+    const SparseTensor3& tensor = tensors[k];
+    // A row visit costs up to dim2 entries (a degree slice's full row).
+    const std::size_t grain =
+        GrainForWork(tensor.dim2() * std::max<std::size_t>(1, r));
     double intimacy = 0.0;
-    for (std::size_t c = 0; c < tensors[k].dim0(); ++c) {
-      const CsrMatrix& slice = tensors[k].SliceCsr(c);
-      const auto& row_ptr = slice.row_ptr();
-      const auto& col_idx = slice.col_idx();
-      const auto& values = slice.values();
-      const std::size_t rows = slice.rows();
-      const std::size_t avg_nnz =
-          std::max<std::size_t>(1, slice.nnz() / std::max<std::size_t>(1, rows));
+    for (std::size_t c = 0; c < tensor.dim0(); ++c) {
       intimacy += ParallelReduceSum(
-          0, rows, GrainForWork(avg_nnz * std::max<std::size_t>(1, r)),
+          0, tensor.dim1(), grain,
           [&](std::size_t row0, std::size_t row1) {
             double sum = 0.0;
             for (std::size_t i = row0; i < row1; ++i) {
-              for (std::size_t idx = row_ptr[i]; idx < row_ptr[i + 1]; ++idx) {
-                sum += std::fabs(s.At(i, col_idx[idx]) * values[idx]);
-              }
+              tensor.ForEachInRow(c, i, [&](std::size_t j, double v) {
+                sum += std::fabs(s.At(i, j) * v);
+              });
             }
             return sum;
           });

@@ -33,20 +33,65 @@ CsrMatrix BuildIntimacyGradientCsr(const SparseTensor3& target,
   SLAMPRED_CHECK(sources.size() == source_weights.size())
       << "one weight per source required";
   const std::size_t n = target.dim1();
-  CsrMatrix g = CsrMatrix::FromTriplets(n, n, {});
-  if (target_weight != 0.0 && !target.empty()) {
-    // Sum the slices first (1.0 * x is exact), then scale once.
-    CsrMatrix sum = target.SliceCsr(0);
-    for (std::size_t c = 1; c < target.dim0(); ++c) {
-      sum = sum.AddScaled(target.SliceCsr(c), 1.0);
-    }
-    g = g.AddScaled(sum, target_weight);
-  }
+  const bool with_target = target_weight != 0.0 && !target.empty();
   for (std::size_t k = 0; k < sources.size(); ++k) {
-    if (source_weights[k] == 0.0) continue;
-    g = g.AddScaled(sources[k], source_weights[k]);
+    SLAMPRED_CHECK(source_weights[k] == 0.0 ||
+                   (sources[k].rows() == n && sources[k].cols() == n))
+        << "source " << k << " slice sum shape mismatch";
   }
-  return g;
+  std::vector<std::vector<CsrMatrix::RowEntry>> rows(n);
+  const std::size_t terms = target.dim0() + sources.size();
+  ParallelFor(0, n, GrainForWork(n * terms), [&](std::size_t row0,
+                                                 std::size_t row1) {
+    std::vector<double> acc(n, 0.0);
+    std::vector<char> present(n, 0);
+    std::vector<char> seen(n, 0);
+    std::vector<std::size_t> touched;
+    // One step of a CsrMatrix::AddScaled merge into entry j: a present
+    // entry becomes acc + factor·v, an absent one factor·v, and an exact
+    // zero result is dropped (absent for the next step).
+    auto merge = [&](std::size_t j, double v, double factor) {
+      if (!seen[j]) {
+        seen[j] = 1;
+        touched.push_back(j);
+      }
+      acc[j] = present[j] ? acc[j] + factor * v : factor * v;
+      present[j] = acc[j] != 0.0;
+    };
+    for (std::size_t i = row0; i < row1; ++i) {
+      touched.clear();
+      if (with_target) {
+        // The slices sum in ascending c (1.0·v is exact), then the sum
+        // is scaled once.
+        for (std::size_t c = 0; c < target.dim0(); ++c) {
+          target.ForEachInRow(c, i, [&](std::size_t j, double v) {
+            merge(j, v, 1.0);
+          });
+        }
+        for (std::size_t j : touched) {
+          if (!present[j]) continue;
+          acc[j] = target_weight * acc[j];
+          present[j] = acc[j] != 0.0;
+        }
+      }
+      for (std::size_t k = 0; k < sources.size(); ++k) {
+        if (source_weights[k] == 0.0) continue;
+        const CsrMatrix& source = sources[k];
+        for (std::size_t p = source.row_ptr()[i]; p < source.row_ptr()[i + 1];
+             ++p) {
+          merge(source.col_idx()[p], source.values()[p], source_weights[k]);
+        }
+      }
+      std::sort(touched.begin(), touched.end());
+      rows[i].reserve(touched.size());
+      for (std::size_t j : touched) {
+        if (present[j]) rows[i].push_back({j, acc[j]});
+        present[j] = 0;
+        seen[j] = 0;
+      }
+    }
+  });
+  return CsrMatrix::FromRows(n, std::move(rows));
 }
 
 namespace {
@@ -84,32 +129,21 @@ void ForEachFlatWithA(const CsrMatrix& a, std::size_t f0, std::size_t f1,
   }
 }
 
-// Calls fn(flat, value) for the stored entries of `m` whose row-major
-// flat index lies in [l0, l1), in ascending flat order.
+// Calls fn(flat, value) for the nonzero entries of slice c of `tensor`
+// whose row-major flat index lies in [l0, l1), in ascending flat order.
 template <typename Fn>
-void ForEachStoredInFlatRange(const CsrMatrix& m, std::size_t l0,
-                              std::size_t l1, Fn fn) {
-  const std::size_t cols = m.cols();
+void ForEachStoredInFlatRange(const SparseTensor3& tensor, std::size_t c,
+                              std::size_t l0, std::size_t l1, Fn fn) {
+  const std::size_t cols = tensor.dim2();
   if (cols == 0 || l0 >= l1) return;
-  const auto& row_ptr = m.row_ptr();
-  const auto& col_idx = m.col_idx();
-  const auto& values = m.values();
   const std::size_t i0 = l0 / cols;
-  const std::size_t i1 = std::min(m.rows(), (l1 + cols - 1) / cols);
+  const std::size_t i1 = std::min(tensor.dim1(), (l1 + cols - 1) / cols);
   for (std::size_t i = i0; i < i1; ++i) {
-    std::size_t p = row_ptr[i];
-    const std::size_t pe = row_ptr[i + 1];
-    if (i == i0) {
-      const std::size_t* begin = col_idx.data() + p;
-      const std::size_t* end = col_idx.data() + pe;
-      p += std::lower_bound(begin, end, l0 - i * cols) - begin;
-    }
     const std::size_t base = i * cols;
-    for (; p < pe; ++p) {
-      const std::size_t flat = base + col_idx[p];
-      if (flat >= l1) return;
-      fn(flat, values[p]);
-    }
+    tensor.ForEachInRow(c, i, [&](std::size_t j, double v) {
+      const std::size_t flat = base + j;
+      if (flat >= l0 && flat < l1) fn(flat, v);
+    });
   }
 }
 
@@ -275,7 +309,7 @@ double FullObjectiveValue(const Objective& objective, const Matrix& s,
             const std::size_t base = c * per_slice;
             const std::size_t l0 = f0 > base ? f0 - base : 0;
             const std::size_t l1 = std::min(f1 - base, per_slice);
-            ForEachStoredInFlatRange(tensor.SliceCsr(c), l0, l1,
+            ForEachStoredInFlatRange(tensor, c, l0, l1,
                                      [&](std::size_t flat, double v) {
                                        sum += std::fabs(sd[flat] * v);
                                      });

@@ -8,7 +8,10 @@
 //   v(S) = Σ_k α_k ‖S ∘ X̂^k‖₁                (convex; subtracted)
 //
 // With non-negative adapted features, ∇v is the constant matrix
-// G = Σ_k α_k Σ_c X̂^k(c,:,:) used by the CCCP linearisation.
+// G = Σ_k α_k Σ_c X̂^k(c,:,:) used by the CCCP linearisation. The fit
+// builds G once, in CSR, one row at a time (BuildIntimacyGradientCsr);
+// the feature slices are read through their row visitor, so the
+// preferential-attachment degree slice is never materialised.
 
 #ifndef SLAMPRED_OPTIM_OBJECTIVE_H_
 #define SLAMPRED_OPTIM_OBJECTIVE_H_
@@ -57,12 +60,15 @@ Matrix BuildIntimacyGradient(const std::vector<Tensor3>& tensors,
 
 /// The fit's one G builder: G = α_t Σ_c target(c,:,:) + Σ_k α_k
 /// sources[k], in CSR, where each sources[k] is a source network's
-/// adapted slices already summed in target coordinates. Every step is a
-/// sorted row merge (CsrMatrix::AddScaled): per entry the target slices
-/// add in ascending c, then g + α_k·s_k runs over the networks in
-/// order, so G densifies to the dense oracle over [target, sources as
-/// one-slice tensors] bit for bit. A network whose weight is 0 (or an
-/// empty target tensor) is skipped.
+/// adapted slices already summed in target coordinates. One parallel
+/// pass builds each row of G once, reading the target through its row
+/// visitor (so a degree slice is never materialised): per entry the
+/// target slices add in ascending c, the sum is scaled by α_t, then
+/// g + α_k·s_k runs over the sources in order, each step with the
+/// arithmetic and exact-zero dropping of a CsrMatrix::AddScaled merge.
+/// G therefore densifies to the dense oracle over [target, sources as
+/// one-slice tensors] bit for bit, for any thread count. A network
+/// whose weight is 0 (or an empty target tensor) is skipped.
 CsrMatrix BuildIntimacyGradientCsr(const SparseTensor3& target,
                                    double target_weight,
                                    const std::vector<CsrMatrix>& sources,

@@ -1,6 +1,10 @@
 // Tests for the domain-adaptation pipeline: instance sampling, indicator
 // matrices, Laplacians, the Theorem-1 solver and the adapter.
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "datagen/aligned_generator.h"
@@ -10,6 +14,8 @@
 #include "embedding/link_instance.h"
 #include "embedding/projection_solver.h"
 #include "features/feature_tensor.h"
+#include "graph/cluster_extract.h"
+#include "linalg/tensor3.h"
 
 namespace slampred {
 namespace {
@@ -377,6 +383,166 @@ TEST(PassthroughAdaptTest, HandBuiltFourUserSum) {
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(none.value().slice_sums[0].rows(), 4u);
   EXPECT_EQ(none.value().slice_sums[0].nnz(), 0u);
+}
+
+// --- Theorem-1 projection against the dense oracle -------------------
+//
+// AdaptDomains streams the source projection: one pass finds each
+// latent slice's range, and the re-index projects the anchored block
+// only. The oracle below is the dense path it replaced: every fibre
+// projected into a c x n_s x n_s Tensor3, Tensor3::NormalizeSlicesMinMax,
+// then a dense re-index through the anchors with the covered-mean fill.
+
+// The adapter's scaler: per-feature mean and 1/std over the network's
+// sampled instances (0 for a constant feature).
+void OracleScaler(const InstanceSample& sample, std::size_t network,
+                  Vector* mean, Vector* inv_std) {
+  const std::size_t begin = sample.network_offsets[network];
+  const std::size_t end = sample.network_offsets[network + 1];
+  const std::size_t d = sample.feature_dims[network];
+  *mean = Vector(d);
+  *inv_std = Vector(d);
+  const double count = std::max<double>(1.0, static_cast<double>(end - begin));
+  for (std::size_t i = begin; i < end; ++i) {
+    *mean += sample.instances[i].features;
+  }
+  *mean /= count;
+  Vector var(d);
+  for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t k = 0; k < d; ++k) {
+      const double diff = sample.instances[i].features[k] - (*mean)[k];
+      var[k] += diff * diff;
+    }
+  }
+  for (std::size_t k = 0; k < d; ++k) {
+    const double std = std::sqrt(var[k] / count);
+    (*inv_std)[k] = std > 1e-12 ? 1.0 / std : 0.0;
+  }
+}
+
+// Every fibre of `raw` standardised and projected through fᵀ.
+Tensor3 OracleProjectTensor(const SparseTensor3& raw, const Vector& mean,
+                            const Vector& inv_std, const Matrix& f) {
+  const Tensor3 dense = raw.ToDense();
+  const std::size_t n = raw.dim1();
+  Tensor3 out(f.cols(), n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t c = 0; c < f.cols(); ++c) {
+        double sum = 0.0;
+        for (std::size_t d = 0; d < raw.dim0(); ++d) {
+          const double z = (dense(d, i, j) - mean[d]) * inv_std[d];
+          sum += f(d, c) * z;
+        }
+        out(c, i, j) = sum;
+      }
+    }
+  }
+  return out;
+}
+
+// The n_t x n_t slice sum of the normalised projection: covered pairs
+// sum their separation-weighted slices, uncovered pairs take Σ_c of the
+// covered means, the diagonal stays 0.
+Matrix OracleSliceSum(const Tensor3& projected, const Vector& separation,
+                      const AnchorLinks& anchors, std::size_t n_target) {
+  const std::size_t slices = projected.dim0();
+  std::vector<double> slice_sum(slices, 0.0);
+  std::size_t covered = 0;
+  Matrix out(n_target, n_target);
+  for (std::size_t ti = 0; ti < n_target; ++ti) {
+    for (std::size_t tj = 0; tj < n_target; ++tj) {
+      const auto si = anchors.RightOf(ti);
+      const auto sj = anchors.RightOf(tj);
+      if (ti == tj || !si.has_value() || !sj.has_value()) continue;
+      ++covered;
+      double value = 0.0;
+      for (std::size_t c = 0; c < slices; ++c) {
+        const double v = projected(c, *si, *sj) * separation[c];
+        slice_sum[c] += v;
+        value += v;
+      }
+      out(ti, tj) = value;
+    }
+  }
+  if (covered == 0) return Matrix(n_target, n_target);
+  double fill = 0.0;
+  for (std::size_t c = 0; c < slices; ++c) {
+    fill += slice_sum[c] / static_cast<double>(covered);
+  }
+  for (std::size_t ti = 0; ti < n_target; ++ti) {
+    for (std::size_t tj = 0; tj < n_target; ++tj) {
+      if (ti != tj && !(anchors.RightOf(ti).has_value() &&
+                        anchors.RightOf(tj).has_value())) {
+        out(ti, tj) = fill;
+      }
+    }
+  }
+  return out;
+}
+
+// Runs AdaptDomains on (networks, structure) and checks its one source's
+// slice sum against the oracle, entry for entry.
+void ExpectAdaptMatchesDenseOracle(const AlignedNetworks& networks,
+                                   const SocialGraph& structure) {
+  ASSERT_EQ(networks.num_sources(), 1u);
+  std::vector<SparseTensor3> raw;
+  raw.push_back(BuildSparseFeatureTensor(networks.target(), structure));
+  raw.push_back(BuildSparseFeatureTensor(
+      networks.source(0),
+      SocialGraph::FromHeterogeneousNetwork(networks.source(0))));
+  ASSERT_TRUE(raw[1].IsDegreeSlice(4)) << "PA slice kept as its degrees";
+
+  const DomainAdapterOptions options;
+  Rng rng(99);
+  auto adapted = AdaptDomains(networks, structure, raw, options, rng);
+  ASSERT_TRUE(adapted.ok()) << adapted.status().ToString();
+
+  // The same sample the adapter drew, hence the same scaler.
+  Rng replay(99);
+  auto sample = SampleLinkInstances(networks, structure, raw,
+                                    options.sampling, replay);
+  ASSERT_TRUE(sample.ok());
+  Vector mean;
+  Vector inv_std;
+  OracleScaler(sample.value(), 1, &mean, &inv_std);
+  Tensor3 projected = OracleProjectTensor(
+      raw[1], mean, inv_std, adapted.value().projections[1]);
+  projected.NormalizeSlicesMinMax();
+  const Matrix expected =
+      OracleSliceSum(projected, adapted.value().separation,
+                     networks.anchors(0), networks.target().NumUsers());
+  const Matrix actual = adapted.value().slice_sums[0].ToDense();
+  ASSERT_EQ(expected.rows(), actual.rows());
+  ASSERT_EQ(expected.cols(), actual.cols());
+  for (std::size_t i = 0; i < expected.data().size(); ++i) {
+    ASSERT_EQ(expected.data()[i], actual.data()[i]) << "flat index " << i;
+  }
+}
+
+TEST(AdaptDomainsOracleTest, SeedFortyTwoBundleMatchesDenseProjection) {
+  auto gen = GenerateAligned(DefaultExperimentConfig(42));
+  ASSERT_TRUE(gen.ok());
+  const AlignedNetworks& networks = gen.value().networks;
+  ExpectAdaptMatchesDenseOracle(
+      networks, SocialGraph::FromHeterogeneousNetwork(networks.target()));
+}
+
+TEST(AdaptDomainsOracleTest, ClusterBundleWithUnanchoredSourceUsers) {
+  auto gen = GenerateAligned(DefaultExperimentConfig(42));
+  ASSERT_TRUE(gen.ok());
+  const AlignedNetworks& networks = gen.value().networks;
+  const SocialGraph structure =
+      SocialGraph::FromHeterogeneousNetwork(networks.target());
+  std::vector<std::size_t> members;
+  for (std::size_t u = 0; u < 150; ++u) members.push_back(u);
+  auto cluster = ExtractClusterBundle(networks, structure, members);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  const AlignedNetworks& sub = cluster.value().networks;
+  // The sub-source holds the anchored partners plus their friends, so
+  // some source users have no anchor into the cluster.
+  ASSERT_GT(sub.source(0).NumUsers(), sub.anchors(0).size());
+  ExpectAdaptMatchesDenseOracle(sub, cluster.value().structure);
 }
 
 }  // namespace

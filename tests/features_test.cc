@@ -2,6 +2,7 @@
 // tensor builder.
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,9 @@
 #include "features/feature_tensor.h"
 #include "features/structural_features.h"
 #include "graph/social_graph.h"
+#include "linalg/sparse_tensor3.h"
+#include "linalg/tensor3.h"
+#include "util/binary_io.h"
 
 namespace slampred {
 namespace {
@@ -205,6 +209,133 @@ TEST(FeatureTensorTest, TrainingGraphControlsStructuralFeatures) {
   // Word-similarity slice (index 6) identical; CN slice (index 0) not.
   EXPECT_EQ(on_full.Slice(6), on_train.Slice(6));
   EXPECT_FALSE(on_full.Slice(0) == on_train.Slice(0));
+}
+
+// --- The preferential-attachment degree slice -------------------------
+//
+// The sparse feature build keeps PA as its degree vector. Its oracle is
+// the dense path: PreferentialAttachmentMap, Tensor3 min-max, then √.
+
+std::vector<double> Degrees(const SocialGraph& g) {
+  std::vector<double> x(g.num_users());
+  for (std::size_t u = 0; u < x.size(); ++u) {
+    x[u] = static_cast<double>(g.Degree(u));
+  }
+  return x;
+}
+
+// Normalises and square-roots both forms, then requires At, Fiber, the
+// row visitor, Slice, ToDense and MaxAbs to read the oracle bit for bit.
+void ExpectDegreeSliceMatchesOracle(const SocialGraph& g) {
+  const std::size_t n = g.num_users();
+  Tensor3 oracle(1, n, n);
+  oracle.SetSlice(0, PreferentialAttachmentMap(g));
+  oracle.NormalizeSlicesMinMax();
+  for (double& v : oracle.data()) v = std::sqrt(v);
+
+  SparseTensor3 tensor(1, n, n);
+  tensor.SetDegreeSlice(0, Degrees(g));
+  tensor.NormalizeSlicesMinMax();
+  tensor.ApplySqrt();
+
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> row(n, 0.0);
+    std::size_t last = 0;
+    bool first = true;
+    tensor.ForEachInRow(0, i, [&](std::size_t j, double v) {
+      EXPECT_TRUE(first || j > last) << "row " << i << " not ascending";
+      EXPECT_NE(v, 0.0) << "visited a zero at (" << i << ", " << j << ")";
+      first = false;
+      last = j;
+      row[j] = v;
+    });
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(oracle(0, i, j), tensor.At(0, i, j)) << i << "," << j;
+      ASSERT_EQ(oracle(0, i, j), tensor.Fiber(i, j)[0]) << i << "," << j;
+      ASSERT_EQ(oracle(0, i, j), row[j]) << i << "," << j;
+    }
+  }
+  const Tensor3 dense = tensor.ToDense();
+  for (std::size_t f = 0; f < dense.data().size(); ++f) {
+    ASSERT_EQ(oracle.data()[f], dense.data()[f]) << "flat index " << f;
+  }
+  EXPECT_EQ(tensor.Slice(0), oracle.Slice(0));
+  EXPECT_EQ(tensor.MaxAbs(), oracle.MaxAbs());
+  EXPECT_EQ(tensor.TotalNnz(), 0u) << "a degree slice stores no entries";
+}
+
+TEST(DegreeSliceTest, MatchesDenseMapWithIsolatedUsers) {
+  SocialGraph g = FixtureGraph();  // User 4 is isolated.
+  SparseTensor3 tensor(1, 5, 5);
+  tensor.SetDegreeSlice(0, Degrees(g));
+  EXPECT_TRUE(tensor.IsDegreeSlice(0));
+  EXPECT_EQ(tensor.EstimatedBytes(), 5 * sizeof(double));
+  tensor.NormalizeSlicesMinMax();
+  EXPECT_TRUE(tensor.IsDegreeSlice(0)) << "normalising keeps the form";
+  ExpectDegreeSliceMatchesOracle(g);
+}
+
+TEST(DegreeSliceTest, TiedTopDegrees) {
+  // Users 1 and 2 share the top degree 3; the top product is 3·3.
+  ExpectDegreeSliceMatchesOracle(FixtureGraph());
+  SocialGraph g(6);
+  g.AddEdge(0, 1);
+  g.AddEdge(0, 2);
+  g.AddEdge(0, 3);
+  g.AddEdge(4, 1);
+  g.AddEdge(4, 2);
+  g.AddEdge(4, 3);
+  ExpectDegreeSliceMatchesOracle(g);  // 0 and 4 tie at degree 3.
+}
+
+TEST(DegreeSliceTest, FewerThanTwoActiveUsersIsAnEmptySlice) {
+  ExpectDegreeSliceMatchesOracle(SocialGraph(4));  // No edges at all.
+  // One nonzero x: no off-diagonal product is nonzero either.
+  SparseTensor3 tensor(1, 3, 3);
+  tensor.SetDegreeSlice(0, {0.0, 5.0, 0.0});
+  EXPECT_EQ(tensor.MaxAbs(), 0.0);
+  tensor.NormalizeSlicesMinMax();
+  EXPECT_FALSE(tensor.IsDegreeSlice(0)) << "a constant slice empties";
+  EXPECT_EQ(tensor.Slice(0), Matrix(3, 3));
+}
+
+TEST(DegreeSliceTest, FeatureTensorKeepsPreferentialAttachmentAsDegrees) {
+  const SocialGraph g = FixtureGraph();
+  HeterogeneousNetwork net("fixture");
+  net.AddNodes(NodeType::kUser, g.num_users());
+  FeatureTensorOptions options;
+  options.word_similarity = false;
+  options.location_similarity = false;
+  options.time_similarity = false;
+  const SparseTensor3 sparse = BuildSparseFeatureTensor(net, g, options);
+  const Tensor3 dense = BuildFeatureTensor(net, g, options);
+  ASSERT_EQ(FeatureNames(options)[4], "preferential_attachment");
+  EXPECT_TRUE(sparse.IsDegreeSlice(4));
+  const Tensor3 round_trip = sparse.ToDense();
+  for (std::size_t f = 0; f < dense.data().size(); ++f) {
+    ASSERT_EQ(dense.data()[f], round_trip.data()[f]) << "flat index " << f;
+  }
+}
+
+TEST(DegreeSliceTest, SerializeWritesTheEntriesAsCsr) {
+  const SocialGraph g = FixtureGraph();
+  SparseTensor3 tensor(2, 5, 5);
+  tensor.SetSlice(0, CommonNeighborsCsr(g));
+  tensor.SetDegreeSlice(1, Degrees(g));
+  tensor.NormalizeSlicesMinMax();
+  tensor.ApplySqrt();
+  BinaryWriter writer;
+  tensor.Serialize(writer);
+  BinaryReader reader(writer.buffer());
+  auto back = SparseTensor3::Deserialize(reader);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  // The codec knows one slice form: the degree slice reads back as the
+  // CSR of its entries, stored and counted as such.
+  EXPECT_FALSE(back.value().IsDegreeSlice(1));
+  EXPECT_EQ(back.value().TotalNnz(), tensor.TotalNnz() + 4 * 3);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(back.value().Slice(k), tensor.Slice(k)) << "slice " << k;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the text serialisation of networks and anchor links.
 
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -227,6 +228,95 @@ TEST(GraphIoTest, AnchorsFileRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded.value().Contains(1, 2));
   std::remove(path.c_str());
+}
+
+// --- Numbers that overflow and counts the parser must not allocate ----
+//
+// Only the cap + 1 and 20-digit values appear below: a count that is
+// accepted really allocates (and under ASan an oversized allocation
+// aborts instead of throwing).
+
+constexpr const char* kTwoToThe64 = "18446744073709551616";  // 20 digits.
+
+// Requires the strict parse to fail naming `line`, and the lenient one
+// to skip exactly one record.
+template <typename Parse>
+void ExpectRejectedAtLine(const std::string& text, std::size_t line,
+                          Parse parse) {
+  auto strict = parse(text, ParseOptions{}, nullptr);
+  ASSERT_FALSE(strict.ok()) << text;
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(strict.status().message().find("line " + std::to_string(line)),
+            std::string::npos)
+      << strict.status().ToString();
+  ParseStats stats;
+  auto lenient = parse(text, ParseOptions{ParsePolicy::kLenient}, &stats);
+  ASSERT_TRUE(lenient.ok()) << lenient.status().ToString();
+  EXPECT_EQ(stats.lines_skipped, 1u) << text;
+}
+
+auto ParseNetworkFn = [](const std::string& text, const ParseOptions& options,
+                         ParseStats* stats) {
+  return ParseNetwork(text, options, stats);
+};
+auto ParseAnchorsFn = [](const std::string& text, const ParseOptions& options,
+                         ParseStats* stats) {
+  return ParseAnchors(text, options, stats);
+};
+
+TEST(GraphIoTest, OverflowingEndpointIsRejectedNotWrapped) {
+  // 2^64 used to wrap to 0, so the file's own (0, 46) then read as a
+  // duplicate of the bad line.
+  const std::string text = std::string("nodes user 50\nedge friend ") +
+                           kTwoToThe64 + " 46\nedge friend 0 46\n";
+  ExpectRejectedAtLine(text, 2, ParseNetworkFn);
+  ParseStats stats;
+  auto lenient =
+      ParseNetwork(text, ParseOptions{ParsePolicy::kLenient}, &stats);
+  ASSERT_TRUE(lenient.ok());
+  EXPECT_EQ(stats.duplicate_edges, 0u);
+  EXPECT_TRUE(lenient.value().HasEdge(EdgeType::kFriend, 0, 46));
+  EXPECT_EQ(lenient.value().NumEdges(EdgeType::kFriend), 1u);
+  ExpectRejectedAtLine("nodes user 50\nedge friend 1 99999999999999999999\n",
+                       2, ParseNetworkFn);
+}
+
+TEST(GraphIoTest, NodeCountsAreCapped) {
+  const std::string over = std::to_string(kMaxParsedCount + 1);
+  ExpectRejectedAtLine("nodes user " + over + "\n", 1, ParseNetworkFn);
+  ExpectRejectedAtLine(std::string("nodes word ") + kTwoToThe64 + "\n", 1,
+                       ParseNetworkFn);
+  // Each line under the cap, the running total over it: the second line
+  // fails before anything is allocated for it.
+  const std::string rest = std::to_string(kMaxParsedCount - 9);
+  ExpectRejectedAtLine("nodes user 10\nnodes user " + rest + "\n", 2,
+                       ParseNetworkFn);
+  ParseStats stats;
+  auto lenient = ParseNetwork("nodes user 10\nnodes user " + rest +
+                                  "\nnodes user 5\nnodes post 3\n",
+                              ParseOptions{ParsePolicy::kLenient}, &stats);
+  ASSERT_TRUE(lenient.ok());
+  EXPECT_EQ(lenient.value().NumNodes(NodeType::kUser), 15u);
+  EXPECT_EQ(lenient.value().NumNodes(NodeType::kPost), 3u);
+}
+
+TEST(GraphIoTest, AnchorCountsAreCapped) {
+  const std::string over = std::to_string(kMaxParsedCount + 1);
+  ExpectRejectedAtLine("anchors 4 4\nanchors " + over + " 5\n", 2,
+                       ParseAnchorsFn);
+  ExpectRejectedAtLine("anchors 4 4\nanchors 5 " + over + "\n", 2,
+                       ParseAnchorsFn);
+  ExpectRejectedAtLine(
+      std::string("anchors 4 4\nanchors ") + kTwoToThe64 + " 5\n", 2,
+      ParseAnchorsFn);
+  ExpectRejectedAtLine(
+      std::string("anchors 4 4\nanchor 1 ") + kTwoToThe64 + "\n", 2,
+      ParseAnchorsFn);
+  // Without a valid header nothing was allocated and the strict error
+  // names the line.
+  auto strict = ParseAnchors("anchors " + over + " 5\nanchor 0 0\n");
+  ASSERT_FALSE(strict.ok());
+  EXPECT_NE(strict.status().message().find("line 1"), std::string::npos);
 }
 
 }  // namespace

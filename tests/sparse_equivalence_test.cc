@@ -118,8 +118,6 @@ TEST(SparseEquivalenceTest, StructuralBuildersMatchDense) {
     ExpectBitEqual(AdamicAdarMap(g), AdamicAdarCsr(g).ToDense(), threads);
     ExpectBitEqual(ResourceAllocationMap(g),
                    ResourceAllocationCsr(g).ToDense(), threads);
-    ExpectBitEqual(PreferentialAttachmentMap(g),
-                   PreferentialAttachmentCsr(g).ToDense(), threads);
     ExpectBitEqual(TruncatedKatzMap(g), TruncatedKatzCsr(g).ToDense(),
                    threads);
   });
@@ -274,6 +272,88 @@ TEST(SparseEquivalenceTest, PredictorMatchesDenseObjective) {
     ASSERT_TRUE(sparse_s.ok());
     ExpectBitEqual(dense_s.value(), sparse_s.value(), threads);
   });
+}
+
+// The AddScaled chain BuildIntimacyGradientCsr replaced: the target
+// slices summed by sorted row merges, scaled once, then g + α_k·s_k per
+// source — every intermediate a whole-matrix CSR with exact zeros
+// dropped.
+CsrMatrix AddScaledChain(const SparseTensor3& target, double target_weight,
+                         const std::vector<CsrMatrix>& sources,
+                         const std::vector<double>& weights) {
+  const std::size_t n = target.dim1();
+  CsrMatrix g = CsrMatrix::FromTriplets(n, n, {});
+  if (target_weight != 0.0 && !target.empty()) {
+    CsrMatrix sum = CsrMatrix::FromDense(target.Slice(0));
+    for (std::size_t c = 1; c < target.dim0(); ++c) {
+      sum = sum.AddScaled(CsrMatrix::FromDense(target.Slice(c)), 1.0);
+    }
+    g = g.AddScaled(sum, target_weight);
+  }
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    if (weights[k] != 0.0) g = g.AddScaled(sources[k], weights[k]);
+  }
+  return g;
+}
+
+TEST(SparseEquivalenceTest, IntimacyGradientRowPassMatchesAddScaledChain) {
+  // Three mixed-sign CSR slices and a degree slice; row 0 is built so
+  // its entries cancel to exact zeros: (0,1) inside the target sum,
+  // (0,2) between the scaled target and the source. n is large enough
+  // for the row pass to split into several chunks.
+  constexpr std::size_t n = 300;
+  Tensor3 t(3, n, n);
+  Rng rng(29);
+  for (std::size_t i = 1; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.NextDouble() < 0.15) {
+        t(rng.NextBounded(3), i, j) = rng.NextGaussian();
+      }
+    }
+  }
+  t(0, 0, 1) = 0.5;
+  t(1, 0, 1) = -0.5;
+  t(0, 0, 2) = 0.5;
+  const SparseTensor3 csr_only = SparseTensor3::FromDense(t);
+  SparseTensor3 target(4, n, n);
+  for (std::size_t c = 0; c < 3; ++c) {
+    target.SetSlice(c, CsrMatrix::FromDense(t.Slice(c)));
+  }
+  std::vector<double> degrees(n, 0.0);  // x_0 = 0 keeps row 0 intact.
+  for (std::size_t u = 1; u < n; ++u) {
+    degrees[u] = static_cast<double>(rng.NextBounded(4));
+  }
+  target.SetDegreeSlice(3, degrees);
+
+  Matrix source = SparseRandom(n, n, 31, 0.3);
+  source(0, 1) = 0.75;
+  source(0, 2) = -0.25;  // 1.0 · 0.5 + 2.0 · (−0.25) = 0.
+  const std::vector<CsrMatrix> sources = {CsrMatrix::FromDense(source),
+                                          CsrMatrix::FromDense(t.Slice(2))};
+  const std::vector<double> weights = {2.0, 0.0};
+  const double target_weight = 1.0;
+  for (const SparseTensor3* tensor :
+       std::vector<const SparseTensor3*>{&csr_only, &target}) {
+    const CsrMatrix expected =
+        AddScaledChain(*tensor, target_weight, sources, weights);
+    ForEachThreadCount([&](std::size_t threads) {
+      const CsrMatrix g = BuildIntimacyGradientCsr(*tensor, target_weight,
+                                                   sources, weights);
+      ASSERT_EQ(expected.row_ptr(), g.row_ptr()) << threads << " threads";
+      ASSERT_EQ(expected.col_idx(), g.col_idx()) << threads << " threads";
+      ASSERT_EQ(expected.values().size(), g.values().size());
+      for (std::size_t p = 0; p < g.values().size(); ++p) {
+        ASSERT_EQ(expected.values()[p], g.values()[p])
+            << "entry " << p << " at " << threads << " threads";
+      }
+      // (0,1) cancelled inside the target sum, so only the source's
+      // term is left; (0,2) cancelled in G and is dropped, not stored.
+      EXPECT_EQ(g.At(0, 1), 2.0 * 0.75);
+      for (std::size_t p = g.row_ptr()[0]; p < g.row_ptr()[1]; ++p) {
+        EXPECT_NE(g.col_idx()[p], 2u);
+      }
+    });
+  }
 }
 
 }  // namespace
