@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -21,6 +22,9 @@
 #include "core/model_artifact.h"
 #include "core/scoring_session.h"
 #include "datagen/aligned_generator.h"
+#include "embedding/indicator_matrices.h"
+#include "embedding/link_instance.h"
+#include "embedding/projection_solver.h"
 #include "eval/metrics.h"
 #include "linalg/quantized_matrix.h"
 #include "serve/artifact_quantizer.h"
@@ -324,6 +328,70 @@ BENCHMARK(BM_FeatureEmbedding)
       SizeThreadGrid(b, {1000, 3000});
     })
     ->Unit(benchmark::kMillisecond);
+
+// One Theorem-1 solve on the seed-42 bundle's default instance sample
+// (target on its full graph): the aligned indicator W_A, the label
+// sandwiches Z·L·Zᵀ and the generalized eigenproblem — what every fit
+// (and every cluster of a partitioned one) pays once. The tensors and
+// the sample are built outside the timed loop; the sample is
+// standardised per network as the adapter does, so few features are
+// exact zeros. Serial code: no threads axis.
+void BM_SolveProjections(benchmark::State& state) {
+  auto generated = GenerateAligned(DefaultExperimentConfig(42));
+  if (!generated.ok()) {
+    state.SkipWithError(generated.status().ToString().c_str());
+    return;
+  }
+  const AlignedNetworks& networks = generated.value().networks;
+  const SocialGraph structure =
+      SocialGraph::FromHeterogeneousNetwork(networks.target());
+  const std::vector<SparseTensor3> tensors = {
+      BuildSparseFeatureTensor(networks.target(), structure),
+      BuildSparseFeatureTensor(
+          networks.source(0),
+          SocialGraph::FromHeterogeneousNetwork(networks.source(0)))};
+  Rng rng(42);
+  auto sampled = SampleLinkInstances(networks, structure, tensors,
+                                     InstanceSampleOptions{}, rng);
+  if (!sampled.ok()) {
+    state.SkipWithError(sampled.status().ToString().c_str());
+    return;
+  }
+  InstanceSample& sample = sampled.value();
+  for (std::size_t k = 0; k < sample.num_networks(); ++k) {
+    const std::size_t begin = sample.network_offsets[k];
+    const std::size_t end = sample.network_offsets[k + 1];
+    for (std::size_t d = 0; d < sample.feature_dims[k]; ++d) {
+      double mean = 0.0;
+      double sq = 0.0;
+      for (std::size_t i = begin; i < end; ++i) {
+        mean += sample.instances[i].features[d];
+      }
+      mean /= static_cast<double>(end - begin);
+      for (std::size_t i = begin; i < end; ++i) {
+        const double diff = sample.instances[i].features[d] - mean;
+        sq += diff * diff;
+      }
+      const double std = std::sqrt(sq / static_cast<double>(end - begin));
+      for (std::size_t i = begin; i < end; ++i) {
+        double& x = sample.instances[i].features[d];
+        x = std > 1e-12 ? (x - mean) / std : 0.0;
+      }
+    }
+  }
+  const std::vector<const AnchorLinks*> anchors = {&networks.anchors(0)};
+  for (auto _ : state) {
+    auto projections = SolveProjections(
+        sample, BuildAlignedIndicator(sample, anchors), ProjectionOptions{});
+    if (!projections.ok()) {
+      state.SkipWithError(projections.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(projections);
+  }
+  state.counters["instances"] = static_cast<double>(sample.total());
+}
+BENCHMARK(BM_SolveProjections)->Unit(benchmark::kMillisecond);
 
 // Objective data terms (loss + γ‖S‖₁ + the intimacy sweep) with τ = 0 so
 // the dense-SVD nuclear norm — identical in both variants — does not

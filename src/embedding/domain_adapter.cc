@@ -233,11 +233,8 @@ Result<AdaptedFeatures> AdaptDomains(
   for (std::size_t k = 0; k < networks.num_sources(); ++k) {
     anchors.push_back(&networks.anchors(k));
   }
-  const CsrMatrix w_a = BuildAlignedIndicator(sample, anchors);
-  const CsrMatrix w_s = BuildSimilarIndicator(sample);
-  const CsrMatrix w_d = BuildDissimilarIndicator(sample);
-
-  auto proj = SolveProjections(sample, w_a, w_s, w_d, options.projection);
+  auto proj = SolveProjections(sample, BuildAlignedIndicator(sample, anchors),
+                               options.projection);
   if (!proj.ok()) return proj.status();
 
   AdaptedFeatures out;

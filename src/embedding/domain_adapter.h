@@ -1,19 +1,20 @@
 // End-to-end domain adaptation (Section III-C): samples link instances,
-// builds the W_A / W_S / W_D indicators, solves Theorem 1 for the
-// per-network projections F^k, and produces each source's adapted
-// features X̂^k. The target's instances take part in learning the
-// projections, but its own tensor is never projected — the fit pipeline
-// reads it raw (DESIGN.md §5, deviation 5). The solve reads a source
-// only through Σ_c X̂^k(c,:,:), its term of the CCCP gradient G, so that
-// sum is all the adapter returns: one n_t x n_t CSR per source, built
-// row by row in *target* user coordinates through the anchor links. A
-// source pair only contributes where both endpoints are anchored, which
-// is exactly how the anchor-sampling ratio modulates how much
-// transferred signal SLAMPRED sees. The c x n_s x n_s projection is
-// never built: one parallel pass over the source rows finds each latent
-// slice's min-max range, and the re-index projects the anchored rows at
-// the anchored columns only, so the adapter's transients are O(n_s·d)
-// per row besides its output.
+// builds the aligned indicator W_A, solves Theorem 1 (W_S and W_D read
+// from the existence labels) for the per-network projections F^k, and
+// produces each source's adapted features X̂^k. The target's instances
+// take part in learning the projections, but its own tensor is never
+// projected — the fit pipeline reads it raw (DESIGN.md §5, deviation
+// 5). The solve reads a source only through Σ_c X̂^k(c,:,:), its term
+// of the CCCP gradient G, so that sum is all the adapter returns: one
+// n_t x n_t CSR per source, built row by row in *target* user
+// coordinates through the anchor links. A source pair only contributes
+// where both endpoints are anchored, which is exactly how the
+// anchor-sampling ratio modulates how much transferred signal SLAMPRED
+// sees. The c x n_s x n_s projection is never built: one parallel pass
+// over the source rows finds each latent slice's min-max range, and the
+// re-index projects the anchored rows at the anchored columns only, so
+// the adapter's transients are O(n_s·d) per row besides its output,
+// and Theorem 1's are O(|L|·d) besides the d x d sandwiches.
 
 #ifndef SLAMPRED_EMBEDDING_DOMAIN_ADAPTER_H_
 #define SLAMPRED_EMBEDDING_DOMAIN_ADAPTER_H_

@@ -40,33 +40,4 @@ CsrMatrix BuildAlignedIndicator(
   return CsrMatrix::FromTriplets(total, total, std::move(trips));
 }
 
-namespace {
-
-CsrMatrix BuildLabelIndicator(const InstanceSample& sample, bool same_label) {
-  const std::size_t total = sample.total();
-  std::vector<Triplet> trips;
-  trips.reserve(total * total / 2);
-  for (std::size_t i = 0; i < total; ++i) {
-    for (std::size_t j = i + 1; j < total; ++j) {
-      const bool same =
-          sample.instances[i].exists == sample.instances[j].exists;
-      if (same == same_label) {
-        trips.push_back({i, j, 1.0});
-        trips.push_back({j, i, 1.0});
-      }
-    }
-  }
-  return CsrMatrix::FromTriplets(total, total, std::move(trips));
-}
-
-}  // namespace
-
-CsrMatrix BuildSimilarIndicator(const InstanceSample& sample) {
-  return BuildLabelIndicator(sample, /*same_label=*/true);
-}
-
-CsrMatrix BuildDissimilarIndicator(const InstanceSample& sample) {
-  return BuildLabelIndicator(sample, /*same_label=*/false);
-}
-
 }  // namespace slampred

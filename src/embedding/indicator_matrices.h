@@ -1,8 +1,12 @@
-// The joint indicator matrices over sampled link instances
-// (Section III-C): W_A marks aligned social links (Definition 4), W_S
-// marks instance pairs sharing a link-existence label, and W_D marks
-// pairs with different labels. All are symmetric CSR matrices over the
-// concatenated instance index space.
+// The aligned-social-link indicator W_A over sampled link instances
+// (Section III-C, Definition 4), a symmetric CSR matrix over the
+// concatenated instance index space with at most two entries per
+// mirrored instance pair. It is the only indicator Theorem 1 stores:
+// the label indicators W_S (pairs sharing a link-existence label) and
+// W_D (pairs with different labels) are 1_P·1_Pᵀ + 1_N·1_Nᵀ − I and
+// 1_P·1_Nᵀ + 1_N·1_Pᵀ in the positive / negative class indicators, so
+// their sandwiches are read from the labels (embedding/laplacian.h)
+// and never built.
 
 #ifndef SLAMPRED_EMBEDDING_INDICATOR_MATRICES_H_
 #define SLAMPRED_EMBEDDING_INDICATOR_MATRICES_H_
@@ -22,15 +26,6 @@ namespace slampred {
 /// zero diagonal blocks.
 CsrMatrix BuildAlignedIndicator(const InstanceSample& sample,
                                 const std::vector<const AnchorLinks*>& anchors);
-
-/// Builds the similar-label indicator W_S: entry (i, j) = 1 iff i ≠ j
-/// and the instances share the same existence label, across all network
-/// pairs (including within a network).
-CsrMatrix BuildSimilarIndicator(const InstanceSample& sample);
-
-/// Builds the dissimilar-label indicator W_D: entry (i, j) = 1 iff the
-/// instances have different existence labels.
-CsrMatrix BuildDissimilarIndicator(const InstanceSample& sample);
 
 }  // namespace slampred
 

@@ -1,49 +1,21 @@
 #include "embedding/projection_solver.h"
 
-#include <cmath>
 #include <numeric>
 
 #include "embedding/laplacian.h"
 #include "linalg/generalized_eigen.h"
-#include "util/logging.h"
 
 namespace slampred {
 
-Matrix BuildBlockDiagonalZ(const InstanceSample& sample) {
-  const std::size_t total_dims =
-      std::accumulate(sample.feature_dims.begin(), sample.feature_dims.end(),
-                      std::size_t{0});
-  Matrix z(total_dims, sample.total());
-
-  std::size_t row_offset = 0;
-  for (std::size_t k = 0; k < sample.num_networks(); ++k) {
-    const std::size_t begin = sample.network_offsets[k];
-    const std::size_t end = sample.network_offsets[k + 1];
-    for (std::size_t i = begin; i < end; ++i) {
-      const Vector& f = sample.instances[i].features;
-      SLAMPRED_CHECK(f.size() == sample.feature_dims[k])
-          << "instance feature length mismatch in network " << k;
-      for (std::size_t r = 0; r < f.size(); ++r) {
-        z(row_offset + r, i) = f[r];
-      }
-    }
-    row_offset += sample.feature_dims[k];
-  }
-  return z;
-}
-
 Result<ProjectionResult> SolveProjections(const InstanceSample& sample,
                                           const CsrMatrix& w_aligned,
-                                          const CsrMatrix& w_similar,
-                                          const CsrMatrix& w_dissimilar,
                                           const ProjectionOptions& options) {
   const std::size_t total = sample.total();
   if (total == 0) {
     return Status::InvalidArgument("empty instance sample");
   }
-  if (w_aligned.rows() != total || w_similar.rows() != total ||
-      w_dissimilar.rows() != total) {
-    return Status::InvalidArgument("indicator matrix order mismatch");
+  if (w_aligned.rows() != total || w_aligned.cols() != total) {
+    return Status::InvalidArgument("aligned indicator order mismatch");
   }
   const std::size_t total_dims =
       std::accumulate(sample.feature_dims.begin(), sample.feature_dims.end(),
@@ -53,35 +25,21 @@ Result<ProjectionResult> SolveProjections(const InstanceSample& sample,
         "latent_dim must be in [1, total feature dims]");
   }
 
-  const Matrix z = BuildBlockDiagonalZ(sample);
-
-  // A = Z(μ L_A + L_S)Zᵀ and B = Z L_D Zᵀ, assembled without forming the
-  // big |L| x |L| Laplacians densely.
-  Matrix a = SandwichLaplacian(z, w_aligned) * options.mu +
-             SandwichLaplacian(z, w_similar);
-  Matrix b = SandwichLaplacian(z, w_dissimilar);
+  // A = Z(μ L_A + L_S)Zᵀ and B = Z L_D Zᵀ, with no |L| x |L| object:
+  // W_S and W_D are read from the existence labels.
+  Matrix a = SandwichLaplacian(sample, w_aligned) * options.mu +
+             SandwichLaplacian(sample, LabelIndicator::kSimilar);
+  Matrix b = SandwichLaplacian(sample, LabelIndicator::kDissimilar);
 
   auto gen = ComputeGeneralizedEigen(a.Symmetrized(), b.Symmetrized());
   if (!gen.ok()) return gen.status();
   const Vector& lambda = gen.value().eigenvalues;
   const Matrix& vecs = gen.value().eigenvectors;
 
-  // Pick the c smallest non-zero eigenvalues (Theorem 1), padding with
+  // The c smallest non-zero eigenvalues (Theorem 1), padded with
   // near-zero ones if the spectrum is too degenerate.
-  double max_abs = 0.0;
-  for (std::size_t i = 0; i < lambda.size(); ++i) {
-    max_abs = std::max(max_abs, std::fabs(lambda[i]));
-  }
-  const double cutoff = 1e-8 * std::max(max_abs, 1e-300);
-  std::vector<std::size_t> chosen;
-  for (std::size_t i = 0; i < lambda.size() &&
-                          chosen.size() < options.latent_dim; ++i) {
-    if (lambda[i] > cutoff) chosen.push_back(i);
-  }
-  for (std::size_t i = 0; i < lambda.size() &&
-                          chosen.size() < options.latent_dim; ++i) {
-    if (lambda[i] <= cutoff) chosen.push_back(i);
-  }
+  const std::vector<std::size_t> chosen =
+      SmallestNonZeroIndices(lambda, options.latent_dim);
 
   Matrix f(total_dims, options.latent_dim);
   ProjectionResult result;

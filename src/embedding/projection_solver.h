@@ -2,7 +2,10 @@
 // projection matrix F is given by the eigenvectors of the generalized
 // problem  Z(μ L_A + L_S) Zᵀ x = λ Z L_D Zᵀ x  belonging to the c
 // smallest non-zero eigenvalues. F splits into one d_k x c projection
-// per network.
+// per network. Both sides are (Σ_k d_k) x (Σ_k d_k) and come straight
+// from the sample (embedding/laplacian.h): W_A is the one stored
+// indicator, W_S and W_D are read from the existence labels, and
+// neither Z nor any |L| x |L| matrix is formed.
 
 #ifndef SLAMPRED_EMBEDDING_PROJECTION_SOLVER_H_
 #define SLAMPRED_EMBEDDING_PROJECTION_SOLVER_H_
@@ -28,18 +31,12 @@ struct ProjectionOptions {
   double mu = 1.0;             ///< Weight of the anchor-alignment cost.
 };
 
-/// Assembles the block-diagonal feature matrix Z (total feature dims x
-/// instances) from the sample: block k holds the feature vectors of
-/// network k's instances as columns, offset to its own feature rows.
-Matrix BuildBlockDiagonalZ(const InstanceSample& sample);
-
-/// Runs Theorem 1. `latent_dim` must not exceed the total feature
-/// dimension; the indicator matrices must be square over the sample's
-/// total instance count.
+/// Runs Theorem 1. `w_aligned` is the aligned indicator W_A
+/// (embedding/indicator_matrices.h), square over the sample's total
+/// instance count; `latent_dim` must not exceed the total feature
+/// dimension.
 Result<ProjectionResult> SolveProjections(const InstanceSample& sample,
                                           const CsrMatrix& w_aligned,
-                                          const CsrMatrix& w_similar,
-                                          const CsrMatrix& w_dissimilar,
                                           const ProjectionOptions& options);
 
 }  // namespace slampred

@@ -1,5 +1,6 @@
 #include "linalg/generalized_eigen.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/cholesky.h"
@@ -54,48 +55,21 @@ Result<GeneralizedEigenResult> ComputeGeneralizedEigen(
   return res;
 }
 
-Result<Matrix> SmallestNonZeroEigenvectors(const Matrix& a, const Matrix& b,
-                                           std::size_t count,
-                                           double zero_tol) {
-  auto gen = ComputeGeneralizedEigen(a, b);
-  if (!gen.ok()) return gen.status();
-  const Vector& lambda = gen.value().eigenvalues;
-  const Matrix& vecs = gen.value().eigenvectors;
-  const std::size_t n = lambda.size();
-  if (count > n) {
-    return Status::InvalidArgument("requested more eigenvectors than order");
-  }
-
+std::vector<std::size_t> SmallestNonZeroIndices(const Vector& lambda,
+                                                std::size_t count) {
   double max_abs = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < lambda.size(); ++i) {
     max_abs = std::max(max_abs, std::fabs(lambda[i]));
   }
-  const double cutoff = zero_tol * std::max(max_abs, 1e-300);
-
-  // Prefer the smallest eigenvalues strictly above the zero cutoff;
-  // pad with near-zero ones if the spectrum does not have enough.
-  std::vector<std::size_t> nonzero;
-  std::vector<std::size_t> zeroish;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (lambda[i] > cutoff) {
-      nonzero.push_back(i);
-    } else {
-      zeroish.push_back(i);
-    }
-  }
+  const double cutoff = 1e-8 * std::max(max_abs, 1e-300);
   std::vector<std::size_t> chosen;
-  for (std::size_t i = 0; i < nonzero.size() && chosen.size() < count; ++i) {
-    chosen.push_back(nonzero[i]);
+  for (std::size_t i = 0; i < lambda.size() && chosen.size() < count; ++i) {
+    if (lambda[i] > cutoff) chosen.push_back(i);
   }
-  for (std::size_t i = zeroish.size(); i > 0 && chosen.size() < count; --i) {
-    chosen.push_back(zeroish[i - 1]);
+  for (std::size_t i = 0; i < lambda.size() && chosen.size() < count; ++i) {
+    if (lambda[i] <= cutoff) chosen.push_back(i);
   }
-
-  Matrix out(vecs.rows(), count);
-  for (std::size_t j = 0; j < chosen.size(); ++j) {
-    out.SetCol(j, vecs.Col(chosen[j]));
-  }
-  return out;
+  return chosen;
 }
 
 }  // namespace slampred

@@ -9,6 +9,8 @@
 #ifndef SLAMPRED_LINALG_GENERALIZED_EIGEN_H_
 #define SLAMPRED_LINALG_GENERALIZED_EIGEN_H_
 
+#include <vector>
+
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "util/status.h"
@@ -39,14 +41,13 @@ Result<GeneralizedEigenResult> ComputeGeneralizedEigen(
     const Matrix& a, const Matrix& b,
     const GeneralizedEigenOptions& options = {});
 
-/// Convenience for Theorem 1: returns the `count` eigenvectors whose
-/// eigenvalues are the smallest ones strictly greater than
-/// `zero_tol * max|λ|` (i.e. "smallest non-zero eigenvalues"). If fewer
-/// than `count` qualify, the result is padded with the smallest
-/// remaining vectors so callers always get `count` columns.
-Result<Matrix> SmallestNonZeroEigenvectors(const Matrix& a, const Matrix& b,
-                                           std::size_t count,
-                                           double zero_tol = 1e-8);
+/// Theorem 1's eigenvector choice over ascending eigenvalues `lambda`:
+/// the indices of the `count` smallest eigenvalues strictly greater than
+/// 1e-8 · max|λ| (the "smallest non-zero" ones), ascending. If fewer
+/// qualify, the near-zero remainder pads the list, also ascending. At
+/// most min(count, |λ|) indices; a NaN eigenvalue is never chosen.
+std::vector<std::size_t> SmallestNonZeroIndices(const Vector& lambda,
+                                                std::size_t count);
 
 }  // namespace slampred
 

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,10 +17,135 @@
 #include "embedding/projection_solver.h"
 #include "features/feature_tensor.h"
 #include "graph/cluster_extract.h"
+#include "linalg/generalized_eigen.h"
 #include "linalg/tensor3.h"
 
 namespace slampred {
 namespace {
+
+// --- Theorem-1 oracles: the stored-indicator path -------------------
+//
+// SolveProjections reads W_S and W_D from the existence labels and each
+// instance's features from its own block of Z. The oracles below are
+// the path it replaced: the dense block-diagonal Z, the label
+// indicators stored as CSR with ~|L|² entries, and the sandwich that
+// walks their stored entries down Z's columns.
+
+// Z (total feature dims x instances): column i holds instance i's
+// features in its own network's rows, exact zeros elsewhere.
+Matrix OracleBlockDiagonalZ(const InstanceSample& sample) {
+  std::size_t total_dims = 0;
+  for (std::size_t dk : sample.feature_dims) total_dims += dk;
+  Matrix z(total_dims, sample.total());
+  std::size_t row_offset = 0;
+  for (std::size_t k = 0; k < sample.num_networks(); ++k) {
+    for (std::size_t i = sample.network_offsets[k];
+         i < sample.network_offsets[k + 1]; ++i) {
+      const Vector& f = sample.instances[i].features;
+      for (std::size_t r = 0; r < f.size(); ++r) {
+        z(row_offset + r, i) = f[r];
+      }
+    }
+    row_offset += sample.feature_dims[k];
+  }
+  return z;
+}
+
+// W_S (same_label) or W_D as a stored CSR: entry (i, j) = 1 for every
+// i ≠ j whose labels agree (W_S) or differ (W_D).
+CsrMatrix OracleLabelIndicator(const InstanceSample& sample,
+                               bool same_label) {
+  const std::size_t total = sample.total();
+  std::vector<Triplet> trips;
+  for (std::size_t i = 0; i < total; ++i) {
+    for (std::size_t j = i + 1; j < total; ++j) {
+      const bool same =
+          sample.instances[i].exists == sample.instances[j].exists;
+      if (same == same_label) {
+        trips.push_back({i, j, 1.0});
+        trips.push_back({j, i, 1.0});
+      }
+    }
+  }
+  return CsrMatrix::FromTriplets(total, total, std::move(trips));
+}
+
+CsrMatrix OracleSimilarIndicator(const InstanceSample& sample) {
+  return OracleLabelIndicator(sample, /*same_label=*/true);
+}
+
+CsrMatrix OracleDissimilarIndicator(const InstanceSample& sample) {
+  return OracleLabelIndicator(sample, /*same_label=*/false);
+}
+
+// Dense Laplacian D − W.
+Matrix OracleDenseLaplacian(const CsrMatrix& w) {
+  Matrix l = w.ToDense() * -1.0;
+  const Vector degrees = w.RowSums();
+  for (std::size_t i = 0; i < w.rows(); ++i) l(i, i) += degrees[i];
+  return l;
+}
+
+// Z L Zᵀ over W's stored entries, reading z(·, i) down Z's columns: the
+// degree terms for ascending i, then the −w_ij terms for ascending
+// (i, j), each skipped when z(a, i)·w is zero.
+Matrix OracleSandwich(const Matrix& z, const CsrMatrix& w) {
+  const std::size_t d = z.rows();
+  Matrix out(d, d);
+  const Vector degrees = w.RowSums();
+  for (std::size_t i = 0; i < z.cols(); ++i) {
+    const double deg = degrees[i];
+    if (deg == 0.0) continue;
+    for (std::size_t a = 0; a < d; ++a) {
+      const double za = z(a, i) * deg;
+      if (za == 0.0) continue;
+      for (std::size_t b = 0; b < d; ++b) out(a, b) += za * z(b, i);
+    }
+  }
+  for (std::size_t i = 0; i < w.rows(); ++i) {
+    for (std::size_t p = w.row_ptr()[i]; p < w.row_ptr()[i + 1]; ++p) {
+      const std::size_t j = w.col_idx()[p];
+      const double wij = w.values()[p];
+      if (wij == 0.0) continue;
+      for (std::size_t a = 0; a < d; ++a) {
+        const double za = z(a, i) * wij;
+        if (za == 0.0) continue;
+        for (std::size_t b = 0; b < d; ++b) out(a, b) -= za * z(b, j);
+      }
+    }
+  }
+  return out;
+}
+
+// Theorem 1 over the stored indicators.
+Result<ProjectionResult> OracleSolveProjections(
+    const InstanceSample& sample, const CsrMatrix& w_aligned,
+    const CsrMatrix& w_similar, const CsrMatrix& w_dissimilar,
+    const ProjectionOptions& options) {
+  const Matrix z = OracleBlockDiagonalZ(sample);
+  const Matrix a = OracleSandwich(z, w_aligned) * options.mu +
+                   OracleSandwich(z, w_similar);
+  const Matrix b = OracleSandwich(z, w_dissimilar);
+  auto gen = ComputeGeneralizedEigen(a.Symmetrized(), b.Symmetrized());
+  if (!gen.ok()) return gen.status();
+  const Vector& lambda = gen.value().eigenvalues;
+  const std::vector<std::size_t> chosen =
+      SmallestNonZeroIndices(lambda, options.latent_dim);
+  Matrix f(z.rows(), options.latent_dim);
+  ProjectionResult result;
+  result.eigenvalues = Vector(options.latent_dim);
+  for (std::size_t c = 0; c < chosen.size(); ++c) {
+    f.SetCol(c, gen.value().eigenvectors.Col(chosen[c]));
+    result.eigenvalues[c] = lambda[chosen[c]];
+  }
+  std::size_t row_offset = 0;
+  for (std::size_t k = 0; k < sample.num_networks(); ++k) {
+    result.projections.push_back(
+        f.Block(row_offset, 0, sample.feature_dims[k], options.latent_dim));
+    row_offset += sample.feature_dims[k];
+  }
+  return result;
+}
 
 // Shared small generated bundle for the pipeline tests.
 class EmbeddingPipelineTest : public ::testing::Test {
@@ -124,8 +251,8 @@ TEST_F(EmbeddingPipelineTest, LabelIndicatorsPartitionPairs) {
                                     tensors_, options, rng);
   ASSERT_TRUE(sample.ok());
   const InstanceSample& s = sample.value();
-  const CsrMatrix w_s = BuildSimilarIndicator(s);
-  const CsrMatrix w_d = BuildDissimilarIndicator(s);
+  const CsrMatrix w_s = OracleSimilarIndicator(s);
+  const CsrMatrix w_d = OracleDissimilarIndicator(s);
   const std::size_t total = s.total();
   // Every off-diagonal pair is in exactly one of W_S, W_D.
   EXPECT_EQ(w_s.nnz() + w_d.nnz(), total * (total - 1));
@@ -142,7 +269,7 @@ TEST_F(EmbeddingPipelineTest, LabelIndicatorsPartitionPairs) {
 TEST(LaplacianTest, RowSumsAreZero) {
   const CsrMatrix w = CsrMatrix::FromTriplets(
       3, 3, {{0, 1, 1.0}, {1, 0, 1.0}, {1, 2, 2.0}, {2, 1, 2.0}});
-  const Matrix l = DenseLaplacian(w);
+  const Matrix l = OracleDenseLaplacian(w);
   for (std::size_t i = 0; i < 3; ++i) {
     double row_sum = 0.0;
     for (std::size_t j = 0; j < 3; ++j) row_sum += l(i, j);
@@ -153,16 +280,45 @@ TEST(LaplacianTest, RowSumsAreZero) {
   EXPECT_DOUBLE_EQ(l(0, 1), -1.0);
 }
 
+// A one-network sample whose instance i has features z(:, i) and label
+// labels[i].
+InstanceSample OneNetworkSample(const Matrix& z,
+                                const std::vector<bool>& labels) {
+  InstanceSample sample;
+  sample.feature_dims = {z.rows()};
+  sample.network_offsets = {0, z.cols()};
+  for (std::size_t i = 0; i < z.cols(); ++i) {
+    sample.instances.push_back({0, i, i + 1, labels[i], z.Col(i)});
+  }
+  return sample;
+}
+
 TEST(LaplacianTest, SandwichMatchesDenseComputation) {
   Rng rng(11);
   const Matrix z = Matrix::RandomGaussian(4, 6, rng);
+  const InstanceSample sample =
+      OneNetworkSample(z, {true, false, false, true, true, false});
   const CsrMatrix w = CsrMatrix::FromTriplets(
       6, 6,
       {{0, 1, 1.0}, {1, 0, 1.0}, {2, 3, 0.5}, {3, 2, 0.5}, {4, 5, 2.0},
        {5, 4, 2.0}});
-  const Matrix direct = z * DenseLaplacian(w) * z.Transposed();
-  const Matrix sandwich = SandwichLaplacian(z, w);
-  EXPECT_LT((direct - sandwich).MaxAbs(), 1e-10);
+  const Matrix direct = z * OracleDenseLaplacian(w) * z.Transposed();
+  EXPECT_LT((direct - SandwichLaplacian(sample, w)).MaxAbs(), 1e-10);
+  // The label sandwiches against the dense Laplacians of the stored
+  // label indicators.
+  const Matrix similar =
+      z * OracleDenseLaplacian(OracleSimilarIndicator(sample)) *
+      z.Transposed();
+  const Matrix dissimilar =
+      z * OracleDenseLaplacian(OracleDissimilarIndicator(sample)) *
+      z.Transposed();
+  EXPECT_LT((similar - SandwichLaplacian(sample, LabelIndicator::kSimilar))
+                .MaxAbs(),
+            1e-10);
+  EXPECT_LT(
+      (dissimilar - SandwichLaplacian(sample, LabelIndicator::kDissimilar))
+          .MaxAbs(),
+      1e-10);
 }
 
 TEST_F(EmbeddingPipelineTest, BlockDiagonalZHasBlockStructure) {
@@ -174,7 +330,7 @@ TEST_F(EmbeddingPipelineTest, BlockDiagonalZHasBlockStructure) {
                                     tensors_, options, rng);
   ASSERT_TRUE(sample.ok());
   const InstanceSample& s = sample.value();
-  const Matrix z = BuildBlockDiagonalZ(s);
+  const Matrix z = OracleBlockDiagonalZ(s);
   EXPECT_EQ(z.rows(), s.feature_dims[0] + s.feature_dims[1]);
   EXPECT_EQ(z.cols(), s.total());
   // Off-block regions are zero: source instances have no target rows.
@@ -192,11 +348,9 @@ TEST_F(EmbeddingPipelineTest, ProjectionSolverProducesRequestedShape) {
   ASSERT_TRUE(sample.ok());
   const CsrMatrix w_a = BuildAlignedIndicator(
       sample.value(), {&generated_->networks.anchors(0)});
-  const CsrMatrix w_s = BuildSimilarIndicator(sample.value());
-  const CsrMatrix w_d = BuildDissimilarIndicator(sample.value());
   ProjectionOptions options;
   options.latent_dim = 4;
-  auto proj = SolveProjections(sample.value(), w_a, w_s, w_d, options);
+  auto proj = SolveProjections(sample.value(), w_a, options);
   ASSERT_TRUE(proj.ok()) << proj.status().ToString();
   ASSERT_EQ(proj.value().projections.size(), 2u);
   EXPECT_EQ(proj.value().projections[0].rows(), tensors_[0].dim0());
@@ -211,17 +365,16 @@ TEST_F(EmbeddingPipelineTest, ProjectionSolverRejectsBadLatentDim) {
   auto sample = SampleLinkInstances(generated_->networks, target_graph_,
                                     tensors_, InstanceSampleOptions{}, rng);
   ASSERT_TRUE(sample.ok());
-  const CsrMatrix w_s = BuildSimilarIndicator(sample.value());
-  const CsrMatrix w_d = BuildDissimilarIndicator(sample.value());
   const CsrMatrix w_a = BuildAlignedIndicator(
       sample.value(), {&generated_->networks.anchors(0)});
   ProjectionOptions options;
   options.latent_dim = 10000;
-  EXPECT_FALSE(
-      SolveProjections(sample.value(), w_a, w_s, w_d, options).ok());
+  EXPECT_FALSE(SolveProjections(sample.value(), w_a, options).ok());
   options.latent_dim = 0;
-  EXPECT_FALSE(
-      SolveProjections(sample.value(), w_a, w_s, w_d, options).ok());
+  EXPECT_FALSE(SolveProjections(sample.value(), w_a, options).ok());
+  // W_A must be square over the sample.
+  options.latent_dim = 4;
+  EXPECT_FALSE(SolveProjections(sample.value(), CsrMatrix(), options).ok());
 }
 
 TEST_F(EmbeddingPipelineTest, AdapterOutputsTargetCoordinates) {
@@ -543,6 +696,202 @@ TEST(AdaptDomainsOracleTest, ClusterBundleWithUnanchoredSourceUsers) {
   // some source users have no anchor into the cluster.
   ASSERT_GT(sub.source(0).NumUsers(), sub.anchors(0).size());
   ExpectAdaptMatchesDenseOracle(sub, cluster.value().structure);
+}
+
+// --- Theorem 1 from the labels against the stored-indicator oracle ---
+
+void ExpectSameBits(const std::vector<double>& expected,
+                    const std::vector<double>& actual,
+                    const std::string& what) {
+  ASSERT_EQ(expected.size(), actual.size()) << what;
+  if (expected.empty()) return;
+  EXPECT_EQ(std::memcmp(expected.data(), actual.data(),
+                        expected.size() * sizeof(double)),
+            0)
+      << what;
+}
+
+void ExpectSameBits(const Matrix& expected, const Matrix& actual,
+                    const std::string& what) {
+  ASSERT_EQ(expected.rows(), actual.rows()) << what;
+  ASSERT_EQ(expected.cols(), actual.cols()) << what;
+  ExpectSameBits(expected.data(), actual.data(), what);
+}
+
+// Theorem 1 on `sample` — the three sandwiches, A and B, and the
+// solve's projections and eigenvalues — against the stored-indicator
+// oracle, bit for bit.
+void ExpectTheoremOneMatchesOracle(const InstanceSample& sample,
+                                   const AlignedNetworks& networks,
+                                   const ProjectionOptions& options) {
+  std::vector<const AnchorLinks*> anchors;
+  for (std::size_t k = 0; k < networks.num_sources(); ++k) {
+    anchors.push_back(&networks.anchors(k));
+  }
+  const CsrMatrix w_a = BuildAlignedIndicator(sample, anchors);
+  const CsrMatrix w_s = OracleSimilarIndicator(sample);
+  const CsrMatrix w_d = OracleDissimilarIndicator(sample);
+  const Matrix z = OracleBlockDiagonalZ(sample);
+  const Matrix aligned = SandwichLaplacian(sample, w_a);
+  const Matrix similar = SandwichLaplacian(sample, LabelIndicator::kSimilar);
+  ExpectSameBits(OracleSandwich(z, w_a), aligned, "Z L_A Z^T");
+  ExpectSameBits(OracleSandwich(z, w_s), similar, "Z L_S Z^T");
+  ExpectSameBits(
+      OracleSandwich(z, w_a) * options.mu + OracleSandwich(z, w_s),
+      aligned * options.mu + similar, "A");
+  ExpectSameBits(OracleSandwich(z, w_d),
+                 SandwichLaplacian(sample, LabelIndicator::kDissimilar), "B");
+
+  auto expected = OracleSolveProjections(sample, w_a, w_s, w_d, options);
+  auto actual = SolveProjections(sample, w_a, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  ASSERT_EQ(expected.value().projections.size(),
+            actual.value().projections.size());
+  for (std::size_t k = 0; k < expected.value().projections.size(); ++k) {
+    ExpectSameBits(expected.value().projections[k],
+                   actual.value().projections[k],
+                   "projection " + std::to_string(k));
+  }
+  ExpectSameBits(expected.value().eigenvalues.data(),
+                 actual.value().eigenvalues.data(), "eigenvalues");
+}
+
+// The sample AdaptDomains draws on `networks` (default sampling, the
+// target on its full graph), with raw features.
+void DrawSample(const AlignedNetworks& networks, InstanceSample* out) {
+  const SocialGraph structure =
+      SocialGraph::FromHeterogeneousNetwork(networks.target());
+  std::vector<SparseTensor3> raw;
+  raw.push_back(BuildSparseFeatureTensor(networks.target(), structure));
+  for (std::size_t k = 0; k < networks.num_sources(); ++k) {
+    raw.push_back(BuildSparseFeatureTensor(
+        networks.source(k),
+        SocialGraph::FromHeterogeneousNetwork(networks.source(k))));
+  }
+  Rng rng(42);
+  auto sample = SampleLinkInstances(networks, structure, raw,
+                                    InstanceSampleOptions{}, rng);
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  *out = std::move(sample).value();
+}
+
+// Standardises every network's features in place with the adapter's
+// scaler, as AdaptDomains does before the solve.
+void Standardise(InstanceSample* sample) {
+  for (std::size_t k = 0; k < sample->num_networks(); ++k) {
+    Vector mean;
+    Vector inv_std;
+    OracleScaler(*sample, k, &mean, &inv_std);
+    for (std::size_t i = sample->network_offsets[k];
+         i < sample->network_offsets[k + 1]; ++i) {
+      Vector& f = sample->instances[i].features;
+      for (std::size_t d = 0; d < f.size(); ++d) {
+        f[d] = (f[d] - mean[d]) * inv_std[d];
+      }
+    }
+  }
+}
+
+// The instances of `sample` that `keep` accepts, network blocks intact.
+template <typename Keep>
+InstanceSample Subsample(const InstanceSample& sample, const Keep& keep) {
+  InstanceSample out;
+  out.feature_dims = sample.feature_dims;
+  out.network_offsets.push_back(0);
+  for (std::size_t k = 0; k < sample.num_networks(); ++k) {
+    for (std::size_t i = sample.network_offsets[k];
+         i < sample.network_offsets[k + 1]; ++i) {
+      if (keep(i)) out.instances.push_back(sample.instances[i]);
+    }
+    out.network_offsets.push_back(out.instances.size());
+  }
+  return out;
+}
+
+TEST(TheoremOneOracleTest, SeedFortyTwoSampleMatchesStoredIndicators) {
+  auto gen = GenerateAligned(DefaultExperimentConfig(42));
+  ASSERT_TRUE(gen.ok());
+  const AlignedNetworks& networks = gen.value().networks;
+  InstanceSample sample;
+  ASSERT_NO_FATAL_FAILURE(DrawSample(networks, &sample));
+  Standardise(&sample);
+  ASSERT_EQ(sample.num_networks(), 2u);
+  ASSERT_GT(OracleSimilarIndicator(sample).nnz(), 0u);
+  ASSERT_GT(OracleDissimilarIndicator(sample).nnz(), 0u);
+  ExpectTheoremOneMatchesOracle(sample, networks, ProjectionOptions{});
+}
+
+TEST(TheoremOneOracleTest, TwoSourceBundleWithThreeBlocks) {
+  AlignedGeneratorConfig config = DefaultExperimentConfig(42);
+  NetworkRealizationConfig extra = config.sources[0];
+  extra.name = "second_source";
+  extra.coverage = 0.7;
+  config.sources.push_back(extra);
+  auto gen = GenerateAligned(config);
+  ASSERT_TRUE(gen.ok());
+  const AlignedNetworks& networks = gen.value().networks;
+  InstanceSample sample;
+  ASSERT_NO_FATAL_FAILURE(DrawSample(networks, &sample));
+  Standardise(&sample);
+  ASSERT_EQ(sample.num_networks(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_LT(sample.network_offsets[k], sample.network_offsets[k + 1]) << k;
+  }
+  ProjectionOptions options;
+  options.latent_dim = 7;
+  options.mu = 0.3;
+  ExpectTheoremOneMatchesOracle(sample, networks, options);
+}
+
+TEST(TheoremOneOracleTest, OneClassSampleHasNoDissimilarPairs) {
+  auto gen = GenerateAligned(DefaultExperimentConfig(42));
+  ASSERT_TRUE(gen.ok());
+  const AlignedNetworks& networks = gen.value().networks;
+  InstanceSample drawn;
+  ASSERT_NO_FATAL_FAILURE(DrawSample(networks, &drawn));
+  InstanceSample sample = Subsample(
+      drawn, [&](std::size_t i) { return drawn.instances[i].exists; });
+  Standardise(&sample);
+  ASSERT_GT(sample.total(), 1u);
+  ASSERT_EQ(OracleDissimilarIndicator(sample).nnz(), 0u);
+  ExpectTheoremOneMatchesOracle(sample, networks, ProjectionOptions{});
+}
+
+TEST(TheoremOneOracleTest, OneInstanceSample) {
+  auto gen = GenerateAligned(DefaultExperimentConfig(42));
+  ASSERT_TRUE(gen.ok());
+  const AlignedNetworks& networks = gen.value().networks;
+  InstanceSample drawn;
+  ASSERT_NO_FATAL_FAILURE(DrawSample(networks, &drawn));
+  InstanceSample sample =
+      Subsample(drawn, [](std::size_t i) { return i == 0; });
+  ASSERT_EQ(sample.total(), 1u);
+  ExpectTheoremOneMatchesOracle(sample, networks, ProjectionOptions{});
+}
+
+TEST(TheoremOneOracleTest, ConstantFeatureStandardisesToSignedZeros) {
+  auto gen = GenerateAligned(DefaultExperimentConfig(42));
+  ASSERT_TRUE(gen.ok());
+  const AlignedNetworks& networks = gen.value().networks;
+  InstanceSample sample;
+  ASSERT_NO_FATAL_FAILURE(DrawSample(networks, &sample));
+  // A constant target feature: its mean rounds away from the value, so
+  // its std is ~1e-17, its inv_std 0, and (x − mean)·0 is −0.0 on every
+  // instance.
+  for (std::size_t i = 0; i < sample.network_offsets[1]; ++i) {
+    sample.instances[i].features[2] = 0.1;
+  }
+  Standardise(&sample);
+  std::size_t negative_zeros = 0;
+  for (const LinkInstance& inst : sample.instances) {
+    for (std::size_t d = 0; d < inst.features.size(); ++d) {
+      const double v = inst.features[d];
+      if (v == 0.0 && std::signbit(v)) ++negative_zeros;
+    }
+  }
+  ASSERT_GT(negative_zeros, 0u);
+  ExpectTheoremOneMatchesOracle(sample, networks, ProjectionOptions{});
 }
 
 }  // namespace

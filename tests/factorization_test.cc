@@ -1,6 +1,7 @@
 // Tests for SVD, symmetric eigen, generalized eigen, Cholesky and QR.
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -307,12 +308,34 @@ TEST(GeneralizedEigenTest, SmallestNonZeroSelection) {
   // A diag(0, 1, 10), B = I: smallest non-zero eigenvalue is 1 → the
   // selected eigenvector should be e2 (up to sign).
   const Matrix a = Matrix::Diagonal(Vector{0.0, 1.0, 10.0});
-  auto vecs = SmallestNonZeroEigenvectors(a, Matrix::Identity(3), 1);
-  ASSERT_TRUE(vecs.ok());
-  const Vector v = vecs.value().Col(0);
+  auto gen = ComputeGeneralizedEigen(a, Matrix::Identity(3));
+  ASSERT_TRUE(gen.ok());
+  const std::vector<std::size_t> chosen =
+      SmallestNonZeroIndices(gen.value().eigenvalues, 1);
+  ASSERT_EQ(chosen.size(), 1u);
+  const Vector v = gen.value().eigenvectors.Col(chosen[0]);
   EXPECT_NEAR(std::fabs(v[1]), 1.0, 1e-6);
   EXPECT_NEAR(v[0], 0.0, 1e-6);
   EXPECT_NEAR(v[2], 0.0, 1e-6);
+}
+
+TEST(GeneralizedEigenTest, SmallestNonZeroSelectionPadsAscending) {
+  // Two eigenvalues clear the cutoff 1e-8·max|λ| = 5e-8; the rest
+  // (negative, zero, and 1e-9 below the cutoff) pad in ascending order.
+  const Vector lambda{-3e-9, 0.0, 1e-9, 2.0, 5.0};
+  EXPECT_EQ(SmallestNonZeroIndices(lambda, 1),
+            (std::vector<std::size_t>{3}));
+  EXPECT_EQ(SmallestNonZeroIndices(lambda, 2),
+            (std::vector<std::size_t>{3, 4}));
+  EXPECT_EQ(SmallestNonZeroIndices(lambda, 4),
+            (std::vector<std::size_t>{3, 4, 0, 1}));
+  EXPECT_EQ(SmallestNonZeroIndices(lambda, 5),
+            (std::vector<std::size_t>{3, 4, 0, 1, 2}));
+  // Never more indices than eigenvalues, and an all-zero spectrum is
+  // all padding.
+  EXPECT_EQ(SmallestNonZeroIndices(lambda, 9).size(), 5u);
+  EXPECT_EQ(SmallestNonZeroIndices(Vector{0.0, 0.0}, 2),
+            (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(GeneralizedEigenTest, ShapeMismatchRejected) {
