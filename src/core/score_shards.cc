@@ -219,32 +219,4 @@ Result<std::shared_ptr<const ScoreSource>> ShardedScores::Quantize(
   return std::shared_ptr<const ScoreSource>(std::move(out).value());
 }
 
-Result<std::shared_ptr<const ScoreSource>> ReplaceShard(
-    const ScoreSource& scores, std::size_t index, ModelShard shard) {
-  const auto* sharded = dynamic_cast<const ShardedScores*>(&scores);
-  if (sharded == nullptr) {
-    return Status::FailedPrecondition(
-        "scores are not sharded; only a partitioned model has shards to "
-        "replace");
-  }
-  if (index >= sharded->num_shards()) {
-    return Status::OutOfRange("shard index " + std::to_string(index) +
-                              " outside [0, " +
-                              std::to_string(sharded->num_shards()) + ")");
-  }
-  SLAMPRED_RETURN_NOT_OK(shard.Validate());
-  if (shard.users != sharded->shards()[index].users) {
-    return Status::InvalidArgument(
-        "replacement for shard " + std::to_string(index) +
-        " covers different users (a shard swap never changes the "
-        "partition)");
-  }
-  std::vector<ModelShard> shards = sharded->shards();
-  shards[index] = std::move(shard);
-  auto out = ShardedScores::Create(std::move(shards), sharded->boundary(),
-                                   sharded->num_users());
-  if (!out.ok()) return out.status();
-  return std::shared_ptr<const ScoreSource>(std::move(out).value());
-}
-
 }  // namespace slampred

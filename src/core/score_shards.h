@@ -84,12 +84,6 @@ class ShardedScores final : public ScoreSource {
   std::shared_ptr<const ScoreSource> boundary_;
 };
 
-/// `scores` with shard `index` replaced by `shard`, which must cover
-/// exactly the same users (hot-swapping a shard never changes the
-/// partition). kFailedPrecondition when `scores` is not sharded.
-Result<std::shared_ptr<const ScoreSource>> ReplaceShard(
-    const ScoreSource& scores, std::size_t index, ModelShard shard);
-
 }  // namespace slampred
 
 #endif  // SLAMPRED_CORE_SCORE_SHARDS_H_

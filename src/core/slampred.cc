@@ -69,9 +69,6 @@ Status SlamPred::Fit(const AlignedNetworks& networks,
   memory_stats_ = context.memory_stats;
   partition_stats_ = context.partition_stats;
   trace_ = std::move(context.trace);
-  // A fitted model never resumes its solve; holding the checkpoint's
-  // copy of a dense S would double the iterate's footprint.
-  trace_.checkpoint = SolverCheckpoint();
   if (!run.ok()) return run;
   scores_ = std::move(context.scores);
   return Status::OK();

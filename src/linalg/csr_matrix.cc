@@ -368,12 +368,6 @@ double CsrMatrix::NormL1() const {
   return sum;
 }
 
-double CsrMatrix::NormFrobenius() const {
-  double sum = 0.0;
-  for (double v : values_) sum += v * v;
-  return std::sqrt(sum);
-}
-
 double CsrMatrix::MaxAbs() const {
   double best = 0.0;
   for (double v : values_) best = std::max(best, std::fabs(v));

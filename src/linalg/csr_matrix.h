@@ -119,9 +119,6 @@ class CsrMatrix {
   /// Σ |v| over stored values (equals the dense ℓ₁ norm).
   double NormL1() const;
 
-  /// √(Σ v²) over stored values (equals the dense Frobenius norm).
-  double NormFrobenius() const;
-
   /// Largest |v| over stored values (0 for an empty matrix).
   double MaxAbs() const;
 

@@ -5,11 +5,8 @@
 #include <utility>
 
 #include "linalg/matrix_ops.h"
-#include "linalg/qr.h"
-#include "linalg/svd.h"
 #include "util/binary_io.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace slampred {
 
@@ -83,69 +80,6 @@ double FactoredMatrix::DistanceFrobenius(const FactoredMatrix& other) const {
   const double bb = InnerProduct(other, other);
   const double ab = InnerProduct(*this, other);
   return std::sqrt(std::max(0.0, aa - 2.0 * ab + bb));
-}
-
-double FactoredMatrix::InnerProductCsr(const CsrMatrix& a) const {
-  SLAMPRED_CHECK(a.rows() == rows_ && a.cols() == cols_)
-      << "factored/CSR inner product shape mismatch";
-  const std::size_t r = rank();
-  if (r == 0 || a.nnz() == 0) return 0.0;
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-  const auto& values = a.values();
-  const std::size_t avg_nnz = std::max<std::size_t>(1, a.nnz() / rows_);
-  return ParallelReduceSum(
-      0, rows_, GrainForWork(avg_nnz * r),
-      [&](std::size_t row0, std::size_t row1) {
-        double sum = 0.0;
-        for (std::size_t i = row0; i < row1; ++i) {
-          for (std::size_t idx = row_ptr[i]; idx < row_ptr[i + 1]; ++idx) {
-            const std::size_t j = col_idx[idx];
-            double entry = 0.0;
-            for (std::size_t c = 0; c < r; ++c) entry += u_(i, c) * v_(j, c);
-            sum += values[idx] * entry;
-          }
-        }
-        return sum;
-      });
-}
-
-double FactoredMatrix::NormL1() const {
-  const std::size_t r = rank();
-  if (r == 0) return 0.0;
-  return ParallelReduceSum(
-      0, rows_, GrainForWork(cols_ * r),
-      [&](std::size_t row0, std::size_t row1) {
-        double sum = 0.0;
-        for (std::size_t i = row0; i < row1; ++i) {
-          for (std::size_t j = 0; j < cols_; ++j) {
-            double entry = 0.0;
-            for (std::size_t c = 0; c < r; ++c) entry += u_(i, c) * v_(j, c);
-            sum += std::abs(entry);
-          }
-        }
-        return sum;
-      });
-}
-
-Result<Vector> FactoredMatrix::SingularValues() const {
-  const std::size_t r = rank();
-  if (r == 0) return Vector();
-  if (r > rows_ || r > cols_) {
-    // More factor columns than matrix rows: the thin QR route needs
-    // tall factors, so fall back to an SVD of the (small) dense form.
-    auto svd = ComputeSvd(ToDense());
-    if (!svd.ok()) return svd.status();
-    return svd.value().singular_values;
-  }
-  auto qr_u = ComputeQr(u_);
-  if (!qr_u.ok()) return qr_u.status();
-  auto qr_v = ComputeQr(v_);
-  if (!qr_v.ok()) return qr_v.status();
-  // U·Vᵀ = Q_u (R_u R_vᵀ) Q_vᵀ — the r×r core carries the spectrum.
-  auto core_svd = ComputeSvd(MultiplyABt(qr_u.value().r, qr_v.value().r));
-  if (!core_svd.ok()) return core_svd.status();
-  return core_svd.value().singular_values;
 }
 
 std::size_t FactoredMatrix::EstimatedBytes() const {

@@ -20,9 +20,7 @@
 
 #include <cstddef>
 
-#include "linalg/csr_matrix.h"
 #include "linalg/matrix.h"
-#include "linalg/vector.h"
 #include "util/status.h"
 
 namespace slampred {
@@ -78,18 +76,6 @@ class FactoredMatrix {
   /// ‖this − other‖_F via the polarisation identity on Gram inner
   /// products (clamped at 0 against cancellation). Shapes must match.
   double DistanceFrobenius(const FactoredMatrix& other) const;
-
-  /// Σ_{stored (i,j) of a} a_ij · S_ij — the O(nnz·r) contraction the
-  /// factored objective evaluation is built on. Shapes must match.
-  double InnerProductCsr(const CsrMatrix& a) const;
-
-  /// Entry-wise ℓ₁ norm. O(m·n·r) — diagnostics only, never in the
-  /// solve loop.
-  double NormL1() const;
-
-  /// Singular values of U·Vᵀ (descending, length rank()) via thin QR on
-  /// both factors and an SVD of the small r×r core — O((m+n)·r²).
-  Result<Vector> SingularValues() const;
 
   /// Heap bytes of the two factors.
   std::size_t EstimatedBytes() const;

@@ -68,21 +68,6 @@ class DenseStep final : public ForwardBackwardStep<Matrix> {
   Matrix half_;
 };
 
-// Algorithm 1 from `s0`, rounds `first_round` onwards; records the
-// final iterate as the trace's resumable checkpoint.
-Result<Matrix> SolveFrom(const Objective& objective, Matrix s0,
-                         double theta0, int first_round,
-                         const CccpOptions& options, CccpTrace* trace) {
-  DenseStep step(objective, options.inner);
-  auto s = GuardedCccp(step, std::move(s0), theta0, first_round, options,
-                       trace);
-  if (s.ok() && trace != nullptr) {
-    trace->checkpoint = {s.value(), theta0,
-                         first_round + trace->outer_iterations, true};
-  }
-  return s;
-}
-
 }  // namespace
 
 Result<Matrix> GeneralizedForwardBackward(
@@ -99,30 +84,8 @@ Result<Matrix> GeneralizedForwardBackward(
 Result<Matrix> SolveCccp(const Objective& objective,
                          const CccpOptions& options, CccpTrace* trace) {
   // The iterate is dense; densify the CSR adjacency once for S⁰ = Aᵗ.
-  return SolveFrom(objective, objective.a.ToDense(), options.inner.theta, 0,
-                   options, trace);
-}
-
-Result<Matrix> ResumeCccp(const Objective& objective,
-                          const SolverCheckpoint& checkpoint,
-                          const CccpOptions& options, CccpTrace* trace) {
-  if (!checkpoint.valid) {
-    return Status::FailedPrecondition("resume from an invalid checkpoint");
-  }
-  if (checkpoint.s.rows() != objective.a.rows() ||
-      checkpoint.s.cols() != objective.a.cols()) {
-    return Status::FailedPrecondition("checkpoint shape mismatch");
-  }
-  if (checkpoint.outer_round >= options.max_outer_iterations) {
-    // Nothing left to do; the checkpointed iterate is the answer.
-    if (trace != nullptr) {
-      trace->checkpoint = checkpoint;
-      trace->converged = true;
-    }
-    return checkpoint.s;
-  }
-  return SolveFrom(objective, checkpoint.s, checkpoint.theta,
-                   checkpoint.outer_round, options, trace);
+  DenseStep step(objective, options.inner);
+  return GuardedCccp(step, objective.a.ToDense(), options, trace);
 }
 
 }  // namespace slampred

@@ -12,8 +12,8 @@
 // Robustness: the outer loop is the shared guarded CCCP loop of
 // optim/guardrails.h. If the inner loop fails (persistent fault,
 // exhausted recovery budget), the solve backs off the step size and
-// resumes from the last good iterate a bounded number of times before
-// giving up; the final iterate is kept as a resumable SolverCheckpoint.
+// restarts the round from the last good iterate a bounded number of
+// times before giving up.
 
 #ifndef SLAMPRED_OPTIM_CCCP_H_
 #define SLAMPRED_OPTIM_CCCP_H_
@@ -43,7 +43,6 @@ struct CccpTrace {
   int outer_iterations = 0;
   bool converged = false;
   RecoveryStats recovery;         ///< Every guardrail action taken.
-  SolverCheckpoint checkpoint;    ///< Last good state of the solve.
 };
 
 /// Runs Algorithm 1: S is initialised to the observed adjacency A
@@ -52,16 +51,6 @@ struct CccpTrace {
 Result<Matrix> SolveCccp(const Objective& objective,
                          const CccpOptions& options,
                          CccpTrace* trace = nullptr);
-
-/// Resumes a solve from a checkpoint (e.g. CccpTrace::checkpoint taken
-/// before a crash or a recovered fault): starts at the checkpointed
-/// iterate and step size and runs the outer rounds the checkpoint has
-/// not completed yet. Fails with kFailedPrecondition on an invalid
-/// checkpoint.
-Result<Matrix> ResumeCccp(const Objective& objective,
-                          const SolverCheckpoint& checkpoint,
-                          const CccpOptions& options,
-                          CccpTrace* trace = nullptr);
 
 }  // namespace slampred
 

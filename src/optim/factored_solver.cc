@@ -1,9 +1,8 @@
 #include "optim/factored_solver.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
+#include <vector>
 
 #include "linalg/matrix_ops.h"
 #include "linalg/qr.h"
@@ -210,54 +209,6 @@ class FactoredStep final : public ForwardBackwardStep<FactoredMatrix> {
 
 }  // namespace
 
-double FactoredObjectiveValue(const FactoredObjective& objective,
-                              const FactoredMatrix& s,
-                              const std::vector<SparseTensor3>& tensors,
-                              const std::vector<double>& weights) {
-  SLAMPRED_CHECK(tensors.size() == weights.size());
-  SLAMPRED_CHECK(objective.loss == LossKind::kSquaredFrobenius)
-      << "factored objective evaluation needs the squared-Frobenius loss";
-  // ‖S − A‖²_F = ‖S‖²_F − 2⟨S, A⟩ + ‖A‖²_F; every term is O(n·r²) or
-  // O(nnz·r), never O(n²).
-  const double af = objective.a.NormFrobenius();
-  double value =
-      InnerProduct(s, s) - 2.0 * s.InnerProductCsr(objective.a) + af * af;
-
-  const std::size_t r = s.rank();
-  for (std::size_t k = 0; k < tensors.size(); ++k) {
-    if (weights[k] == 0.0 || tensors[k].empty()) continue;
-    const SparseTensor3& tensor = tensors[k];
-    // A row visit costs up to dim2 entries (a degree slice's full row).
-    const std::size_t grain =
-        GrainForWork(tensor.dim2() * std::max<std::size_t>(1, r));
-    double intimacy = 0.0;
-    for (std::size_t c = 0; c < tensor.dim0(); ++c) {
-      intimacy += ParallelReduceSum(
-          0, tensor.dim1(), grain,
-          [&](std::size_t row0, std::size_t row1) {
-            double sum = 0.0;
-            for (std::size_t i = row0; i < row1; ++i) {
-              tensor.ForEachInRow(c, i, [&](std::size_t j, double v) {
-                sum += std::fabs(s.At(i, j) * v);
-              });
-            }
-            return sum;
-          });
-    }
-    value -= weights[k] * intimacy;
-  }
-
-  if (objective.gamma != 0.0) value += objective.gamma * s.NormL1();
-  if (objective.tau == 0.0) return value;
-  auto spectrum = s.SingularValues();
-  if (!spectrum.ok()) return std::numeric_limits<double>::quiet_NaN();
-  double nuclear = 0.0;
-  for (std::size_t i = 0; i < spectrum.value().size(); ++i) {
-    nuclear += spectrum.value()[i];
-  }
-  return value + objective.tau * nuclear;
-}
-
 Result<FactoredMatrix> GuardedFactoredProxNuclear(
     const Matrix& q, const Matrix& b, double threshold,
     const GuardrailOptions& guardrails, RecoveryStats* stats) {
@@ -334,8 +285,7 @@ Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,
   auto init = FactoredApproximation(objective.a, factored);
   if (!init.ok()) return init.status();
   FactoredStep step(objective, options.inner, factored, Matrix());
-  return GuardedCccp(step, std::move(init).value(), options.inner.theta, 0,
-                     options, trace);
+  return GuardedCccp(step, std::move(init).value(), options, trace);
 }
 
 }  // namespace slampred

@@ -32,11 +32,9 @@
 #define SLAMPRED_OPTIM_FACTORED_SOLVER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "linalg/csr_matrix.h"
 #include "linalg/factored_matrix.h"
-#include "linalg/sparse_tensor3.h"
 #include "optim/cccp.h"
 #include "optim/forward_backward.h"
 #include "optim/guardrails.h"
@@ -56,18 +54,6 @@ struct FactoredObjective {
   double tau = 0.0;
   LossKind loss = LossKind::kSquaredFrobenius;
 };
-
-/// Full objective value u(S) − v(S) evaluated against the factored S
-/// without densifying: the loss via ‖S‖²_F − 2⟨S,A⟩ + ‖A‖²_F (Gram +
-/// stored-entry sweeps), the intimacy term over stored entries, the
-/// nuclear term via the factored spectrum. The γ‖S‖₁ term costs
-/// O(n²·r) — this function is for traces and tests, never the solve
-/// loop. Returns NaN when the spectrum is unobtainable. Squared-hinge
-/// objectives are not supported by the factored backend.
-double FactoredObjectiveValue(const FactoredObjective& objective,
-                              const FactoredMatrix& s,
-                              const std::vector<SparseTensor3>& tensors,
-                              const std::vector<double>& weights);
 
 /// Nuclear-norm prox of the sketched half step S_half ≈ q·bᵀ (q with
 /// orthonormal columns): thin QR on b, SVD of the small core, singular
@@ -103,10 +89,9 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
 /// Algorithm 1 on the factored iterate: S⁰ from FactoredApproximation,
 /// then CCCP outer rounds over the factored inner loop with the
 /// range-finder basis warm-started from round to round (the subspace
-/// reuse path). Runs the shared guarded CCCP loop, so checkpoint
-/// resume works exactly as on the dense path; CccpTrace::checkpoint
-/// stays invalid (it holds a dense iterate) and the trace's *_l1 series
-/// hold Frobenius values in this mode. Fails with kInvalidArgument for
+/// reuse path). Runs the shared guarded CCCP loop, so a failed round
+/// restarts exactly as on the dense path; the trace's *_l1 series hold
+/// Frobenius values in this mode. Fails with kInvalidArgument for
 /// the squared-hinge loss (its gradient is entry-wise nonlinear and has
 /// no low-rank half step).
 Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,

@@ -224,7 +224,6 @@ Result<Iterate> GuardedForwardBackward(ForwardBackwardStep<Iterate>& step,
 
 template <typename Iterate>
 Result<Iterate> GuardedCccp(ForwardBackwardStep<Iterate>& step, Iterate s,
-                            double theta0, int first_round,
                             const CccpOptions& options, CccpTrace* trace) {
   const GuardrailOptions& guard = options.inner.guardrails;
   RecoveryStats local_recovery;
@@ -232,20 +231,19 @@ Result<Iterate> GuardedCccp(ForwardBackwardStep<Iterate>& step, Iterate s,
       trace != nullptr ? &trace->recovery : &local_recovery;
   IterationTrace* inner_trace = trace != nullptr ? &trace->steps : nullptr;
   ForwardBackwardOptions inner_options = options.inner;
-  inner_options.theta = theta0;
 
-  // `s` is the checkpoint: the last good iterate, which each round
-  // starts from and a failed round resumes from.
+  // `s` is the last good iterate, which each round starts from and a
+  // failed round restarts from.
   int resumes = 0;
   bool converged = false;
-  int outer = first_round;
+  int outer = 0;
   while (outer < options.max_outer_iterations && !converged) {
     step.BeginRound(outer);
     Result<Iterate> inner =
         GuardedForwardBackward(step, s, inner_options, inner_trace, recovery);
     if (!inner.ok()) {
       // A failed round (persistent fault, exhausted inner budget)
-      // restarts from the checkpoint with a backed-off step size
+      // restarts from the last good iterate with a backed-off step size
       // instead of abandoning the whole solve.
       if (guard.enabled && resumes < guard.max_checkpoint_resumes &&
           IsRetryable(inner.status().code())) {
@@ -259,7 +257,7 @@ Result<Iterate> GuardedCccp(ForwardBackwardStep<Iterate>& step, Iterate s,
     // The backoff is episodic: a clean round ends the recovery episode,
     // so a transient fault leaves no permanent step-size change (and the
     // solve converges to the same fixed point as a fault-free run).
-    inner_options.theta = theta0;
+    inner_options.theta = options.inner.theta;
 
     const double change = StepChange(inner.value(), s);
     converged =
@@ -269,7 +267,7 @@ Result<Iterate> GuardedCccp(ForwardBackwardStep<Iterate>& step, Iterate s,
     ++outer;
   }
   if (trace != nullptr) {
-    trace->outer_iterations = outer - first_round;
+    trace->outer_iterations = outer;
     trace->converged = converged;
   }
   return s;
@@ -288,10 +286,10 @@ template Result<FactoredMatrix> GuardedForwardBackward<FactoredMatrix>(
     ForwardBackwardStep<FactoredMatrix>&, const FactoredMatrix&,
     const ForwardBackwardOptions&, IterationTrace*, RecoveryStats*);
 template Result<Matrix> GuardedCccp<Matrix>(ForwardBackwardStep<Matrix>&,
-                                            Matrix, double, int,
-                                            const CccpOptions&, CccpTrace*);
+                                            Matrix, const CccpOptions&,
+                                            CccpTrace*);
 template Result<FactoredMatrix> GuardedCccp<FactoredMatrix>(
-    ForwardBackwardStep<FactoredMatrix>&, FactoredMatrix, double, int,
+    ForwardBackwardStep<FactoredMatrix>&, FactoredMatrix,
     const CccpOptions&, CccpTrace*);
 
 }  // namespace slampred

@@ -51,7 +51,7 @@ struct RecoveryStats {
   int prox_rollbacks = 0;      ///< Unrecoverable prox failure → rollback.
   int divergence_backoffs = 0; ///< Diverging change → rollback + θ/2.
   int svd_fallbacks = 0;       ///< Nuclear prox retried on Jacobi SVD.
-  int checkpoint_resumes = 0;  ///< CCCP resumed from a checkpoint.
+  int checkpoint_resumes = 0;  ///< Failed CCCP round or cluster retried.
   int swap_failures = 0;       ///< Rejected model hot-swaps (serving).
   int batch_failures = 0;      ///< Failed batch dispatches (serving).
   int shed = 0;                ///< Requests rejected by admission control.
@@ -88,15 +88,6 @@ struct RecoveryStats {
   std::string ToString() const;
 };
 
-/// Last known-good solver state; enough to resume Algorithm 1 after a
-/// recovered fault.
-struct SolverCheckpoint {
-  Matrix s;              ///< Last good iterate.
-  double theta = 0.0;    ///< Step size in effect when it was taken.
-  int outer_round = 0;   ///< CCCP round that produced it.
-  bool valid = false;    ///< False until the first checkpoint is taken.
-};
-
 /// Guardrail controls shared by the inner and outer loops.
 struct GuardrailOptions {
   /// Master switch. Off restores the exact pre-guardrail behavior
@@ -116,7 +107,8 @@ struct GuardrailOptions {
   /// Bounded retries of the full-Jacobi nuclear-prox fallback; each
   /// retry doubles the sweep budget.
   int max_svd_fallbacks = 2;
-  /// Maximum checkpoint resumes at the CCCP level.
+  /// Maximum restarts of a failed CCCP round from the last good
+  /// iterate.
   int max_checkpoint_resumes = 2;
 };
 
@@ -188,16 +180,15 @@ Result<Iterate> GuardedForwardBackward(ForwardBackwardStep<Iterate>& step,
                                        IterationTrace* trace,
                                        RecoveryStats* recovery);
 
-/// The guarded CCCP outer loop: rounds `first_round` up to
-/// options.max_outer_iterations of GuardedForwardBackward from `s` at
-/// step size `theta0`. A failed round (kNotConverged / kNumericalError)
-/// restarts from the last good iterate with a backed-off θ up to
-/// max_checkpoint_resumes times; a clean round restores `theta0`.
-/// Fills every CccpTrace field except `checkpoint`. Instantiated for
-/// Matrix and FactoredMatrix.
+/// The guarded CCCP outer loop: up to options.max_outer_iterations
+/// rounds of GuardedForwardBackward from `s` at step size
+/// options.inner.theta. A failed round (kNotConverged /
+/// kNumericalError) restarts from the last good iterate with a
+/// backed-off θ up to max_checkpoint_resumes times; a clean round
+/// restores options.inner.theta. Fills every CccpTrace field.
+/// Instantiated for Matrix and FactoredMatrix.
 template <typename Iterate>
 Result<Iterate> GuardedCccp(ForwardBackwardStep<Iterate>& step, Iterate s,
-                            double theta0, int first_round,
                             const CccpOptions& options, CccpTrace* trace);
 
 }  // namespace slampred

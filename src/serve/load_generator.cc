@@ -7,11 +7,12 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "graph/graph_io.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -191,6 +192,10 @@ void DisarmChaosFaults() {
   injector.Disarm("serve.batch");
 }
 
+double MillisecondsSince(Clock::time_point t) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t).count();
+}
+
 double PercentileMs(const std::vector<double>& sorted_ms, double q) {
   if (sorted_ms.empty()) return 0.0;
   const double rank = q * static_cast<double>(sorted_ms.size());
@@ -357,8 +362,22 @@ Result<LoadGeneratorReport> RunLoadGenerator(
   if (options.duration_seconds <= 0.0) {
     return Status::InvalidArgument("duration must be > 0 seconds");
   }
+  if (options.concurrency > kMaxThreads) {
+    return Status::InvalidArgument(
+        "concurrency " + std::to_string(options.concurrency) + " exceeds " +
+        std::to_string(kMaxThreads) + " threads");
+  }
   const std::size_t concurrency = std::max<std::size_t>(
       options.concurrency, 1);
+  const double rate = std::max(options.open_rate_rps, 1.0);
+  if (options.mode == LoadGeneratorOptions::Mode::kOpen &&
+      !(options.duration_seconds * rate <=
+        static_cast<double>(kMaxParsedCount))) {
+    return Status::InvalidArgument(
+        "open-loop schedule of " + std::to_string(options.open_rate_rps) +
+        " req/s for " + std::to_string(options.duration_seconds) +
+        " s exceeds " + std::to_string(kMaxParsedCount) + " arrivals");
+  }
 
   // Full-tier verification reference: the swapper only ever republishes
   // the initially published artifact (in memory or from swap_path), so
@@ -400,62 +419,49 @@ Result<LoadGeneratorReport> RunLoadGenerator(
     });
   }
 
-  std::vector<Tally> tallies;
-  if (options.mode == LoadGeneratorOptions::Mode::kClosed) {
-    // Closed loop: each caller thread issues back-to-back requests.
-    tallies.assign(concurrency, Tally{});
-    std::vector<std::thread> callers;
-    callers.reserve(concurrency);
-    for (std::size_t t = 0; t < concurrency; ++t) {
-      callers.emplace_back([&, t] {
-        Tally& tally = tallies[t];
+  // `concurrency` threads, each with its own tally: closed-loop callers
+  // or open-loop connections.
+  std::vector<Tally> tallies(concurrency);
+  std::atomic<std::size_t> next_arrival{0};
+  std::vector<std::thread> threads;
+  threads.reserve(concurrency);
+  for (std::size_t t = 0; t < concurrency; ++t) {
+    threads.emplace_back([&, t] {
+      Tally& tally = tallies[t];
+      if (options.mode == LoadGeneratorOptions::Mode::kClosed) {
+        // Closed loop: back-to-back requests from a per-caller stream.
         Rng rng(options.seed + 0x9e3779b9u * (t + 1));
         for (std::size_t i = 0; Clock::now() < deadline; ++i) {
           const auto issued = Clock::now();
           IssueRequest(service, num_users, options, verify_session, rng, i,
                        tally);
-          tally.latencies_ms.push_back(
-              std::chrono::duration<double, std::milli>(Clock::now() -
-                                                        issued)
-                  .count());
+          tally.latencies_ms.push_back(MillisecondsSince(issued));
         }
-      });
-    }
-    for (std::thread& caller : callers) caller.join();
-  } else {
-    // Open loop: arrivals on a fixed schedule, each request a pool
-    // task; latency is scheduled-arrival → completion.
-    const double rate = std::max(options.open_rate_rps, 1.0);
-    const auto interval = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(1.0 / rate));
-    tallies.assign(1, Tally{});
-    std::mutex tally_mutex;
-    CompletionCounter inflight;
-    ThreadPool& pool = ThreadPool::Global();
-    for (std::size_t i = 0;; ++i) {
-      const auto arrival = start + interval * i;
-      if (arrival >= deadline) break;
-      std::this_thread::sleep_until(arrival);
-      inflight.Add();
-      pool.Submit([&, i, arrival] {
-        Tally local;
+        return;
+      }
+      // Open loop: arrival i is due at start + i/rate, computed per
+      // arrival so no rate rounds the spacing to zero. A connection
+      // takes the next arrival index, waits until it is due and issues
+      // it with its own seed; latency runs from the scheduled arrival,
+      // so queueing delay under overload is visible, and requests in
+      // flight are bounded by the connections.
+      for (;;) {
+        const std::size_t i =
+            next_arrival.fetch_add(1, std::memory_order_relaxed);
+        const double offset = static_cast<double>(i) / rate;
+        if (!(offset < options.duration_seconds)) break;
+        const auto arrival =
+            start + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(offset));
+        std::this_thread::sleep_until(arrival);
         Rng rng(options.seed + 0x9e3779b97f4a7c15ULL * (i + 1));
         IssueRequest(service, num_users, options, verify_session, rng, i,
-                     local);
-        const double latency_ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - arrival)
-                .count();
-        {
-          std::lock_guard<std::mutex> lock(tally_mutex);
-          Tally& tally = tallies[0];
-          tally.MergeCountsFrom(local);
-          tally.latencies_ms.push_back(latency_ms);
-        }
-        inflight.Done();
-      });
-    }
-    inflight.Wait();
+                     tally);
+        tally.latencies_ms.push_back(MillisecondsSince(arrival));
+      }
+    });
   }
+  for (std::thread& thread : threads) thread.join();
 
   if (swapper.joinable()) {
     stop_swapper.store(true, std::memory_order_relaxed);

@@ -7,10 +7,10 @@
 //
 // Closed loop: `concurrency` caller threads issue back-to-back requests
 // until the deadline — measures peak sustainable throughput. Open loop:
-// requests arrive on a fixed schedule (`open_rate_rps`) and run as
-// thread-pool tasks; latency is measured from the *scheduled* arrival,
-// so queueing delay under overload is visible instead of coordinated
-// away.
+// requests arrive on a fixed schedule (`open_rate_rps`) and `concurrency`
+// connection threads issue them in arrival order; latency is measured
+// from the *scheduled* arrival, so queueing delay under overload is
+// visible instead of coordinated away.
 //
 // Overload and chaos features: per-request deadlines (`deadline_ms`),
 // an error taxonomy broken down by status code, per-tier response
@@ -38,11 +38,13 @@ struct LoadGeneratorOptions {
   enum class Mode { kClosed, kOpen };
 
   Mode mode = Mode::kClosed;
-  /// Caller threads (closed loop).
+  /// Caller threads (closed loop) or connections (open loop); at most
+  /// kMaxThreads.
   std::size_t concurrency = 4;
   /// Wall-clock run length.
   double duration_seconds = 2.0;
-  /// Arrival rate in requests/sec (open loop).
+  /// Arrival rate in requests/sec (open loop). A schedule of more than
+  /// kMaxParsedCount arrivals (rate × duration) is rejected.
   double open_rate_rps = 2000.0;
   /// Pairs per ScorePairs request.
   std::size_t pairs_per_request = 64;
@@ -139,7 +141,9 @@ struct LoadGeneratorReport {
 };
 
 /// Runs the workload against `service`, swapping through `registry`
-/// when configured. Requires a published model; fails fast otherwise.
+/// when configured. Requires a published model; fails fast otherwise,
+/// and with kInvalidArgument before any request on a bad duration, too
+/// many threads or an over-long open-loop schedule.
 Result<LoadGeneratorReport> RunLoadGenerator(
     ModelRegistry& registry, ScoringService& service,
     const LoadGeneratorOptions& options);

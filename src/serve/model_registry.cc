@@ -101,49 +101,6 @@ Status ModelRegistry::SwapValidated(ModelArtifact artifact,
   return Status::OK();
 }
 
-Status ModelRegistry::SwapShard(std::size_t shard_index, ModelShard shard) {
-  if (!swap_breaker_.AllowRequest()) {
-    return Status::Unavailable(
-        "swap breaker open after repeated swap failures; serving version " +
-        std::to_string(current_version()));
-  }
-  const std::shared_ptr<const ServableModel> current = Acquire();
-  Status status = Status::OK();
-  if (current == nullptr) {
-    status = Status::FailedPrecondition(
-        "no model published; Swap a full sharded artifact in first");
-  } else {
-    // Copy-on-swap: the published model stays immutable; the candidate
-    // artifact (other shards + boundary included) re-validates as a
-    // whole before publishing. Carried hot rows of the replaced shard's
-    // users were snapshotted from the old block, so they go (and with
-    // them their TopKIndex seeds); configured hot users among them are
-    // rebuilt from the new scores.
-    ModelArtifact candidate = current->session.artifact();
-    const std::vector<std::uint32_t> users = shard.users;
-    auto replaced =
-        ReplaceShard(*candidate.scores, shard_index, std::move(shard));
-    status = replaced.status();
-    if (status.ok()) {
-      candidate.scores = std::move(replaced).value();
-      HotRowCache kept;
-      for (const HotRow& row : candidate.hot_rows.rows()) {
-        if (!std::binary_search(users.begin(), users.end(), row.user)) {
-          kept.AddRow(row);
-        }
-      }
-      candidate.hot_rows = std::move(kept);
-      status = SwapValidated(std::move(candidate), current->known_links);
-    }
-  }
-  if (!status.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++recovery_.swap_failures;
-  }
-  RecordSwapOutcome(status.ok());
-  return status;
-}
-
 Status ModelRegistry::SwapFromFile(const std::string& path,
                                    CsrMatrix known_links) {
   if (!swap_breaker_.AllowRequest()) {

@@ -33,7 +33,6 @@
 
 #include "core/hot_row_cache.h"
 #include "core/model_artifact.h"
-#include "core/score_shards.h"
 #include "core/scoring_session.h"
 #include "linalg/csr_matrix.h"
 #include "optim/guardrails.h"
@@ -131,18 +130,6 @@ class ModelRegistry {
   /// RecoveryStats::artifact_rollbacks, and returns OK. One swap_failure
   /// is counted per failed primary path regardless of retry count.
   Status SwapFromFile(const std::string& path, CsrMatrix known_links = {});
-
-  /// Republishes the current sharded artifact with shard `shard_index`
-  /// replaced by `shard` — the per-shard hot-swap of the hierarchical
-  /// partitioned solve: only the refitted cluster's block ships, the
-  /// other shards, the boundary and the known-links adjacency carry
-  /// over unchanged, and carried hot rows of the shard's users are
-  /// dropped. The replacement must cover exactly the same users
-  /// (a shard swap never changes the partition) and goes through the
-  /// same validation round trip, fault site, breaker and failure
-  /// accounting as a full Swap. kFailedPrecondition when nothing is
-  /// published or the current artifact is not sharded.
-  Status SwapShard(std::size_t shard_index, ModelShard shard);
 
   /// The currently published model, or nullptr before the first
   /// successful Swap. The returned snapshot stays valid (and immutable)

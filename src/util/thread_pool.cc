@@ -1,9 +1,10 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
-#include <string>
 
 namespace slampred {
 
@@ -13,19 +14,23 @@ namespace {
 thread_local bool tls_in_parallel_region = false;
 
 std::size_t ThreadCountFromEnvironment() {
-  const char* env = std::getenv("SLAMPRED_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != nullptr && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
-  }
+  const std::size_t parsed = ParseThreadCount(std::getenv("SLAMPRED_THREADS"));
+  if (parsed > 0) return parsed;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
 }  // namespace
+
+std::size_t ParseThreadCount(const char* text) {
+  if (text == nullptr) return 0;
+  const char* end = text + std::strlen(text);
+  std::size_t value = 0;
+  // from_chars takes no sign, whitespace or prefix for an unsigned type.
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end || value > kMaxThreads) return 0;
+  return value;
+}
 
 // One ParallelFor invocation. Heap-allocated and shared_ptr-held by
 // every participating thread, so a worker that wakes late (after the
@@ -52,42 +57,6 @@ ThreadPool::~ThreadPool() {
   }
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
-  DrainAsyncTasks();
-}
-
-// Runs every still-queued Submit task on the calling thread so their
-// futures always complete, even across a Resize or at destruction.
-void ThreadPool::DrainAsyncTasks() {
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (async_tasks_.empty()) return;
-      task = std::move(async_tasks_.front());
-      async_tasks_.pop_front();
-    }
-    task();
-  }
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> future = task.get_future();
-  bool run_inline = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (num_threads_ <= 1 || shutdown_) {
-      run_inline = true;
-    } else {
-      async_tasks_.push_back(std::move(task));
-    }
-  }
-  if (run_inline) {
-    task();  // Serial path: completes before Submit returns.
-  } else {
-    work_cv_.notify_one();
-  }
-  return future;
 }
 
 ThreadPool& ThreadPool::Global() {
@@ -105,7 +74,6 @@ void ThreadPool::Resize(std::size_t num_threads) {
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
-  DrainAsyncTasks();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = false;
@@ -148,26 +116,13 @@ void ThreadPool::WorkerLoop() {
   std::uint64_t seen_epoch = 0;
   for (;;) {
     std::shared_ptr<LoopTask> task;
-    std::packaged_task<void()> async_task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] {
-        return shutdown_ || epoch_ != seen_epoch || !async_tasks_.empty();
-      });
+      work_cv_.wait(lock,
+                    [&] { return shutdown_ || epoch_ != seen_epoch; });
       if (shutdown_) return;
-      if (epoch_ != seen_epoch) {
-        // ParallelFor dispatches take priority; a queued Submit task is
-        // picked up on a later iteration (or by another worker).
-        seen_epoch = epoch_;
-        task = current_task_;
-      } else {
-        async_task = std::move(async_tasks_.front());
-        async_tasks_.pop_front();
-      }
-    }
-    if (async_task.valid()) {
-      async_task();
-      continue;
+      seen_epoch = epoch_;
+      task = current_task_;
     }
     if (task == nullptr) continue;
     RunChunks(*task);
@@ -258,35 +213,6 @@ double ParallelReduceSum(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<double(std::size_t, std::size_t)>& chunk_fn) {
   return ThreadPool::Global().ParallelReduceSum(begin, end, grain, chunk_fn);
-}
-
-void CompletionCounter::Add(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  expected_ += n;
-}
-
-void CompletionCounter::Done(std::size_t n) {
-  // Notify under the lock: once a waiter's Wait() returns, the counter
-  // may be destroyed immediately, so Done must not touch the condition
-  // variable after releasing the mutex.
-  std::lock_guard<std::mutex> lock(mutex_);
-  completed_ += n;
-  cv_.notify_all();
-}
-
-void CompletionCounter::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return completed_ >= expected_; });
-}
-
-std::size_t CompletionCounter::completed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return completed_;
-}
-
-std::size_t CompletionCounter::outstanding() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return expected_ - completed_;
 }
 
 }  // namespace slampred

@@ -16,15 +16,24 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace slampred {
+
+/// Largest thread count taken from outside the program: the
+/// SLAMPRED_THREADS variable, `slampred_cli --threads` and
+/// `serve-bench --concurrency`.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// A SLAMPRED_THREADS value as a thread count: a whole unsigned decimal
+/// in [1, kMaxThreads], or 0 (unset) for anything else — null, empty,
+/// signed, junk-suffixed or out of range.
+std::size_t ParseThreadCount(const char* text);
 
 /// Fixed-size pool (no work stealing). `num_threads` counts the calling
 /// thread, so a pool of size N spawns N−1 workers and size 1 spawns
@@ -38,8 +47,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Process-wide pool. Sized on first use from the SLAMPRED_THREADS
-  /// environment variable (unset/0/invalid → hardware concurrency, 1
-  /// forces serial); `slampred_cli --threads` overrides via Resize().
+  /// environment variable (ParseThreadCount; unset → hardware
+  /// concurrency, 1 forces serial); `slampred_cli --threads` overrides
+  /// via Resize().
   static ThreadPool& Global();
 
   std::size_t num_threads() const { return num_threads_; }
@@ -71,61 +81,20 @@ class ThreadPool {
   /// (used for the nested-loop serial fallback).
   static bool InParallelRegion();
 
-  /// Enqueues `fn` to run on a pool worker as soon as one is free and
-  /// returns a future that becomes ready when it has run (an exception
-  /// thrown by `fn` is captured and rethrown by future.get()). With a
-  /// one-thread pool the task runs inline before Submit returns — the
-  /// exact serial path. Tasks still queued when the pool is resized or
-  /// destroyed run to completion on the resizing/destroying thread, so a
-  /// Submit future never dangles. ParallelFor dispatches take priority
-  /// over queued tasks; a task may itself call ParallelFor (workers are
-  /// not inside a parallel region while running tasks).
-  std::future<void> Submit(std::function<void()> fn);
-
  private:
   struct LoopTask;
 
   void WorkerLoop();
   static void RunChunks(LoopTask& task);
-  void DrainAsyncTasks();
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::vector<std::thread> workers_;
   std::shared_ptr<LoopTask> current_task_;  // Guarded by mutex_.
-  std::deque<std::packaged_task<void()>> async_tasks_;  // Guarded by mutex_.
   std::uint64_t epoch_ = 0;                 // Guarded by mutex_.
   std::size_t num_threads_ = 1;
   bool shutdown_ = false;                   // Guarded by mutex_.
-};
-
-/// Thread-safe completion counter for fire-and-forget work: producers
-/// Add() expected completions (before the work can possibly finish),
-/// workers Done() as they complete, and any thread can Wait() until
-/// every added completion has been counted. Reusable after Wait().
-class CompletionCounter {
- public:
-  /// Registers `n` expected completions.
-  void Add(std::size_t n = 1);
-
-  /// Records `n` completions; must not overtake Add.
-  void Done(std::size_t n = 1);
-
-  /// Blocks until completed == expected.
-  void Wait();
-
-  /// Completions recorded so far.
-  std::size_t completed() const;
-
-  /// Expected minus completed.
-  std::size_t outstanding() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t expected_ = 0;   // Guarded by mutex_.
-  std::size_t completed_ = 0;  // Guarded by mutex_.
 };
 
 /// Conveniences forwarding to ThreadPool::Global().

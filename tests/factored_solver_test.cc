@@ -167,14 +167,14 @@ TEST(FactoredSolverTest, MatchedRegimeMatchesDenseOracle) {
   EXPECT_LT((factored_s.value().ToDense() - dense_s.value()).MaxAbs(), 1e-6);
   EXPECT_EQ(factored_trace.outer_iterations, dense_trace.outer_iterations);
 
-  // ...and the same objective value (evaluated by each backend's own
-  // evaluator — the trajectory gate).
+  // ...and the same objective value (the densified factored iterate
+  // under the dense evaluator — the trajectory gate).
   const std::vector<SparseTensor3> no_tensors;
   const std::vector<double> no_weights;
   const double dense_value =
       FullObjectiveValue(dense, dense_s.value(), no_tensors, no_weights);
-  const double factored_value = FactoredObjectiveValue(
-      factored, factored_s.value(), no_tensors, no_weights);
+  const double factored_value = FullObjectiveValue(
+      dense, factored_s.value().ToDense(), no_tensors, no_weights);
   EXPECT_NEAR(factored_value, dense_value, 1e-6 * (1.0 + std::abs(dense_value)));
 }
 

@@ -394,36 +394,6 @@ TEST_F(FaultInjectionTest, HealthyRunsAreDeterministicWithHooksCompiledIn) {
   EXPECT_EQ(trace_b.recovery.Total(), 0);
 }
 
-TEST_F(FaultInjectionTest, ResumeCccpContinuesFromCheckpoint) {
-  const Objective objective = SmallObjective();
-  CccpOptions options = TightOptions();
-  options.inner.tol = 1e-6;  // Leave work for later rounds.
-  options.inner.max_iterations = 30;
-  options.max_outer_iterations = 1;
-
-  CccpTrace first;
-  auto partial = SolveCccp(objective, options, &first);
-  ASSERT_TRUE(partial.ok());
-  ASSERT_TRUE(first.checkpoint.valid);
-  EXPECT_EQ(first.checkpoint.outer_round, 1);
-
-  // Finishing from the checkpoint equals one uninterrupted 3-round run.
-  options.max_outer_iterations = 3;
-  auto resumed = ResumeCccp(objective, first.checkpoint, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  auto straight = SolveCccp(objective, options);
-  ASSERT_TRUE(straight.ok());
-  EXPECT_EQ(resumed.value().data(), straight.value().data());
-
-  // A checkpoint that already completed all rounds is returned as-is.
-  options.max_outer_iterations = 1;
-  auto done = ResumeCccp(objective, first.checkpoint, options);
-  ASSERT_TRUE(done.ok());
-  EXPECT_EQ(done.value().data(), first.checkpoint.s.data());
-
-  EXPECT_FALSE(ResumeCccp(objective, SolverCheckpoint{}, options).ok());
-}
-
 TEST_F(FaultInjectionTest, GraphIoParseFaultStrictFailsLenientSkips) {
   SLAMPRED_REQUIRE_INJECTION();
   const std::string text = "nodes user 3\nedge friend 0 1\nedge friend 1 2\n";

@@ -2,9 +2,9 @@
 // single-cluster regime must be bit-identical to the monolithic fit at
 // every thread count, the multi-cluster regime must stay close in
 // ranking quality, the sharded artifact must round-trip with checksums,
-// serving (session dispatch, top-K merge, per-shard hot-swap) must
-// score exactly what the fit produced, and the per-cluster fault site
-// must drive the retry path.
+// serving (session dispatch, top-K merge) must score exactly what the
+// fit produced, and the per-cluster fault site must drive the retry
+// path.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "datagen/aligned_generator.h"
 #include "eval/link_split.h"
 #include "eval/metrics.h"
-#include "serve/model_registry.h"
 #include "serve/topk_index.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
@@ -360,52 +359,6 @@ TEST_F(PartitionedFitTest, ShardedTopKOrderMatchesBruteForce) {
               });
     ASSERT_EQ(order, expected) << "row " << u;
   }
-}
-
-TEST_F(PartitionedFitTest, SwapShardRepublishesOneCluster) {
-  SlamPred model(PartitionedConfig());
-  ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  auto artifact = MakeModelArtifact(model);
-  ASSERT_TRUE(artifact.ok());
-
-  ModelRegistry registry;
-  // Nothing published yet: per-shard swap has no base to patch.
-  ModelShard first = ShardedOf(model.scores())->shards()[0];
-  EXPECT_EQ(registry.SwapShard(0, first).code(),
-            StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE(registry.Swap(artifact.value()).ok());
-  EXPECT_EQ(registry.current_version(), 1u);
-
-  // Republishing the same shard is a valid (identity) hot-swap.
-  ASSERT_TRUE(registry.SwapShard(0, first).ok());
-  EXPECT_EQ(registry.current_version(), 2u);
-  const auto published = registry.Acquire();
-  for (std::size_t u = 0; u < NumUsers(); u += 3) {
-    for (std::size_t v = 0; v < NumUsers(); v += 5) {
-      ASSERT_EQ(published->session.ScoreUnchecked(u, v),
-                model.Score(u, v).value());
-    }
-  }
-
-  // A shard covering different users never swaps in.
-  ModelShard truncated = first;
-  truncated.users.pop_back();
-  const Status wrong_users = registry.SwapShard(0, truncated);
-  ASSERT_FALSE(wrong_users.ok());
-  EXPECT_EQ(registry.current_version(), 2u);
-  // Both rejected swaps count: the no-model attempt above and this one.
-  EXPECT_EQ(registry.recovery().swap_failures, 2u);
-
-  // A dense (unsharded) published artifact rejects per-shard swaps.
-  SlamPred dense_model(FastConfig());
-  ASSERT_TRUE(dense_model.Fit(generated_->networks, *train_graph_).ok());
-  auto dense_artifact = MakeModelArtifact(dense_model);
-  ASSERT_TRUE(dense_artifact.ok());
-  ModelRegistry dense_registry;
-  ASSERT_TRUE(dense_registry.Swap(dense_artifact.value()).ok());
-  EXPECT_EQ(dense_registry.SwapShard(0, first).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(PartitionedFitTest, ClusterFaultIsRetriedOnce) {

@@ -387,53 +387,6 @@ TEST(QuantizedServingTest, QuantizedShardedArtifactServes) {
   }
 }
 
-TEST(QuantizedServingTest, SwapShardDropsTheReplacedShardsHotRows) {
-  // Hot rows for users 1 (shard 0) and 4 (shard 1), snapshotted from
-  // the float scores by the quantizer; the registry also lists user 1
-  // as a configured hot user.
-  ArtifactQuantizerOptions options;
-  options.bits = QuantizationBits::kU16;
-  options.hot_user_ids = {1, 4};
-  options.hot_row_entries = 16;  // Complete rows (n−1 = 5 fits).
-  auto quantized = Quantize(ShardedArtifact(6, 37), options);
-  ASSERT_TRUE(quantized.ok()) << quantized.status().ToString();
-  ModelRegistryOptions registry_options;
-  registry_options.hot_users = {1};
-  ModelRegistry registry(registry_options);
-  ASSERT_TRUE(registry.Swap(std::move(quantized).value()).ok());
-  const HotRow carried = *registry.Acquire()->hot_rows.Find(4);
-
-  // New scores for shard 0 (users 0, 1, 2): user 1 now ranks user 0
-  // far above everyone else.
-  Matrix block(3, 3);
-  block(0, 1) = 9.0;
-  block(1, 0) = 9.0;
-  block(1, 2) = -1.0;
-  block(2, 1) = -1.0;
-  ModelShard shard;
-  shard.users = {0, 1, 2};
-  shard.block = std::make_shared<DenseScores>(std::move(block));
-  ASSERT_TRUE(registry.SwapShard(0, std::move(shard)).ok());
-
-  // User 1's row is rebuilt from the published scores, not carried
-  // over from the old shard.
-  const auto model = registry.Acquire();
-  const TopKRowOrder oracle = BuildTopKRowOrder(model->session, 1);
-  ASSERT_EQ(oracle.front(), 0u);
-  auto topk = TopKOnModel(*model, 1, 3, /*exclude_known_links=*/false);
-  ASSERT_TRUE(topk.ok());
-  ASSERT_EQ(topk.value().size(), 3u);
-  for (std::size_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(topk.value()[r].v, oracle[r]);
-    EXPECT_EQ(topk.value()[r].score,
-              model->session.ScoreUnchecked(1, oracle[r]));
-  }
-  // The other shard's carried row is untouched.
-  const HotRow* kept = model->hot_rows.Find(4);
-  ASSERT_NE(kept, nullptr);
-  EXPECT_EQ(kept->entries, carried.entries);
-}
-
 TEST(QuantizedServingTest, QuantizingTwiceIsRejected) {
   auto quantized = Quantize(DenseArtifact(8, 29), {});
   ASSERT_TRUE(quantized.ok());

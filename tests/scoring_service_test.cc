@@ -524,13 +524,44 @@ TEST_F(ScoringServiceTest, LoadGeneratorRunsBothModes) {
   EXPECT_NE(closed.value().ToJson().find("\"throughput_rps\""),
             std::string::npos);
 
+  // Open loop: 500 arrivals/s for 0.1 s is exactly 50 requests (the
+  // arrival at 0.1 s is not before the deadline), each issued once,
+  // over two connections and over one.
   options.mode = LoadGeneratorOptions::Mode::kOpen;
   options.open_rate_rps = 500.0;
   options.swap_every_seconds = 0.0;
-  auto open = RunLoadGenerator(registry, service, options);
-  ASSERT_TRUE(open.ok()) << open.status().ToString();
-  EXPECT_GT(open.value().requests, 0u);
-  EXPECT_EQ(open.value().errors, 0u);
+  for (const std::size_t connections : {std::size_t{2}, std::size_t{1}}) {
+    options.concurrency = connections;
+    auto open = RunLoadGenerator(registry, service, options);
+    ASSERT_TRUE(open.ok()) << open.status().ToString();
+    EXPECT_EQ(open.value().requests, 50u) << connections;
+    EXPECT_EQ(open.value().topk_requests, 12u) << connections;
+    EXPECT_EQ(open.value().errors, 0u) << connections;
+  }
+}
+
+TEST_F(ScoringServiceTest,
+       LoadGeneratorRejectsOverLongSchedulesAndThreadCounts) {
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Swap(MakeArtifact(8, 0.0)).ok());
+  ScoringService service(&registry);
+
+  // 2e9 req/s for 0.1 s is 2e8 arrivals, past the bound (and a 1/rate
+  // spacing would round to 0 ns).
+  LoadGeneratorOptions open;
+  open.mode = LoadGeneratorOptions::Mode::kOpen;
+  open.open_rate_rps = 2e9;
+  open.duration_seconds = 0.1;
+  LoadGeneratorOptions too_many;
+  too_many.concurrency = kMaxThreads + 1;
+  for (const LoadGeneratorOptions& options : {open, too_many}) {
+    auto report = RunLoadGenerator(registry, service, options);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  }
+  // No request was sent and no swap ran.
+  EXPECT_EQ(service.batcher().batches_dispatched(), 0u);
+  EXPECT_EQ(registry.current_version(), 1u);
 }
 
 // ---------------------------------------------------------------------

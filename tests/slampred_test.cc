@@ -155,17 +155,6 @@ TEST_F(SlamPredTest, TraceIsPopulated) {
   EXPECT_GT(model.trace().outer_iterations, 0);
 }
 
-TEST_F(SlamPredTest, FittedDenseModelHoldsNoCheckpointIterate) {
-  SlamPredConfig config;
-  config.optimization = FastOptimization();
-  ASSERT_EQ(config.solver_backend, SolverBackend::kDense);
-  SlamPred model(config);
-  ASSERT_TRUE(model.Fit(generated_->networks, *train_graph_).ok());
-  // The scores are the only copy of S a fitted model keeps.
-  EXPECT_TRUE(model.trace().checkpoint.s.empty());
-  EXPECT_FALSE(model.trace().checkpoint.valid);
-}
-
 TEST_F(SlamPredTest, ScoreAccessor) {
   SlamPredConfig config;
   config.optimization = FastOptimization();

@@ -1,19 +1,15 @@
 // Unit tests of the shared worker pool: chunk coverage, grain/cutoff
 // edge cases, nested-loop serial fallback, exception propagation, the
-// ordered reduction, resizing, async task submission, and the
-// completion counter.
+// ordered reduction, resizing, and the SLAMPRED_THREADS parser.
 
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <future>
 #include <mutex>
 #include <set>
 #include <stdexcept>
-#include <thread>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -179,113 +175,25 @@ TEST(ThreadPoolTest, GlobalPoolIsUsable) {
   EXPECT_GE(ThreadPool::Global().num_threads(), 1u);
 }
 
-TEST(ThreadPoolTest, SubmitRunsTaskAndCompletesFuture) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  std::future<void> future = pool.Submit([&] { ran.fetch_add(1); });
-  future.get();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitRunsInlineOnSerialPool) {
-  ThreadPool pool(1);  // Zero workers: the exact serial path.
-  std::thread::id task_thread;
-  std::future<void> future = pool.Submit([&] {
-    task_thread = std::this_thread::get_id();
-  });
-  // The task already ran on the calling thread before Submit returned.
-  EXPECT_EQ(task_thread, std::this_thread::get_id());
-  EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionsThroughTheFuture) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ThreadPool pool(threads);
-    std::future<void> future = pool.Submit([] {
-      throw std::runtime_error("task failed");
-    });
-    EXPECT_THROW(future.get(), std::runtime_error) << threads;
-    // The pool stays usable afterwards.
-    std::atomic<int> ran{0};
-    pool.Submit([&] { ran.fetch_add(1); }).get();
-    EXPECT_EQ(ran.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, ManySubmittedTasksAllComplete) {
-  ThreadPool pool(4);
-  const std::size_t n = 200;
-  std::atomic<std::size_t> ran{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.Submit([&] { ran.fetch_add(1); }));
-  }
-  for (std::future<void>& future : futures) future.get();
-  EXPECT_EQ(ran.load(), n);
-}
-
-TEST(ThreadPoolTest, SubmittedTasksCanRunParallelFor) {
-  // Async tasks and loop epochs share the workers; a task that issues a
-  // ParallelFor must complete (the caller participates, so no deadlock).
-  ThreadPool pool(3);
-  std::atomic<std::size_t> total{0};
-  pool.Submit([&] {
-    ThreadPool::Global().ParallelFor(0, 64, 4,
-                                     [&](std::size_t i0, std::size_t i1) {
-                                       total.fetch_add(i1 - i0);
-                                     });
-  }).get();
-  EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(ThreadPoolTest, QueuedTasksSurviveResizeAndDestruction) {
-  std::atomic<std::size_t> ran{0};
-  const std::size_t n = 64;
-  {
-    ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(pool.Submit([&] { ran.fetch_add(1); }));
-    }
-    pool.Resize(2);  // Drains or re-queues; never drops.
-    for (std::future<void>& future : futures) future.get();
-    for (std::size_t i = 0; i < n; ++i) {
-      (void)pool.Submit([&] { ran.fetch_add(1); });
-    }
-  }  // Destructor must run every still-queued task.
-  EXPECT_EQ(ran.load(), 2 * n);
-}
-
-TEST(CompletionCounterTest, WaitReturnsOnceAllOutstandingAreDone) {
-  ThreadPool pool(4);
-  CompletionCounter counter;
-  std::atomic<std::size_t> ran{0};
-  const std::size_t n = 50;
-  for (std::size_t i = 0; i < n; ++i) {
-    counter.Add();
-    (void)pool.Submit([&] {
-      ran.fetch_add(1);
-      counter.Done();
-    });
-  }
-  counter.Wait();
-  EXPECT_EQ(ran.load(), n);
-  EXPECT_EQ(counter.completed(), n);
-  EXPECT_EQ(counter.outstanding(), 0u);
-}
-
-TEST(CompletionCounterTest, WaitWithNothingOutstandingReturnsImmediately) {
-  CompletionCounter counter;
-  counter.Wait();
-  EXPECT_EQ(counter.completed(), 0u);
-  counter.Add(3);
-  EXPECT_EQ(counter.outstanding(), 3u);
-  counter.Done(3);
-  counter.Wait();
-  EXPECT_EQ(counter.outstanding(), 0u);
-  EXPECT_EQ(counter.completed(), 3u);
+TEST(ParseThreadCountTest, AcceptsOnlyWholeDecimalsUpToTheCap) {
+  EXPECT_EQ(ParseThreadCount("7"), 7u);
+  EXPECT_EQ(ParseThreadCount("1"), 1u);
+  EXPECT_EQ(ParseThreadCount(std::to_string(kMaxThreads).c_str()),
+            kMaxThreads);
+  // Everything else reads as unset (0), so the pool falls back to the
+  // hardware thread count instead of asking for 2^64 - 1 workers.
+  EXPECT_EQ(ParseThreadCount("-1"), 0u);
+  EXPECT_EQ(ParseThreadCount("18446744073709551615"), 0u);
+  EXPECT_EQ(ParseThreadCount("18446744073709551616"), 0u);
+  EXPECT_EQ(ParseThreadCount("100000"), 0u);
+  EXPECT_EQ(ParseThreadCount(std::to_string(kMaxThreads + 1).c_str()), 0u);
+  EXPECT_EQ(ParseThreadCount("0"), 0u);
+  EXPECT_EQ(ParseThreadCount(""), 0u);
+  EXPECT_EQ(ParseThreadCount(nullptr), 0u);
+  EXPECT_EQ(ParseThreadCount("+4"), 0u);
+  EXPECT_EQ(ParseThreadCount(" 4"), 0u);
+  EXPECT_EQ(ParseThreadCount("4 "), 0u);
+  EXPECT_EQ(ParseThreadCount("4x"), 0u);
 }
 
 }  // namespace

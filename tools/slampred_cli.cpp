@@ -63,9 +63,10 @@
 //                            [--chaos 0|1] [--json PATH]
 //       Concurrent serving load generator (ModelRegistry +
 //       ScoringService): closed-loop (N caller threads back-to-back) or
-//       open-loop (fixed --rate arrival schedule on the thread pool)
-//       traffic, mixed ScorePairs/TopK requests, optional model
-//       hot-swapping under load. --deadline-ms attaches a deadline to
+//       open-loop (a fixed --rate arrival schedule issued over N
+//       connection threads; at most 2^24 arrivals per run) traffic,
+//       mixed ScorePairs/TopK requests, optional model hot-swapping
+//       under load. --deadline-ms attaches a deadline to
 //       every request; --queue-cap bounds the admission queue with
 //       --shed-policy picking the victim; --chaos arms the serve.swap /
 //       serve.batch / artifact.read fault sites on a deterministic
@@ -124,10 +125,12 @@
 // bit-identical for every thread count.
 //
 // A numeric flag whose value is empty, negative, not a number or
-// followed by junk, a boolean flag (--scale-out, --swap-under-load,
-// --chaos) whose value is not 0, 1, true or false, and a last flag with
-// no value all stop the command with exit status 2 before any work,
-// naming the flag on stderr.
+// followed by junk, a count above its cap (--threads and --concurrency
+// at most 256, --seed any 64-bit value, every other count at most
+// 2^24, the bundle parser's count cap), a boolean flag (--scale-out,
+// --swap-under-load, --chaos) whose value is not 0, 1, true or false,
+// and a last flag with no value all stop the command with exit status
+// 2 before any work, naming the flag on stderr.
 //
 // Methods: SLAMPRED (default), SLAMPRED-T, SLAMPRED-H, PL, PL-T, PL-S,
 // SCAN, SCAN-T, SCAN-S, JC, CN, PA. `fit` and `predict` fit SLAMPRED
@@ -139,6 +142,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -168,8 +172,9 @@ using namespace slampred;
 // Minimal --flag value parser. Numeric flags are read through Count and
 // Number, which end the program with exit status 2, naming the flag on
 // stderr, when the value is empty, negative, not a number or followed
-// by junk; boolean flags through Bool, which does the same for anything
-// but 0, 1, true or false. A last flag with no value exits 2 as well.
+// by junk, or when a count exceeds its cap; boolean flags through Bool,
+// which does the same for anything but 0, 1, true or false. A last flag
+// with no value exits 2 as well.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -197,15 +202,25 @@ class Flags {
     return it->second;
   }
 
-  /// --key as a non-negative integer; `fallback` when the flag is absent.
-  std::uint64_t Count(const std::string& key, std::uint64_t fallback) const {
+  /// --key as an integer in [0, max]; `fallback` when the flag is
+  /// absent. The default cap is the parser's count cap, so no count
+  /// can ask for more users, pairs or rows than a bundle file may hold.
+  std::uint64_t Count(const std::string& key, std::uint64_t fallback,
+                      std::uint64_t max = kMaxParsedCount) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     std::uint64_t value = 0;
-    if (!ParsesWhole(it->second, value)) {
-      Reject(key, "a non-negative integer", it->second);
+    if (!ParsesWhole(it->second, value) || value > max) {
+      const std::string expects =
+          "an integer in [0, " + std::to_string(max) + "]";
+      Reject(key, expects.c_str(), it->second);
     }
     return value;
+  }
+
+  /// --seed: any 64-bit value.
+  std::uint64_t Seed(std::uint64_t fallback) const {
+    return Count("seed", fallback, std::numeric_limits<std::uint64_t>::max());
   }
 
   /// --key as a finite non-negative number; `fallback` when absent.
@@ -288,7 +303,7 @@ int WriteBundle(const AlignedNetworks& networks, const std::string& out_dir) {
 int Generate(const Flags& flags) {
   const auto out_dir = flags.GetRequired("out-dir");
   if (!out_dir.has_value()) return 2;
-  const std::uint64_t seed = flags.Count("seed", 42);
+  const std::uint64_t seed = flags.Seed(42);
 
   if (flags.Bool("scale-out", false)) {
     ScaleOutConfig config;
@@ -438,33 +453,29 @@ std::uint64_t FileSizeBytes(const std::string& path) {
   return size < 0 ? 0 : static_cast<std::uint64_t>(size);
 }
 
-// --quantize off|u8|u16 → nullopt / the code width. `fallback` is the
-// mode used when the flag is absent ("off" everywhere except the
-// quantize subcommand, which defaults to u8).
-Result<std::optional<QuantizationBits>> QuantizeBitsFromFlags(
+// The quantizer options shared by fit/predict/quantize/serve-bench:
+// the code width from --quantize off|u8|u16 (nullopt for off), the
+// hot-user set from --hot-users N (the first N ids) and
+// --hot-row-entries. `fallback` is the mode used when --quantize is
+// absent ("off" everywhere except the quantize subcommand, which
+// defaults to u8). Read before any work, so a bad value stops the
+// command first.
+Result<std::optional<ArtifactQuantizerOptions>> QuantizerFromFlags(
     const Flags& flags, const std::string& fallback) {
-  const std::string mode = flags.Get("quantize", fallback);
-  if (mode == "off") return std::optional<QuantizationBits>{};
-  if (mode == "u8") {
-    return std::optional<QuantizationBits>{QuantizationBits::kU8};
-  }
-  if (mode == "u16") {
-    return std::optional<QuantizationBits>{QuantizationBits::kU16};
-  }
-  return Status::InvalidArgument("--quantize must be off, u8 or u16, got " +
-                                 mode);
-}
-
-// The quantizer options shared by fit/predict/quantize: code width from
-// `bits`, hot-user set from --hot-users N (the first N ids) and
-// --hot-row-entries.
-ArtifactQuantizerOptions QuantizerOptionsFromFlags(const Flags& flags,
-                                                   QuantizationBits bits) {
   ArtifactQuantizerOptions options;
-  options.bits = bits;
   options.hot_user_count = flags.Count("hot-users", 0);
   options.hot_row_entries = flags.Count("hot-row-entries", 256);
-  return options;
+  const std::string mode = flags.Get("quantize", fallback);
+  if (mode == "off") return std::optional<ArtifactQuantizerOptions>{};
+  if (mode == "u8") {
+    options.bits = QuantizationBits::kU8;
+  } else if (mode == "u16") {
+    options.bits = QuantizationBits::kU16;
+  } else {
+    return Status::InvalidArgument(
+        "--quantize must be off, u8 or u16, got " + mode);
+  }
+  return std::optional<ArtifactQuantizerOptions>{options};
 }
 
 // Sampled link-prediction AUC of the served scores: `sample_pairs`
@@ -540,10 +551,10 @@ Result<SlamPredConfig> CliModelConfig(const Flags& flags) {
 // Fits the CLI model on the full observed structure; shared by `fit`
 // and the fitting form of `predict`.
 Result<std::pair<SlamPred, SocialGraph>> FitFromFlags(const Flags& flags) {
-  auto bundle = LoadBundle(flags);
-  if (!bundle.ok()) return bundle.status();
   auto config = CliModelConfig(flags);
   if (!config.ok()) return config.status();
+  auto bundle = LoadBundle(flags);
+  if (!bundle.ok()) return bundle.status();
 
   SocialGraph observed =
       SocialGraph::FromHeterogeneousNetwork(bundle.value().target());
@@ -607,9 +618,9 @@ int PrintTopPredictions(const LinkPredictor& scorer,
 int Fit(const Flags& flags) {
   const auto model_path = flags.GetRequired("save-model");
   if (!model_path.has_value()) return 2;
-  auto quantize_bits = QuantizeBitsFromFlags(flags, "off");
-  if (!quantize_bits.ok()) {
-    std::fprintf(stderr, "%s\n", quantize_bits.status().ToString().c_str());
+  auto quantizer = QuantizerFromFlags(flags, "off");
+  if (!quantizer.ok()) {
+    std::fprintf(stderr, "%s\n", quantizer.status().ToString().c_str());
     return 2;
   }
   auto fitted = FitFromFlags(flags);
@@ -626,17 +637,16 @@ int Fit(const Flags& flags) {
     return 1;
   }
   report.artifact.present = true;
-  if (quantize_bits.value().has_value()) {
+  if (quantizer.value().has_value()) {
     ArtifactQuantizeReport quantize_report;
     auto quantized = QuantizeModelArtifact(
-        std::move(artifact).value(),
-        QuantizerOptionsFromFlags(flags, *quantize_bits.value()), &quantize_report);
+        std::move(artifact).value(), *quantizer.value(), &quantize_report);
     if (!quantized.ok()) {
       std::fprintf(stderr, "%s\n", quantized.status().ToString().c_str());
       return 1;
     }
     artifact = std::move(quantized).value();
-    report.artifact.mode = QuantizationBitsName(*quantize_bits.value());
+    report.artifact.mode = QuantizationBitsName(quantizer.value()->bits);
     report.artifact.float_artifact_bytes = quantize_report.float_bytes;
     report.artifact.hot_rows = quantize_report.hot_rows;
   }
@@ -667,12 +677,12 @@ int Quantize(const Flags& flags) {
   const auto model_path = flags.GetRequired("model");
   const auto out_path = flags.GetRequired("out");
   if (!model_path || !out_path) return 2;
-  auto quantize_bits = QuantizeBitsFromFlags(flags, "u8");
-  if (!quantize_bits.ok()) {
-    std::fprintf(stderr, "%s\n", quantize_bits.status().ToString().c_str());
+  auto quantizer = QuantizerFromFlags(flags, "u8");
+  if (!quantizer.ok()) {
+    std::fprintf(stderr, "%s\n", quantizer.status().ToString().c_str());
     return 2;
   }
-  if (!quantize_bits.value().has_value()) {
+  if (!quantizer.value().has_value()) {
     std::fprintf(stderr, "quantize needs --quantize u8 or u16\n");
     return 2;
   }
@@ -683,9 +693,8 @@ int Quantize(const Flags& flags) {
   }
   Stopwatch watch;
   ArtifactQuantizeReport report;
-  auto quantized = QuantizeModelArtifact(
-      std::move(artifact).value(),
-      QuantizerOptionsFromFlags(flags, *quantize_bits.value()), &report);
+  auto quantized = QuantizeModelArtifact(std::move(artifact).value(),
+                                         *quantizer.value(), &report);
   if (!quantized.ok()) {
     std::fprintf(stderr, "%s\n", quantized.status().ToString().c_str());
     return 1;
@@ -699,13 +708,13 @@ int Quantize(const Flags& flags) {
       "quantized %s -> %s (%s): %llu bytes from %llu float bytes "
       "(%.2fx smaller), %zu hot row(s), %.2f s\n",
       model_path->c_str(), out_path->c_str(),
-      QuantizationBitsName(*quantize_bits.value()),
+      QuantizationBitsName(quantizer.value()->bits),
       static_cast<unsigned long long>(report.quantized_bytes),
       static_cast<unsigned long long>(report.float_bytes), report.shrink(),
       report.hot_rows, watch.ElapsedSeconds());
   if (flags.Has("stats-json")) {
     std::string json = "{\"mode\":\"";
-    json += QuantizationBitsName(*quantize_bits.value());
+    json += QuantizationBitsName(quantizer.value()->bits);
     json += "\",\"artifact_bytes\":" + std::to_string(report.quantized_bytes);
     json += ",\"float_artifact_bytes\":" + std::to_string(report.float_bytes);
     json += ",\"hot_rows\":" + std::to_string(report.hot_rows);
@@ -729,6 +738,11 @@ int PredictFromArtifact(const Flags& flags, std::size_t top_k) {
   const auto model_path = flags.GetRequired("model");
   const auto target_path = flags.GetRequired("target");
   if (!model_path || !target_path) return 2;
+  auto quantizer = QuantizerFromFlags(flags, "off");
+  if (!quantizer.ok()) {
+    std::fprintf(stderr, "%s\n", quantizer.status().ToString().c_str());
+    return 2;
+  }
   auto io = IoPolicyFromFlags(flags);
   if (!io.ok()) {
     std::fprintf(stderr, "%s\n", io.status().ToString().c_str());
@@ -744,22 +758,16 @@ int PredictFromArtifact(const Flags& flags, std::size_t top_k) {
   const SocialGraph observed =
       SocialGraph::FromHeterogeneousNetwork(target.value());
 
-  auto quantize_bits = QuantizeBitsFromFlags(flags, "off");
-  if (!quantize_bits.ok()) {
-    std::fprintf(stderr, "%s\n", quantize_bits.status().ToString().c_str());
-    return 2;
-  }
   auto session = [&]() -> Result<ScoringSession> {
-    if (!quantize_bits.value().has_value()) {
+    if (!quantizer.value().has_value()) {
       return ScoringSession::FromFile(*model_path);
     }
     // --quantize: transform the loaded float artifact in memory and
     // serve the dequantizing session instead.
     auto artifact = LoadModelArtifact(*model_path);
     if (!artifact.ok()) return artifact.status();
-    auto quantized = QuantizeModelArtifact(
-        std::move(artifact).value(),
-        QuantizerOptionsFromFlags(flags, *quantize_bits.value()));
+    auto quantized =
+        QuantizeModelArtifact(std::move(artifact).value(), *quantizer.value());
     if (!quantized.ok()) return quantized.status();
     return ScoringSession::FromArtifact(std::move(quantized).value());
   }();
@@ -783,9 +791,9 @@ int Predict(const Flags& flags) {
   const std::size_t top_k = flags.Count("top", 20);
   if (flags.Has("model")) return PredictFromArtifact(flags, top_k);
 
-  auto quantize_bits = QuantizeBitsFromFlags(flags, "off");
-  if (!quantize_bits.ok()) {
-    std::fprintf(stderr, "%s\n", quantize_bits.status().ToString().c_str());
+  auto quantizer = QuantizerFromFlags(flags, "off");
+  if (!quantizer.ok()) {
+    std::fprintf(stderr, "%s\n", quantizer.status().ToString().c_str());
     return 2;
   }
   auto fitted = FitFromFlags(flags);
@@ -796,7 +804,7 @@ int Predict(const Flags& flags) {
   const SlamPred& model = fitted.value().first;
   const int report_rc = EmitFitReport(flags, MakeFitReport(model));
   if (report_rc != 0) return report_rc;
-  if (quantize_bits.value().has_value()) {
+  if (quantizer.value().has_value()) {
     // --quantize: rank from the quantized artifact the fit would ship,
     // not the float model — the scores readers of the output will see.
     auto artifact = MakeModelArtifact(model);
@@ -804,9 +812,8 @@ int Predict(const Flags& flags) {
       std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
       return 1;
     }
-    auto quantized = QuantizeModelArtifact(
-        std::move(artifact).value(),
-        QuantizerOptionsFromFlags(flags, *quantize_bits.value()));
+    auto quantized =
+        QuantizeModelArtifact(std::move(artifact).value(), *quantizer.value());
     if (!quantized.ok()) {
       std::fprintf(stderr, "%s\n", quantized.status().ToString().c_str());
       return 1;
@@ -817,7 +824,7 @@ int Predict(const Flags& flags) {
       return 1;
     }
     std::printf("ranking from quantized scores (%s)\n",
-                QuantizationBitsName(*quantize_bits.value()));
+                QuantizationBitsName(quantizer.value()->bits));
     return PrintTopPredictions(session.value(), fitted.value().second, top_k);
   }
   return PrintTopPredictions(model, fitted.value().second, top_k);
@@ -835,19 +842,29 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
                  mode.c_str());
     return 2;
   }
-  options.concurrency = flags.Count("concurrency", 4);
+  options.concurrency = flags.Count("concurrency", 4, kMaxThreads);
   options.duration_seconds = flags.Number("duration", 2);
   options.open_rate_rps = flags.Number("rate", 2000);
   options.pairs_per_request = flags.Count("request-pairs", 64);
   options.top_k = flags.Count("topk", 10);
-  options.seed = flags.Count("seed", 42);
+  options.seed = flags.Seed(42);
   if (flags.Bool("swap-under-load", false)) options.swap_every_seconds = 0.25;
   options.deadline_ms = flags.Number("deadline-ms", 0);
   options.chaos = flags.Bool("chaos", false);
-
-  auto quantize_bits = QuantizeBitsFromFlags(flags, "off");
-  if (!quantize_bits.ok()) {
-    std::fprintf(stderr, "%s\n", quantize_bits.status().ToString().c_str());
+  const std::size_t auc_pairs = flags.Count("auc-pairs", 0);
+  BatchScorerOptions batch;
+  batch.queue_cap = flags.Count("queue-cap", 0);
+  const std::string shed_policy = flags.Get("shed-policy", "newest");
+  if (shed_policy == "oldest") {
+    batch.shed_policy = ShedPolicy::kRejectOldest;
+  } else if (shed_policy != "newest") {
+    std::fprintf(stderr, "--shed-policy must be newest or oldest, got %s\n",
+                 shed_policy.c_str());
+    return 2;
+  }
+  auto quantizer = QuantizerFromFlags(flags, "off");
+  if (!quantizer.ok()) {
+    std::fprintf(stderr, "%s\n", quantizer.status().ToString().c_str());
     return 2;
   }
   const std::size_t hot_users = flags.Count("hot-users", 0);
@@ -862,7 +879,7 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
   std::uint64_t artifact_bytes = 0;
   std::uint64_t float_equiv_bytes = 0;
   Status swapped = Status::OK();
-  if (quantize_bits.value().has_value()) {
+  if (quantizer.value().has_value()) {
     // --quantize: transform the float artifact in memory, then publish
     // the quantized form — the hot-user cache the quantizer snapshots
     // rides in, so the registry precomputes nothing at swap time.
@@ -873,8 +890,7 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
     }
     ArtifactQuantizeReport quantize_report;
     auto quantized = QuantizeModelArtifact(
-        std::move(artifact).value(),
-        QuantizerOptionsFromFlags(flags, *quantize_bits.value()), &quantize_report);
+        std::move(artifact).value(), *quantizer.value(), &quantize_report);
     if (!quantized.ok()) {
       std::fprintf(stderr, "%s\n", quantized.status().ToString().c_str());
       return 1;
@@ -908,16 +924,6 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
     options.swap_path = serving_path;
     if (options.swap_every_seconds <= 0.0) options.swap_every_seconds = 0.05;
   }
-  BatchScorerOptions batch;
-  batch.queue_cap = flags.Count("queue-cap", 0);
-  const std::string shed_policy = flags.Get("shed-policy", "newest");
-  if (shed_policy == "oldest") {
-    batch.shed_policy = ShedPolicy::kRejectOldest;
-  } else if (shed_policy != "newest") {
-    std::fprintf(stderr, "--shed-policy must be newest or oldest, got %s\n",
-                 shed_policy.c_str());
-    return 2;
-  }
   ScoringService service(&registry, batch);
   const auto model = registry.Acquire();
   std::printf("serving %s (%zu users, version %llu, checksum %08x, %s) "
@@ -940,7 +946,6 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
   // the served scores (quantized or float) against the observed graph,
   // so the CI leg can assert quantized AUC stays within tolerance of
   // the float run.
-  const std::size_t auc_pairs = flags.Count("auc-pairs", 0);
   if (auc_pairs > 0) {
     const std::string target_path = flags.Get("target", "");
     if (target_path.empty()) {
@@ -1052,11 +1057,6 @@ int ServeBench(const Flags& flags) {
 }
 
 int Evaluate(const Flags& flags) {
-  auto bundle = LoadBundle(flags);
-  if (!bundle.ok()) {
-    std::fprintf(stderr, "%s\n", bundle.status().ToString().c_str());
-    return 1;
-  }
   const auto method = MethodFromName(flags.Get("method", "SLAMPRED"));
   if (!method.has_value()) return 2;
 
@@ -1080,6 +1080,11 @@ int Evaluate(const Flags& flags) {
     return 2;
   }
   options.save_model_dir = flags.Get("save-model-dir", "");
+  auto bundle = LoadBundle(flags);
+  if (!bundle.ok()) {
+    std::fprintf(stderr, "%s\n", bundle.status().ToString().c_str());
+    return 1;
+  }
   auto runner = ExperimentRunner::Create(bundle.value(), options);
   if (!runner.ok()) {
     std::fprintf(stderr, "%s\n", runner.status().ToString().c_str());
@@ -1132,14 +1137,19 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Flags flags(argc, argv);
+  std::size_t threads = 0;
   if (flags.Has("threads")) {
-    const std::size_t n = flags.Count("threads", 0);
-    if (n == 0) {
+    threads = flags.Count("threads", 0, kMaxThreads);
+    if (threads == 0) {
       std::fprintf(stderr, "--threads must be >= 1\n");
       return 2;
     }
-    ThreadPool::Global().Resize(n);
   }
+  // Every command sizes the shared pool up front: from SLAMPRED_THREADS
+  // on first use (a value ParseThreadCount rejects reads as unset), then
+  // from --threads.
+  ThreadPool& pool = ThreadPool::Global();
+  if (threads > 0) pool.Resize(threads);
   if (command == "generate") return Generate(flags);
   if (command == "fit") return Fit(flags);
   if (command == "predict") return Predict(flags);
