@@ -393,34 +393,9 @@ void BM_SolveProjections(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveProjections)->Unit(benchmark::kMillisecond);
 
-// Objective data terms (loss + γ‖S‖₁ + the intimacy sweep) with τ = 0 so
-// the dense-SVD nuclear norm — identical in both variants — does not
-// drown the comparison. The intimacy sweep walks stored entries only
-// (sparse, O(nnz)) vs. all d·n² entries (dense). Both read the same
-// CSR A^t.
-void BM_ObjectiveSparse(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const SocialGraph g1 = BenchGraph(n);
-  const SocialGraph g2 = BenchGraph(n);
-  ThreadCountGuard guard(static_cast<std::size_t>(state.range(1)));
-  const std::vector<SparseTensor3> tensors = {BenchSparseTensor(g1, g2)};
-  const std::vector<double> weights = {0.25};
-  Objective objective;
-  objective.a = g1.AdjacencyCsr();
-  objective.grad_v =
-      BuildIntimacyGradientCsr(tensors[0], weights[0], {}, {}).ToDense();
-  objective.gamma = 0.3;
-  objective.tau = 0.0;
-  const Matrix s = RandomMatrix(n, 21);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        FullObjectiveValue(objective, s, tensors, weights));
-  }
-}
-BENCHMARK(BM_ObjectiveSparse)->Apply([](benchmark::internal::Benchmark* b) {
-  SizeThreadGrid(b, {256, 1024, 2048});
-});
-
+// Objective data terms (loss + γ‖S‖₁ + the intimacy sweep over all d·n²
+// entries of the dense tensor) with τ = 0 so the dense-SVD nuclear norm
+// does not drown the sweep. A is read in CSR.
 void BM_ObjectiveDense(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const SocialGraph g1 = BenchGraph(n);

@@ -15,29 +15,6 @@ std::size_t RowDegree(const CsrMatrix& a, std::size_t u) {
   return a.row_ptr()[u + 1] - a.row_ptr()[u];
 }
 
-// |Γ(u) ∩ Γ(v)| as a merge over the two sorted column-index ranges.
-std::size_t IntersectionCount(const CsrMatrix& a, std::size_t u,
-                              std::size_t v) {
-  const auto& col = a.col_idx();
-  std::size_t p = a.row_ptr()[u];
-  const std::size_t pe = a.row_ptr()[u + 1];
-  std::size_t q = a.row_ptr()[v];
-  const std::size_t qe = a.row_ptr()[v + 1];
-  std::size_t count = 0;
-  while (p < pe && q < qe) {
-    if (col[p] < col[q]) {
-      ++p;
-    } else if (col[q] < col[p]) {
-      ++q;
-    } else {
-      ++count;
-      ++p;
-      ++q;
-    }
-  }
-  return count;
-}
-
 }  // namespace
 
 Result<std::vector<double>> PaPredictor::ScorePairs(
@@ -63,7 +40,7 @@ Result<std::vector<double>> CnPredictor::ScorePairs(
                 for (std::size_t i = i0; i < i1; ++i) {
                   const UserPair& p = pairs[i];
                   scores[i] = static_cast<double>(
-                      IntersectionCount(adjacency_, p.u, p.v));
+                      adjacency_.RowIntersectionCount(p.u, p.v));
                 }
               });
   return scores;
@@ -77,7 +54,7 @@ Result<std::vector<double>> JcPredictor::ScorePairs(
                 for (std::size_t i = i0; i < i1; ++i) {
                   const UserPair& p = pairs[i];
                   const std::size_t inter =
-                      IntersectionCount(adjacency_, p.u, p.v);
+                      adjacency_.RowIntersectionCount(p.u, p.v);
                   const std::size_t uni = RowDegree(adjacency_, p.u) +
                                           RowDegree(adjacency_, p.v) - inter;
                   scores[i] = uni > 0

@@ -71,7 +71,7 @@ Status EmbeddingStage::Run(FitContext& context) const {
   // contributes — otherwise the intimacy gradient would drown the
   // Frobenius loss and saturate every score at the box bound.
   const SparseTensor3& target = context.raw_tensors[0];
-  const double target_weight = config_.alpha_target * config_.intimacy_scale /
+  const double target_weight = config_.alpha_target * kIntimacyScale /
                                std::max<double>(1.0, target.dim0());
 
   // The solve reads the target's own features raw (DESIGN.md §5,
@@ -102,7 +102,7 @@ Status EmbeddingStage::Run(FitContext& context) const {
       const std::size_t slices = config_.domain_adaptation
                                      ? options.projection.latent_dim
                                      : context.raw_tensors[k + 1].dim0();
-      source_weights.push_back(alpha * config_.intimacy_scale /
+      source_weights.push_back(alpha * kIntimacyScale /
                                std::max<double>(1.0, slices));
     }
   }
@@ -137,7 +137,6 @@ Status SolveStage::Run(FitContext& context) const {
     objective.grad_v = std::exchange(context.intimacy_gradient, CsrMatrix());
     objective.gamma = config_.gamma;
     objective.tau = config_.tau;
-    objective.loss = config_.loss;
 
     auto solution = SolveCccpFactored(objective, config_.optimization,
                                       config_.factored, &context.trace);
@@ -156,7 +155,6 @@ Status SolveStage::Run(FitContext& context) const {
       std::exchange(context.intimacy_gradient, CsrMatrix()).ToDense();
   objective.gamma = config_.gamma;
   objective.tau = config_.tau;
-  objective.loss = config_.loss;
 
   auto solution = SolveCccp(objective, config_.optimization, &context.trace);
   if (!solution.ok()) return solution.status();
@@ -239,6 +237,10 @@ Status FitClusterOnce(const SlamPredConfig& model_config,
   return Status::OK();
 }
 
+// Per-row cap on boundary-refinement candidates; bounds the refinement
+// CSR on hub-heavy graphs.
+constexpr std::size_t kMaxBoundaryCandidates = 512;
+
 // The boundary-refinement pass: scores the cross-cluster pairs the
 // per-cluster blocks cannot see. Candidates for user u are the
 // cross-cluster users within two hops (cut-edge endpoints and their
@@ -254,8 +256,7 @@ Status FitClusterOnce(const SlamPredConfig& model_config,
 // writer per row — then mirrored into a symmetric CSR.
 CsrMatrix RefineBoundary(const ShardedScores& shards,
                          const std::vector<std::uint32_t>& cluster_of,
-                         const SocialGraph& structure,
-                         std::size_t max_candidates) {
+                         const SocialGraph& structure) {
   const std::size_t n = structure.num_users();
   std::vector<std::vector<CsrMatrix::RowEntry>> upper(n);
   ParallelFor(0, n, 8, [&](std::size_t row_begin, std::size_t row_end) {
@@ -272,8 +273,8 @@ CsrMatrix RefineBoundary(const ShardedScores& shards,
       std::sort(candidates.begin(), candidates.end());
       candidates.erase(std::unique(candidates.begin(), candidates.end()),
                        candidates.end());
-      if (max_candidates > 0 && candidates.size() > max_candidates) {
-        candidates.resize(max_candidates);
+      if (candidates.size() > kMaxBoundaryCandidates) {
+        candidates.resize(kMaxBoundaryCandidates);
       }
       for (const std::size_t v : candidates) {
         const std::uint32_t cv = cluster_of[v];
@@ -392,10 +393,9 @@ Status PartitionedSolveStage::Run(FitContext& context) const {
   Stopwatch refine_watch;
   auto sharded = ShardedScores::Create(
       blocks.value()->shards(),
-      std::make_shared<BoundaryScores>(RefineBoundary(
-          *blocks.value(), context.partition.cluster_of,
-          *context.target_structure,
-          config_.partition.max_boundary_candidates)),
+      std::make_shared<BoundaryScores>(
+          RefineBoundary(*blocks.value(), context.partition.cluster_of,
+                         *context.target_structure)),
       n);
   if (!sharded.ok()) return sharded.status();
   context.partition_stats.refine_seconds = refine_watch.ElapsedSeconds();

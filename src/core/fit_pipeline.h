@@ -117,10 +117,18 @@ class FeatureStage : public FitStage {
   SlamPredConfig config_;
 };
 
+/// Multiplier of every intimacy weight α (before the division by the
+/// network's slice count). It fixes the scale between the
+/// [0,1]-normalised feature maps and the unit-weight regularizers, so
+/// the paper's parameter ranges (α ∈ [0, 1], γ = τ = 1) are directly
+/// usable (DESIGN.md §5, deviation 6).
+inline constexpr double kIntimacyScale = 16.0;
+
 /// Builds G from the raw target tensor plus, per transferred source, its
 /// slice sum in target coordinates: Theorem-1 projected, or raw when
-/// domain_adaptation is false (EXP-A2). Each network's weight α is
-/// divided by its slice count. Releases the raw tensors.
+/// domain_adaptation is false (EXP-A2). Each network's weight is
+/// α · kIntimacyScale divided by its slice count. Releases the raw
+/// tensors.
 class EmbeddingStage : public FitStage {
  public:
   explicit EmbeddingStage(SlamPredConfig config)

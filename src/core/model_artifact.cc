@@ -50,13 +50,13 @@ void SerializeConfig(const SlamPredConfig& config, BinaryWriter& writer) {
   writer.WriteDouble(config.mu);
   writer.WriteDouble(config.gamma);
   writer.WriteDouble(config.tau);
-  writer.WriteDouble(config.intimacy_scale);
+  writer.WriteDouble(16.0);  // The retired intimacy_scale (now fixed).
   writer.WriteU64(config.latent_dim);
   writer.WriteBool(config.use_attributes);
   writer.WriteBool(config.use_sources);
   writer.WriteBool(config.domain_adaptation);
   writer.WriteBool(false);  // The retired project_target_features flag.
-  writer.WriteU8(static_cast<std::uint8_t>(config.loss));
+  writer.WriteU8(0);        // The retired loss kind (squared Frobenius).
   writer.WriteU64(config.seed);
 
   const FeatureTensorOptions& f = config.features;
@@ -134,22 +134,25 @@ Result<SlamPredConfig> DeserializeConfig(BinaryReader& reader) {
   SLAMPRED_READ_INTO(config.mu, reader.ReadDouble());
   SLAMPRED_READ_INTO(config.gamma, reader.ReadDouble());
   SLAMPRED_READ_INTO(config.tau, reader.ReadDouble());
-  SLAMPRED_READ_INTO(config.intimacy_scale, reader.ReadDouble());
+  // The retired intimacy_scale: still read, so a truncation fails as
+  // before, then dropped (the fit's scale is the constant 16).
+  SLAMPRED_RETURN_NOT_OK(reader.ReadDouble().status());
   SLAMPRED_READ_INTO(config.latent_dim, reader.ReadU64());
   SLAMPRED_READ_INTO(config.use_attributes, reader.ReadBool());
   SLAMPRED_READ_INTO(config.use_sources, reader.ReadBool());
   SLAMPRED_READ_INTO(config.domain_adaptation, reader.ReadBool());
-  // The retired project_target_features flag: still read, so a corrupt
-  // bool fails as before, then dropped.
+  // The retired project_target_features flag and loss kind: still read,
+  // so a corrupt bool or a loss kind past the two that were ever
+  // written (0 squared Frobenius, 1 squared hinge) fails as before,
+  // then dropped.
   SLAMPRED_RETURN_NOT_OK(reader.ReadBool().status());
   const std::size_t loss_offset = reader.offset();
   std::uint8_t loss = 0;
   SLAMPRED_READ_INTO(loss, reader.ReadU8());
-  if (loss > static_cast<std::uint8_t>(LossKind::kSquaredHinge)) {
+  if (loss > 1) {
     return Status::IoError("corrupt loss kind " + std::to_string(loss) +
                            " at offset " + std::to_string(loss_offset));
   }
-  config.loss = static_cast<LossKind>(loss);
   SLAMPRED_READ_INTO(config.seed, reader.ReadU64());
 
   FeatureTensorOptions& f = config.features;

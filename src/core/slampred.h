@@ -57,11 +57,6 @@ struct SlamPredConfig {
   /// Low-rank (nuclear norm) regularization weight τ (same scale caveat
   /// as γ; τ ≈ 6 plays the role of the paper's τ = 1).
   double tau = 6.0;
-  /// Global multiplier applied to every intimacy weight (divided by each
-  /// tensor's slice count). Fixes the scale between the [0,1]-normalised
-  /// feature maps and the unit-weight regularizers so the paper's
-  /// parameter ranges (α ∈ [0, 1], γ = τ = 1) are directly usable.
-  double intimacy_scale = 16.0;
   /// Latent feature-space dimension c.
   std::size_t latent_dim = 5;
 
@@ -76,21 +71,16 @@ struct SlamPredConfig {
   /// deviation 5).
   bool domain_adaptation = true;
 
-  /// Convex surrogate for the empirical loss (Section III-D offers both
-  /// forms; squared Frobenius is the paper's and this library's
-  /// default).
-  LossKind loss = LossKind::kSquaredFrobenius;
-
   FeatureTensorOptions features;
   CccpOptions optimization;
 
   /// Iterate representation of the CCCP solve: the dense oracle or the
   /// factored low-rank path (S = U·Vᵀ, O(n·r²) prox). The factored
-  /// backend requires the squared-Frobenius loss and ignores
-  /// project_unit_box / gamma's entry-wise prox (see DESIGN.md §13).
+  /// backend ignores project_unit_box / gamma's entry-wise prox (see
+  /// DESIGN.md §13).
   SolverBackend solver_backend = SolverBackend::kDense;
-  /// Range-finder controls of the factored backend (rank r, sketch
-  /// oversampling, power iterations, sketch seed).
+  /// Range-sketch size of the factored backend (rank r plus
+  /// oversampling).
   FactoredSolverOptions factored;
 
   /// Hierarchical partitioned solve (DESIGN.md "Hierarchical

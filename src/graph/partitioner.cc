@@ -10,6 +10,11 @@
 namespace slampred {
 namespace {
 
+// Label-propagation sweep budget (each sweep is O(nnz)) and the seed of
+// the propagation's node-visit order.
+constexpr int kMaxSweeps = 20;
+constexpr std::uint64_t kVisitOrderSeed = 17;
+
 // Adopts the most frequent label among `u`'s neighbors; ties break to
 // the smallest label so the sweep is a pure function of the labels.
 std::size_t DominantNeighborLabel(const SocialGraph& graph,
@@ -211,10 +216,10 @@ Result<GraphPartition> PartitionGraph(const SocialGraph& graph,
   std::iota(labels.begin(), labels.end(), 0);
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  Rng rng(options.seed);
+  Rng rng(kVisitOrderSeed);
   rng.Shuffle(order);
   std::vector<std::size_t> scratch;
-  for (int sweep = 0; sweep < std::max(options.max_iterations, 1); ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool changed = false;
     for (const std::size_t u : order) {
       const std::size_t best = DominantNeighborLabel(graph, labels, u, scratch);

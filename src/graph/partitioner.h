@@ -37,7 +37,8 @@ const char* PartitionModeName(PartitionMode mode);
 /// Parses "none" / "auto" (kInvalidArgument otherwise).
 Result<PartitionMode> ParsePartitionMode(const std::string& text);
 
-/// Partitioner knobs (part of SlamPredConfig).
+/// Partitioner knobs (part of SlamPredConfig). The label-propagation
+/// sweep budget and node-order seed are fixed in graph/partitioner.cc.
 struct PartitionOptions {
   PartitionMode mode = PartitionMode::kNone;
   /// Hard cap on cluster size; oversized label-propagation clusters are
@@ -46,14 +47,6 @@ struct PartitionOptions {
   /// Best-effort floor: smaller clusters merge into their
   /// most-connected neighbor cluster when that stays under the cap.
   std::size_t min_cluster_size = 8;
-  /// Label-propagation sweep budget (each sweep is O(nnz)).
-  int max_iterations = 20;
-  /// Seed of the propagation's node-visit order.
-  std::uint64_t seed = 17;
-  /// Per-row cap on boundary-refinement candidates (cross-cluster pairs
-  /// within two hops); 0 means unlimited. Bounds the refinement CSR on
-  /// hub-heavy graphs.
-  std::size_t max_boundary_candidates = 512;
 };
 
 /// Summary of one partition (and, after a partitioned fit, its

@@ -246,6 +246,27 @@ Vector CsrMatrix::RowSums() const {
   return sums;
 }
 
+std::size_t CsrMatrix::RowIntersectionCount(std::size_t u,
+                                            std::size_t v) const {
+  std::size_t p = row_ptr_[u];
+  const std::size_t pe = row_ptr_[u + 1];
+  std::size_t q = row_ptr_[v];
+  const std::size_t qe = row_ptr_[v + 1];
+  std::size_t count = 0;
+  while (p < pe && q < qe) {
+    if (col_idx_[p] < col_idx_[q]) {
+      ++p;
+    } else if (col_idx_[q] < col_idx_[p]) {
+      ++q;
+    } else {
+      ++count;
+      ++p;
+      ++q;
+    }
+  }
+  return count;
+}
+
 Matrix CsrMatrix::ToDense() const {
   Matrix out(rows_, cols_);
   for (std::size_t i = 0; i < rows_; ++i) {

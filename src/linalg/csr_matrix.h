@@ -88,6 +88,11 @@ class CsrMatrix {
   /// Row sums (the degree vector of an adjacency-like matrix).
   Vector RowSums() const;
 
+  /// Number of column indices rows u and v both store: a merge over the
+  /// two sorted rows (|Γ(u) ∩ Γ(v)|, the common-neighbour count, of an
+  /// adjacency).
+  std::size_t RowIntersectionCount(std::size_t u, std::size_t v) const;
+
   /// Densifies (intended for tests / small matrices).
   Matrix ToDense() const;
 
@@ -166,7 +171,6 @@ class TripletBuilder {
   TripletBuilder(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols) {}
 
-  void Reserve(std::size_t nnz) { triplets_.reserve(nnz); }
   void Add(std::size_t row, std::size_t col, double value) {
     triplets_.push_back({row, col, value});
   }

@@ -1,6 +1,5 @@
 #include "linalg/matrix_ops.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -145,19 +144,6 @@ double SpectralNormEstimate(const Matrix& m, int iterations) {
     sigma = std::sqrt(norm);
   }
   return sigma;
-}
-
-Matrix Clamp(const Matrix& m, double lo, double hi) {
-  Matrix out = m;
-  for (double& v : out.data()) v = std::clamp(v, lo, hi);
-  return out;
-}
-
-Matrix ZeroDiagonal(const Matrix& m) {
-  SLAMPRED_CHECK(m.IsSquare()) << "ZeroDiagonal on non-square matrix";
-  Matrix out = m;
-  for (std::size_t i = 0; i < m.rows(); ++i) out(i, i) = 0.0;
-  return out;
 }
 
 }  // namespace slampred

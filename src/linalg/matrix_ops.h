@@ -33,13 +33,6 @@ Result<double> NuclearNorm(const Matrix& m);
 /// cheap and sufficient for step-size selection.
 double SpectralNormEstimate(const Matrix& m, int iterations = 50);
 
-/// Clamps every entry into [lo, hi].
-Matrix Clamp(const Matrix& m, double lo, double hi);
-
-/// Zeroes the main diagonal (square matrices; used for predictor matrices
-/// where self-links are meaningless).
-Matrix ZeroDiagonal(const Matrix& m);
-
 }  // namespace slampred
 
 #endif  // SLAMPRED_LINALG_MATRIX_OPS_H_

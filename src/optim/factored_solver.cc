@@ -14,6 +14,15 @@
 namespace slampred {
 namespace {
 
+// Subspace (power) iterations of a cold-started range sketch, and of one
+// warm-started from the previous step's basis: the subspace barely
+// moves between iterations, so fewer passes suffice.
+constexpr int kColdPowerIterations = 2;
+constexpr int kWarmPowerIterations = 1;
+// Base seed of the gaussian sketches; every per-step draw is derived
+// from it, never from global state.
+constexpr std::uint64_t kSketchSeed = 0x5eedULL;
+
 // The half-step operator T = su·(U·Vᵀ) + sz·Z + oc·(1·1ᵀ), applied to
 // dense blocks without materialising any n×n matrix. `s` may be null
 // (no low-rank term); `z` is the sparse part.
@@ -116,13 +125,6 @@ Result<FactoredMatrix> FactoredProxAttempt(const Matrix& q, const Matrix& b,
   return FactoredMatrix(q * u_scaled, qr_b.value().q * v_keep);
 }
 
-Status CheckFactoredLoss(const FactoredObjective& objective) {
-  if (objective.loss == LossKind::kSquaredFrobenius) return Status::OK();
-  return Status::InvalidArgument(
-      "the factored backend supports the squared-Frobenius loss only "
-      "(the squared-hinge gradient is entry-wise nonlinear)");
-}
-
 // The sketched half step S_half ≈ q·bᵀ of (1−2θ)·S + θ·Z (minus the
 // linearised ℓ₁ term −θγ·1·1ᵀ when γ > 0), the factored prox and
 // re-symmetrisation; every accepted iterate's column space seeds the
@@ -134,7 +136,6 @@ class FactoredStep final : public ForwardBackwardStep<FactoredMatrix> {
                const FactoredSolverOptions& factored, Matrix basis)
       : objective_(objective),
         keep_symmetric_(options.keep_symmetric),
-        factored_(factored),
         sketch_(std::min(factored.rank + factored.oversampling,
                          objective.a.rows())),
         z_(objective.a.Scaled(2.0).Add(objective.grad_v)),
@@ -155,14 +156,13 @@ class FactoredStep final : public ForwardBackwardStep<FactoredMatrix> {
     op.sz = theta;
     op.oc = objective_.gamma > 0.0 ? -theta * objective_.gamma : 0.0;
     op.n = objective_.a.rows();
-    const int power = basis_.cols() > 0 ? factored_.warm_power_iterations
-                                        : factored_.power_iterations;
+    const int power =
+        basis_.cols() > 0 ? kWarmPowerIterations : kColdPowerIterations;
     // Vary the fresh-column draw deterministically per step so a
     // dropped subspace direction is not re-proposed forever.
     const std::uint64_t step_seed =
-        factored_.seed ^ (sketch_seed_ + 0x9e3779b97f4a7c15ULL *
-                                             static_cast<std::uint64_t>(
-                                                 step + 1));
+        kSketchSeed ^ (sketch_seed_ + 0x9e3779b97f4a7c15ULL *
+                                          static_cast<std::uint64_t>(step + 1));
     q_ = RangeFinder(op, sketch_, basis_, power, step_seed);
     b_ = op.Apply(q_, /*transpose=*/true);
     ApplyGradStepFault(&b_);
@@ -198,7 +198,6 @@ class FactoredStep final : public ForwardBackwardStep<FactoredMatrix> {
  private:
   const FactoredObjective& objective_;
   const bool keep_symmetric_;
-  const FactoredSolverOptions& factored_;
   const std::size_t sketch_;
   const CsrMatrix z_;  // Z = 2A + G, constant across the whole solve.
   Matrix basis_;
@@ -251,8 +250,8 @@ Result<FactoredMatrix> FactoredApproximation(
   op.n = a.rows();
   const std::size_t sketch = std::min(options.rank + options.oversampling,
                                       std::min(a.rows(), a.cols()));
-  Matrix q = RangeFinder(op, sketch, Matrix(), options.power_iterations,
-                         options.seed);
+  Matrix q =
+      RangeFinder(op, sketch, Matrix(), kColdPowerIterations, kSketchSeed);
   if (q.cols() == 0) return FactoredMatrix::Zero(a.rows(), a.cols());
   // S⁰ = Q·(AᵀQ)ᵀ = Q·Qᵀ·A — the best approximation of A inside the
   // sketched subspace.
@@ -267,7 +266,6 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
   SLAMPRED_CHECK(s0.rows() == objective.a.rows() &&
                  s0.cols() == objective.a.cols())
       << "initial point shape mismatch";
-  SLAMPRED_RETURN_NOT_OK(CheckFactoredLoss(objective));
   FactoredStep step(objective, options, factored,
                     warm_basis != nullptr ? *warm_basis : Matrix());
   step.set_sketch_seed(sketch_seed);
@@ -281,7 +279,6 @@ Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,
                                          const CccpOptions& options,
                                          const FactoredSolverOptions& factored,
                                          CccpTrace* trace) {
-  SLAMPRED_RETURN_NOT_OK(CheckFactoredLoss(objective));
   auto init = FactoredApproximation(objective.a, factored);
   if (!init.ok()) return init.status();
   FactoredStep step(objective, options.inner, factored, Matrix());

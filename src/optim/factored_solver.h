@@ -52,7 +52,6 @@ struct FactoredObjective {
   CsrMatrix grad_v;  ///< Constant CCCP gradient G of the intimacy terms.
   double gamma = 0.0;
   double tau = 0.0;
-  LossKind loss = LossKind::kSquaredFrobenius;
 };
 
 /// Nuclear-norm prox of the sketched half step S_half ≈ q·bᵀ (q with
@@ -69,7 +68,7 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
 
 /// Best rank-(rank+oversampling) approximation of the CSR matrix `a`
 /// via the randomized range finder — the factored solve's S⁰ ≈ Aᵗ
-/// (line 1 of Algorithm 1). Deterministic given the options' seed.
+/// (line 1 of Algorithm 1). Deterministic: the sketch seed is fixed.
 Result<FactoredMatrix> FactoredApproximation(const CsrMatrix& a,
                                              const FactoredSolverOptions& options);
 
@@ -91,9 +90,7 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
 /// range-finder basis warm-started from round to round (the subspace
 /// reuse path). Runs the shared guarded CCCP loop, so a failed round
 /// restarts exactly as on the dense path; the trace's *_l1 series hold
-/// Frobenius values in this mode. Fails with kInvalidArgument for
-/// the squared-hinge loss (its gradient is entry-wise nonlinear and has
-/// no low-rank half step).
+/// Frobenius values in this mode.
 Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,
                                          const CccpOptions& options,
                                          const FactoredSolverOptions& factored,

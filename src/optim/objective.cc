@@ -129,90 +129,37 @@ void ForEachFlatWithA(const CsrMatrix& a, std::size_t f0, std::size_t f1,
   }
 }
 
-// Calls fn(flat, value) for the nonzero entries of slice c of `tensor`
-// whose row-major flat index lies in [l0, l1), in ascending flat order.
-template <typename Fn>
-void ForEachStoredInFlatRange(const SparseTensor3& tensor, std::size_t c,
-                              std::size_t l0, std::size_t l1, Fn fn) {
-  const std::size_t cols = tensor.dim2();
-  if (cols == 0 || l0 >= l1) return;
-  const std::size_t i0 = l0 / cols;
-  const std::size_t i1 = std::min(tensor.dim1(), (l1 + cols - 1) / cols);
-  for (std::size_t i = i0; i < i1; ++i) {
-    const std::size_t base = i * cols;
-    tensor.ForEachInRow(c, i, [&](std::size_t j, double v) {
-      const std::size_t flat = base + j;
-      if (flat >= l0 && flat < l1) fn(flat, v);
-    });
-  }
-}
-
-// Loss value of the smooth empirical term. S is dense, so the sweep is
-// still O(n²); A is read through the flat cursor.
+// ‖S − A‖²_F as a chunked sum of squares (partials combined in chunk
+// order → deterministic for any thread count). S is dense, so the sweep
+// is still O(n²); A is read through the flat cursor.
 double LossValue(const Objective& objective, const Matrix& s) {
   const double* sd = s.data().data();
-  switch (objective.loss) {
-    case LossKind::kSquaredFrobenius:
-      // ‖S − A‖²_F as a chunked sum of squares (partials combined in
-      // chunk order → deterministic for any thread count).
-      return ParallelReduceSum(
-          0, s.data().size(), GrainForWork(1),
-          [&](std::size_t i0, std::size_t i1) {
-            double sum = 0.0;
-            ForEachFlatWithA(objective.a, i0, i1,
-                             [&](std::size_t i, double av) {
-                               const double d = sd[i] - av;
-                               sum += d * d;
-                             });
-            return sum;
-          });
-    case LossKind::kSquaredHinge:
-      return ParallelReduceSum(
-          0, s.data().size(), GrainForWork(1),
-          [&](std::size_t i0, std::size_t i1) {
-            double sum = 0.0;
-            ForEachFlatWithA(objective.a, i0, i1,
-                             [&](std::size_t i, double av) {
-                               const double y = 2.0 * av - 1.0;
-                               const double slack =
-                                   std::max(0.0, 1.0 - y * sd[i]);
-                               sum += slack * slack;
-                             });
-            return sum;
-          });
-  }
-  return 0.0;
+  return ParallelReduceSum(0, s.data().size(), GrainForWork(1),
+                           [&](std::size_t i0, std::size_t i1) {
+                             double sum = 0.0;
+                             ForEachFlatWithA(objective.a, i0, i1,
+                                              [&](std::size_t i, double av) {
+                                                const double d = sd[i] - av;
+                                                sum += d * d;
+                                              });
+                             return sum;
+                           });
 }
 
-// Gradient of the loss alone. Entries are computed independently, so
-// only the per-entry expressions must match the dense reference.
+// Gradient of the loss alone, 2(S − A). Entries are computed
+// independently, so only the per-entry expression must match the dense
+// reference.
 Matrix LossGradient(const Objective& objective, const Matrix& s) {
   Matrix g(s.rows(), s.cols());
   const double* sd = s.data().data();
   double* gd = g.data().data();
-  switch (objective.loss) {
-    case LossKind::kSquaredFrobenius:
-      ParallelFor(0, s.data().size(), GrainForWork(1),
-                  [&](std::size_t i0, std::size_t i1) {
-                    ForEachFlatWithA(objective.a, i0, i1,
-                                     [&](std::size_t i, double av) {
-                                       gd[i] = (sd[i] - av) * 2.0;
-                                     });
-                  });
-      return g;
-    case LossKind::kSquaredHinge:
-      ParallelFor(0, s.data().size(), GrainForWork(1),
-                  [&](std::size_t i0, std::size_t i1) {
-                    ForEachFlatWithA(objective.a, i0, i1,
-                                     [&](std::size_t i, double av) {
-                                       const double y = 2.0 * av - 1.0;
-                                       const double slack =
-                                           std::max(0.0, 1.0 - y * sd[i]);
-                                       gd[i] = -2.0 * y * slack;
-                                     });
-                  });
-      return g;
-  }
+  ParallelFor(0, s.data().size(), GrainForWork(1),
+              [&](std::size_t i0, std::size_t i1) {
+                ForEachFlatWithA(objective.a, i0, i1,
+                                 [&](std::size_t i, double av) {
+                                   gd[i] = (sd[i] - av) * 2.0;
+                                 });
+              });
   return g;
 }
 
@@ -271,58 +218,6 @@ double FullObjectiveValue(const Objective& objective, const Matrix& s,
     // A trace/diagnostic evaluation must not abort the solve. Retry the
     // SVD with a doubled sweep budget; if even that fails, report NaN so
     // callers can see the evaluation was unusable.
-    SvdOptions retry;
-    retry.max_sweeps *= 2;
-    auto svd = ComputeSvd(s, retry);
-    if (!svd.ok()) return std::numeric_limits<double>::quiet_NaN();
-    double sum = 0.0;
-    for (std::size_t r = 0; r < svd.value().singular_values.size(); ++r) {
-      sum += svd.value().singular_values[r];
-    }
-    return value + objective.tau * sum;
-  }
-  value += objective.tau * nuclear.value();
-  return value;
-}
-
-double FullObjectiveValue(const Objective& objective, const Matrix& s,
-                          const std::vector<SparseTensor3>& tensors,
-                          const std::vector<double>& weights) {
-  SLAMPRED_CHECK(tensors.size() == weights.size());
-  double value = LossValue(objective, s);
-
-  const std::size_t per_slice = s.rows() * s.cols();
-  const double* sd = s.data().data();
-  for (std::size_t k = 0; k < tensors.size(); ++k) {
-    if (weights[k] == 0.0 || tensors[k].empty()) continue;
-    const SparseTensor3& tensor = tensors[k];
-    // Same flat chunk boundaries as the dense sweep; inside each chunk
-    // only the stored entries contribute (|S·0| = +0.0 is an exact no-op
-    // on the non-negative partial), walked in ascending flat order.
-    const double intimacy = ParallelReduceSum(
-        0, tensor.dim0() * per_slice, GrainForWork(1),
-        [&](std::size_t f0, std::size_t f1) {
-          double sum = 0.0;
-          const std::size_t c0 = f0 / per_slice;
-          const std::size_t c1 = (f1 - 1) / per_slice;
-          for (std::size_t c = c0; c <= c1; ++c) {
-            const std::size_t base = c * per_slice;
-            const std::size_t l0 = f0 > base ? f0 - base : 0;
-            const std::size_t l1 = std::min(f1 - base, per_slice);
-            ForEachStoredInFlatRange(tensor, c, l0, l1,
-                                     [&](std::size_t flat, double v) {
-                                       sum += std::fabs(sd[flat] * v);
-                                     });
-          }
-          return sum;
-        });
-    value -= weights[k] * intimacy;
-  }
-
-  value += objective.gamma * s.NormL1();
-  if (objective.tau == 0.0) return value;  // +0.0 * sigma is an exact no-op.
-  auto nuclear = NuclearNorm(s);
-  if (!nuclear.ok()) {
     SvdOptions retry;
     retry.max_sweeps *= 2;
     auto svd = ComputeSvd(s, retry);

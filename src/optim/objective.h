@@ -7,6 +7,9 @@
 //   u(S) = ‖S − Aᵗ‖²_F + γ‖S‖₁ + τ‖S‖_*     (convex)
 //   v(S) = Σ_k α_k ‖S ∘ X̂^k‖₁                (convex; subtracted)
 //
+// The empirical loss is the squared Frobenius norm, the form the
+// paper's experiments fit (Section III-D also names a hinge loss).
+//
 // With non-negative adapted features, ∇v is the constant matrix
 // G = Σ_k α_k Σ_c X̂^k(c,:,:) used by the CCCP linearisation. The fit
 // builds G once, in CSR, one row at a time (BuildIntimacyGradientCsr);
@@ -25,18 +28,6 @@
 
 namespace slampred {
 
-/// Convex surrogate for the paper's 0/1 empirical loss (Section III-D
-/// proposes "the hinge loss and the Frobenius norm"; the Frobenius form
-/// is the paper's default and ours).
-enum class LossKind {
-  /// ‖S − A‖²_F.
-  kSquaredFrobenius,
-  /// Σᵢⱼ max(0, 1 − yᵢⱼ Sᵢⱼ)² with yᵢⱼ = 2Aᵢⱼ − 1 (squared hinge — the
-  /// squaring keeps the smooth part differentiable for the
-  /// forward–backward inner loop).
-  kSquaredHinge,
-};
-
 /// Immutable problem data for one solve. The observed adjacency stays in
 /// CSR (it is the sparsest matrix in the pipeline); only the solver
 /// iterate S and grad_v are dense. Loss kernels read A through a flat
@@ -47,7 +38,6 @@ struct Objective {
   Matrix grad_v;   ///< Constant CCCP gradient G of the intimacy terms.
   double gamma;    ///< ℓ₁ regularization weight.
   double tau;      ///< Nuclear-norm regularization weight.
-  LossKind loss = LossKind::kSquaredFrobenius;
 };
 
 /// Builds G = Σ_k α_k Σ_c tensors[k](c,:,:) densely — the test oracle of
@@ -86,15 +76,6 @@ Matrix SmoothGradient(const Objective& objective, const Matrix& s);
 /// linearisation); used for traces and tests.
 double FullObjectiveValue(const Objective& objective, const Matrix& s,
                           const std::vector<Tensor3>& tensors,
-                          const std::vector<double>& weights);
-
-/// Sparse-tensor overload — the pipeline's default. The intimacy sweep
-/// keeps the dense flat chunk boundaries but only walks stored entries
-/// inside each chunk (the skipped |S·0| terms are exact no-ops on the
-/// non-negative partials), so the value matches the dense overload bit
-/// for bit in O(nnz) instead of O(d·n²).
-double FullObjectiveValue(const Objective& objective, const Matrix& s,
-                          const std::vector<SparseTensor3>& tensors,
                           const std::vector<double>& weights);
 
 }  // namespace slampred

@@ -23,22 +23,14 @@ inline const char* SolverBackendName(SolverBackend backend) {
   return backend == SolverBackend::kFactored ? "factored" : "dense";
 }
 
-/// Controls of the factored backend's randomized range finder.
+/// Size of the factored backend's randomized range sketch (its power
+/// iterations and sketch seed are fixed in optim/factored_solver.cc).
 struct FactoredSolverOptions {
   /// Target rank r of the iterate. The nuclear shrinkage truncates the
   /// spectrum anyway; r only needs to cover the surviving ranks.
   std::size_t rank = 24;
   /// Extra sketch columns beyond `rank` (range-finder oversampling).
   std::size_t oversampling = 8;
-  /// Subspace (power) iterations on a cold-started sketch.
-  int power_iterations = 2;
-  /// Subspace iterations when warm-started from the previous step's
-  /// basis — the subspace barely moves between iterations, so fewer
-  /// passes suffice.
-  int warm_power_iterations = 1;
-  /// Base seed of the gaussian sketches (deterministic; the per-step
-  /// draw is derived from it, never from global state).
-  std::uint64_t seed = 0x5eedULL;
 };
 
 }  // namespace slampred

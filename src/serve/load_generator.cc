@@ -359,8 +359,20 @@ Result<LoadGeneratorReport> RunLoadGenerator(
         "load generator needs a published model; Swap one in first");
   }
   const std::size_t num_users = initial->num_users();
-  if (options.duration_seconds <= 0.0) {
-    return Status::InvalidArgument("duration must be > 0 seconds");
+  // The run length and the per-request deadline both become a
+  // Clock::duration, whose nanosecond count overflows past ~9.2e9 s;
+  // the arrival cap bounds both well inside that.
+  const double max_span = static_cast<double>(kMaxParsedCount);
+  if (!(options.duration_seconds > 0.0 &&
+        options.duration_seconds <= max_span)) {
+    return Status::InvalidArgument(
+        "duration must be in (0, " + std::to_string(kMaxParsedCount) +
+        "] seconds, got " + std::to_string(options.duration_seconds));
+  }
+  if (!(options.deadline_ms <= max_span)) {
+    return Status::InvalidArgument(
+        "deadline must be at most " + std::to_string(kMaxParsedCount) +
+        " ms, got " + std::to_string(options.deadline_ms));
   }
   if (options.concurrency > kMaxThreads) {
     return Status::InvalidArgument(

@@ -41,7 +41,7 @@ struct LoadGeneratorOptions {
   /// Caller threads (closed loop) or connections (open loop); at most
   /// kMaxThreads.
   std::size_t concurrency = 4;
-  /// Wall-clock run length.
+  /// Wall-clock run length, in (0, kMaxParsedCount] seconds.
   double duration_seconds = 2.0;
   /// Arrival rate in requests/sec (open loop). A schedule of more than
   /// kMaxParsedCount arrivals (rate × duration) is rejected.
@@ -57,7 +57,8 @@ struct LoadGeneratorOptions {
   double swap_every_seconds = 0.0;
   /// Seed of the deterministic per-thread request streams.
   std::uint64_t seed = 42;
-  /// > 0: every request carries a deadline this many ms after issue.
+  /// > 0: every request carries a deadline this many ms after issue; at
+  /// most kMaxParsedCount.
   double deadline_ms = 0.0;
   /// Non-empty: the swapper republishes via SwapFromFile(swap_path)
   /// instead of an in-memory Swap, exercising the artifact.read site
@@ -142,8 +143,9 @@ struct LoadGeneratorReport {
 
 /// Runs the workload against `service`, swapping through `registry`
 /// when configured. Requires a published model; fails fast otherwise,
-/// and with kInvalidArgument before any request on a bad duration, too
-/// many threads or an over-long open-loop schedule.
+/// and with kInvalidArgument before any request on a duration or
+/// deadline past its bound, too many threads or an over-long open-loop
+/// schedule.
 Result<LoadGeneratorReport> RunLoadGenerator(
     ModelRegistry& registry, ScoringService& service,
     const LoadGeneratorOptions& options);

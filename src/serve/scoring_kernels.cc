@@ -45,31 +45,6 @@ bool IsKnownLink(const CsrMatrix& known, std::size_t u, std::size_t v) {
   return std::binary_search(begin, end, v);
 }
 
-// Common-neighbor count of (u, v): the size of the intersection of the
-// two sorted CSR rows.
-std::size_t CommonNeighborCount(const CsrMatrix& known, std::size_t u,
-                                std::size_t v) {
-  const auto& row_ptr = known.row_ptr();
-  const auto& col_idx = known.col_idx();
-  std::size_t a = row_ptr[u];
-  const std::size_t a_end = row_ptr[u + 1];
-  std::size_t b = row_ptr[v];
-  const std::size_t b_end = row_ptr[v + 1];
-  std::size_t count = 0;
-  while (a < a_end && b < b_end) {
-    if (col_idx[a] < col_idx[b]) {
-      ++a;
-    } else if (col_idx[b] < col_idx[a]) {
-      ++b;
-    } else {
-      ++count;
-      ++a;
-      ++b;
-    }
-  }
-  return count;
-}
-
 // Walks a precomputed hot row's prefix into `entries`. True when the
 // prefix answered the request — k entries collected, or the row is
 // complete (every candidate was stored, so a short answer is the real
@@ -165,7 +140,7 @@ Result<std::vector<double>> DegradedScorePairsOnModel(
   if (known.rows() != n) return scores;  // No adjacency shipped: all 0.
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     scores[i] = static_cast<double>(
-        CommonNeighborCount(known, pairs[i].u, pairs[i].v));
+        known.RowIntersectionCount(pairs[i].u, pairs[i].v));
   }
   return scores;
 }

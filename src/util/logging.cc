@@ -1,54 +1,24 @@
 #include "util/logging.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 namespace slampred {
-
-namespace {
-LogLevel g_log_level = LogLevel::kWarning;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
-}
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_log_level = level; }
-
-LogLevel GetLogLevel() { return g_log_level; }
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level),
-      enabled_(static_cast<int>(level) >= static_cast<int>(g_log_level)) {
-  if (enabled_) {
-    // Strip leading directories for readability.
-    const char* base = file;
-    for (const char* p = file; *p != '\0'; ++p) {
-      if (*p == '/') base = p + 1;
-    }
-    stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
+FatalMessage::FatalMessage(const char* file, int line) {
+  // Strip leading directories for readability.
+  const char* base = file;
+  for (const char* p = file; *p != '\0'; ++p) {
+    if (*p == '/') base = p + 1;
   }
+  stream_ << "[FATAL " << base << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  if (enabled_) {
-    std::fprintf(stderr, "%s\n", stream_.str().c_str());
-    std::fflush(stderr);
-  }
-  if (level_ == LogLevel::kFatal) std::abort();
+FatalMessage::~FatalMessage() {
+  std::fprintf(stderr, "%s\n", stream_.str().c_str());
+  std::fflush(stderr);
+  std::abort();
 }
 
 }  // namespace internal

@@ -1,83 +1,46 @@
-// Minimal leveled logging with stream syntax and cheap CHECK macros.
+// Always-on CHECK macro with stream syntax:
 //
-//   SLAMPRED_LOG(INFO) << "fit took " << secs << "s";
 //   SLAMPRED_CHECK(rows > 0) << "empty matrix";
 //
-// The global level defaults to WARNING so library consumers are quiet by
-// default; experiments raise it to INFO.
+// A failed check prints "[FATAL file:line] Check failed: <cond> <context>"
+// to stderr and aborts the process, in release builds too.
 
 #ifndef SLAMPRED_UTIL_LOGGING_H_
 #define SLAMPRED_UTIL_LOGGING_H_
 
-#include <cstdlib>
 #include <sstream>
-#include <string>
 
 namespace slampred {
-
-/// Severity of a log line; FATAL aborts the process after printing.
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
-};
-
-/// Sets the minimum severity that will be emitted.
-void SetLogLevel(LogLevel level);
-
-/// Returns the current minimum severity.
-LogLevel GetLogLevel();
-
 namespace internal {
 
-/// One log statement: accumulates a message and flushes on destruction.
-class LogMessage {
+/// One failed check: accumulates the message, then prints it and aborts
+/// on destruction.
+class FatalMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  FatalMessage(const char* file, int line);
+  ~FatalMessage();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  FatalMessage(const FatalMessage&) = delete;
+  FatalMessage& operator=(const FatalMessage&) = delete;
 
   template <typename T>
-  LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
+  FatalMessage& operator<<(const T& v) {
+    stream_ << v;
     return *this;
   }
 
  private:
-  LogLevel level_;
-  bool enabled_;
   std::ostringstream stream_;
-};
-
-/// Swallows streamed values when a log/check is disabled.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
 };
 
 }  // namespace internal
 }  // namespace slampred
 
-#define SLAMPRED_LOG(severity)                                      \
-  ::slampred::internal::LogMessage(::slampred::LogLevel::k##severity, \
-                                   __FILE__, __LINE__)
-
-// CHECK: always on (also in release builds); failure logs FATAL and aborts.
 // The if/else form lets callers stream context: SLAMPRED_CHECK(x) << "msg".
-#define SLAMPRED_CHECK(cond)                                       \
-  if (cond) {                                                      \
-  } else                                                           \
-    ::slampred::internal::LogMessage(::slampred::LogLevel::kFatal, \
-                                     __FILE__, __LINE__)           \
+#define SLAMPRED_CHECK(cond)                                        \
+  if (cond) {                                                       \
+  } else                                                            \
+    ::slampred::internal::FatalMessage(__FILE__, __LINE__)          \
         << "Check failed: " #cond " "
-
-#define SLAMPRED_DCHECK(cond) SLAMPRED_CHECK(cond)
 
 #endif  // SLAMPRED_UTIL_LOGGING_H_

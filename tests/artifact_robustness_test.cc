@@ -682,6 +682,46 @@ constexpr std::uint32_t kQuantizedShardSectionId = 9;
 constexpr std::uint32_t kQuantizedBoundarySectionId = 10;
 constexpr std::uint32_t kHotCacheSectionId = 11;
 
+TEST(ArtifactRobustnessTest,
+     RetiredLossAndIntimacyScaleLoadAsTheirFixedValues) {
+  // Config payload (section 1) of the default config: alpha_target (8),
+  // alpha count (8), one alpha (8), mu, gamma, tau (3·8) put the retired
+  // intimacy_scale at offset 48; latent_dim (8) and four bools put the
+  // retired loss kind at offset 68. A file that still carries the hinge
+  // loss (1) and a scale of 3 must load, serve, and re-serialize as the
+  // fixed squared-Frobenius loss (0) and scale 16 — the original bytes.
+  constexpr std::uint32_t kConfigSectionId = 1;
+  constexpr std::size_t kScaleOffset = 48;
+  constexpr std::size_t kLossOffset = 68;
+  const std::string bytes = ValidArtifactBytes();
+  const double scale = 3.0;
+  const std::uint8_t hinge = 1;
+  const std::string patched = PatchPayloadWithValidCrc(
+      PatchPayloadWithValidCrc(bytes, kConfigSectionId, kScaleOffset, &scale,
+                               sizeof(scale)),
+      kConfigSectionId, kLossOffset, &hinge, sizeof(hinge));
+  ASSERT_NE(patched, bytes);
+  auto artifact = DeserializeModelArtifact(patched);
+  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
+  EXPECT_TRUE(SerializeModelArtifact(artifact.value()) == bytes)
+      << "the re-serialized artifact differs from the original bytes";
+  auto session = ScoringSession::FromArtifact(std::move(artifact).value());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto score = session.value().Score(1, 2);
+  ASSERT_TRUE(score.ok()) << score.status().ToString();
+  EXPECT_EQ(score.value(), 0.25 + 0.125 * 2);
+
+  // A loss kind that was never written is still rejected.
+  const std::uint8_t unknown = 2;
+  const auto rejected = DeserializeModelArtifact(PatchPayloadWithValidCrc(
+      bytes, kConfigSectionId, kLossOffset, &unknown, sizeof(unknown)));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kIoError);
+  EXPECT_NE(rejected.status().message().find("corrupt loss kind 2 at offset"),
+            std::string::npos)
+      << rejected.status().ToString();
+}
+
 TEST(QuantizedArtifactRobustnessTest, ValidBytesParseAndServe) {
   auto artifact = DeserializeModelArtifact(ValidQuantizedArtifactBytes());
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();

@@ -169,7 +169,7 @@ TEST(FactoredSolverTest, MatchedRegimeMatchesDenseOracle) {
 
   // ...and the same objective value (the densified factored iterate
   // under the dense evaluator — the trajectory gate).
-  const std::vector<SparseTensor3> no_tensors;
+  const std::vector<Tensor3> no_tensors;
   const std::vector<double> no_weights;
   const double dense_value =
       FullObjectiveValue(dense, dense_s.value(), no_tensors, no_weights);
@@ -204,16 +204,6 @@ TEST(FactoredSolverTest, FactoredSolveIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(s.value().v().data(), reference.value().v().data())
         << "V at " << threads << " threads";
   });
-}
-
-TEST(FactoredSolverTest, HingeLossIsRejected) {
-  FactoredObjective objective;
-  objective.a = TestAdjacency(8, 31);
-  objective.grad_v = CsrMatrix::FromDense(Matrix(8, 8));
-  objective.loss = LossKind::kSquaredHinge;
-  auto s = SolveCccpFactored(objective, MatchedOptions(), FullRankSketch(8));
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------

@@ -179,7 +179,7 @@ TEST_P(EmbeddingStageRuleTest, TargetStaysRawAndSourcesAreAdapted) {
   ASSERT_TRUE(FeatureStage(c.config).Run(context).ok());
   ASSERT_EQ(context.transfer, c.transfers);
   const std::size_t n = full.target().NumUsers();
-  const double scale = c.config.intimacy_scale;
+  const double scale = kIntimacyScale;
   std::vector<Tensor3> tensors = {context.raw_tensors[0].ToDense()};
   std::vector<double> weights = {c.config.alpha_target * scale /
                                  tensors[0].dim0()};

@@ -159,7 +159,7 @@ TEST(ObjectiveTest, FullObjectiveValueComposition) {
   objective.tau = 1.0;
   // At S = A = I: loss 0, ‖S‖₁ = 2, ‖S‖_* = 2, no intimacy terms.
   const double value = FullObjectiveValue(objective, Matrix::Identity(2),
-                                          std::vector<SparseTensor3>{}, {});
+                                          std::vector<Tensor3>{}, {});
   EXPECT_NEAR(value, 4.0, 1e-9);
 }
 

@@ -554,7 +554,17 @@ TEST_F(ScoringServiceTest,
   open.duration_seconds = 0.1;
   LoadGeneratorOptions too_many;
   too_many.concurrency = kMaxThreads + 1;
-  for (const LoadGeneratorOptions& options : {open, too_many}) {
+  // A closed loop of 1e10 s (or 1e300 s), or a deadline of 1e300 ms,
+  // would overflow the nanosecond clock; each is past its 2^24 bound.
+  LoadGeneratorOptions closed_1e10;
+  closed_1e10.duration_seconds = 1e10;
+  LoadGeneratorOptions closed_1e300;
+  closed_1e300.duration_seconds = 1e300;
+  LoadGeneratorOptions far_deadline;
+  far_deadline.duration_seconds = 0.1;
+  far_deadline.deadline_ms = 1e300;
+  for (const LoadGeneratorOptions& options :
+       {open, too_many, closed_1e10, closed_1e300, far_deadline}) {
     auto report = RunLoadGenerator(registry, service, options);
     ASSERT_FALSE(report.ok());
     EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);

@@ -66,7 +66,8 @@
 //       open-loop (a fixed --rate arrival schedule issued over N
 //       connection threads; at most 2^24 arrivals per run) traffic,
 //       mixed ScorePairs/TopK requests, optional model hot-swapping
-//       under load. --deadline-ms attaches a deadline to
+//       under load. --duration (seconds) and --deadline-ms are at most
+//       2^24 each. --deadline-ms attaches a deadline to
 //       every request; --queue-cap bounds the admission queue with
 //       --shed-policy picking the victim; --chaos arms the serve.swap /
 //       serve.batch / artifact.read fault sites on a deterministic
@@ -127,7 +128,8 @@
 // A numeric flag whose value is empty, negative, not a number or
 // followed by junk, a count above its cap (--threads and --concurrency
 // at most 256, --seed any 64-bit value, every other count at most
-// 2^24, the bundle parser's count cap), a boolean flag (--scale-out,
+// 2^24, the bundle parser's count cap; --duration and --deadline-ms
+// at most 2^24 too), a boolean flag (--scale-out,
 // --swap-under-load, --chaos) whose value is not 0, 1, true or false,
 // and a last flag with no value all stop the command with exit status
 // 2 before any work, naming the flag on stderr.
@@ -223,14 +225,21 @@ class Flags {
     return Count("seed", fallback, std::numeric_limits<std::uint64_t>::max());
   }
 
-  /// --key as a finite non-negative number; `fallback` when absent.
-  double Number(const std::string& key, double fallback) const {
+  /// --key as a finite non-negative number, at most `max` when one is
+  /// given; `fallback` when absent.
+  double Number(const std::string& key, double fallback,
+                std::optional<std::uint64_t> max = std::nullopt) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     double value = 0.0;
     if (!ParsesWhole(it->second, value) || it->second.front() == '-' ||
         !std::isfinite(value)) {
       Reject(key, "a non-negative number", it->second);
+    }
+    if (max.has_value() && value > static_cast<double>(*max)) {
+      const std::string expects =
+          "a number in [0, " + std::to_string(*max) + "]";
+      Reject(key, expects.c_str(), it->second);
     }
     return value;
   }
@@ -843,13 +852,15 @@ int ServeLoadGen(const Flags& flags, const std::string& model_path) {
     return 2;
   }
   options.concurrency = flags.Count("concurrency", 4, kMaxThreads);
-  options.duration_seconds = flags.Number("duration", 2);
+  // The load generator's bound on both spans, checked before the model
+  // loads.
+  options.duration_seconds = flags.Number("duration", 2, kMaxParsedCount);
   options.open_rate_rps = flags.Number("rate", 2000);
   options.pairs_per_request = flags.Count("request-pairs", 64);
   options.top_k = flags.Count("topk", 10);
   options.seed = flags.Seed(42);
   if (flags.Bool("swap-under-load", false)) options.swap_every_seconds = 0.25;
-  options.deadline_ms = flags.Number("deadline-ms", 0);
+  options.deadline_ms = flags.Number("deadline-ms", 0, kMaxParsedCount);
   options.chaos = flags.Bool("chaos", false);
   const std::size_t auc_pairs = flags.Count("auc-pairs", 0);
   BatchScorerOptions batch;
