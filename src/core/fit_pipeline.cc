@@ -105,6 +105,10 @@ Status EmbeddingStage::Run(FitContext& context) const {
       source_weights.push_back(alpha * kIntimacyScale /
                                std::max<double>(1.0, slices));
     }
+    // The slice sums carry everything G needs of the sources, so their
+    // raw tensors go before G is built; `target` (element 0) stays.
+    context.raw_tensors.erase(context.raw_tensors.begin() + 1,
+                              context.raw_tensors.end());
   }
 
   context.intimacy_gradient =
@@ -138,8 +142,9 @@ Status SolveStage::Run(FitContext& context) const {
     objective.gamma = config_.gamma;
     objective.tau = config_.tau;
 
-    auto solution = SolveCccpFactored(objective, config_.optimization,
-                                      config_.factored, &context.trace);
+    auto solution = SolveCccpFactored(std::move(objective),
+                                      config_.optimization, config_.factored,
+                                      &context.trace);
     if (!solution.ok()) return solution.status();
     context.memory_stats.iterate_bytes = solution.value().EstimatedBytes();
     context.memory_stats.solver_rank = solution.value().rank();

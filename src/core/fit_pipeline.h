@@ -60,7 +60,8 @@ struct FitContext {
 
   /// raw_tensors[0] = target features on the training structure;
   /// raw_tensors[k>=1] = source k on its own graph (only when
-  /// transferring). EmbeddingStage releases them once G exists.
+  /// transferring). EmbeddingStage releases the sources as soon as they
+  /// are adapted and the target once G exists.
   std::vector<SparseTensor3> raw_tensors;
 
   /// Set by EmbeddingStage: the constant CCCP gradient G (n_t x n_t),

@@ -209,14 +209,66 @@ CsrMatrix ResourceAllocationCsr(const SocialGraph& graph) {
 }
 
 CsrMatrix TruncatedKatzCsr(const SocialGraph& graph, double beta) {
-  const CsrMatrix a = graph.AdjacencyCsr();
-  const CsrMatrix a2 = a.MultiplySparse(a);
-  const CsrMatrix a3 = a2.MultiplySparse(a);
-  // v₂β + v₃β² with absent entries as exact zeros — entry-wise the same
-  // arithmetic as the dense `a2 * beta + a3 * (beta * beta)` (FP
-  // addition is commutative, so the merge order is immaterial).
-  const CsrMatrix katz = a2.Scaled(beta).Add(a3.Scaled(beta * beta));
-  return katz.WithoutDiagonal();
+  const std::size_t n = graph.num_users();
+  std::size_t degree_sum = 0;
+  std::size_t degree_sq_sum = 0;
+  for (std::size_t w = 0; w < n; ++w) {
+    degree_sum += graph.Degree(w);
+    degree_sq_sum += graph.Degree(w) * graph.Degree(w);
+  }
+  // A row walks its two-hop set, then one more hop out of every member.
+  const std::size_t avg_row_work =
+      n == 0 ? 1 : (degree_sq_sum / n + 1) * (degree_sum / n + 1);
+  const double beta_sq = beta * beta;
+  std::vector<std::vector<CsrMatrix::RowEntry>> rows(n);
+  ParallelFor(
+      0, n, GrainForWork(avg_row_work),
+      [&](std::size_t row0, std::size_t row1) {
+        std::vector<double> walks2(n, 0.0);
+        std::vector<double> walks3(n, 0.0);
+        std::vector<char> seen(n, 0);
+        std::vector<std::size_t> touched;
+        auto touch = [&](std::size_t v) {
+          if (!seen[v]) {
+            seen[v] = 1;
+            touched.push_back(v);
+          }
+        };
+        for (std::size_t u = row0; u < row1; ++u) {
+          touched.clear();
+          // Row u of A²: one per walk u–w–v, the diagonal included.
+          for (std::size_t w : graph.Neighbors(u)) {
+            for (std::size_t v : graph.Neighbors(w)) {
+              touch(v);
+              walks2[v] += 1.0;
+            }
+          }
+          std::sort(touched.begin(), touched.end());
+          // Row u of A³ = (row u of A²)·A, the middle k ascending. Every
+          // count is an exact integer, so these equal the entries of the
+          // SpGEMM and dense products bit for bit.
+          const std::size_t two_hop = touched.size();
+          for (std::size_t i = 0; i < two_hop; ++i) {
+            const std::size_t k = touched[i];
+            for (std::size_t v : graph.Neighbors(k)) {
+              touch(v);
+              walks3[v] += walks2[k];
+            }
+          }
+          std::sort(touched.begin(), touched.end());
+          rows[u].reserve(touched.size());
+          for (std::size_t v : touched) {
+            // The dense map's a2·β + a3·(β·β), self paths dropped.
+            if (v != u) {
+              rows[u].push_back({v, walks2[v] * beta + walks3[v] * beta_sq});
+            }
+            walks2[v] = 0.0;
+            walks3[v] = 0.0;
+            seen[v] = 0;
+          }
+        }
+      });
+  return CsrMatrix::FromRows(n, std::move(rows));
 }
 
 }  // namespace slampred

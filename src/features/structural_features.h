@@ -56,8 +56,10 @@ CsrMatrix AdamicAdarCsr(const SocialGraph& graph);
 /// CSR ResourceAllocationMap.
 CsrMatrix ResourceAllocationCsr(const SocialGraph& graph);
 
-/// CSR TruncatedKatzMap via SpGEMM (A², A³ as sparse products) — the
-/// big win over the dense O(n³) GEMM on sparse graphs.
+/// CSR TruncatedKatzMap in one row-gather pass: each row counts its
+/// 2-walks and 3-walks in two scratch rows and emits c₂·β + c₃·(β·β)
+/// off the diagonal, so neither A² nor A³ is ever stored: besides
+/// per-chunk scratch rows, the build holds only its output.
 CsrMatrix TruncatedKatzCsr(const SocialGraph& graph, double beta = 0.05);
 
 }  // namespace slampred

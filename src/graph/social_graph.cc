@@ -79,32 +79,6 @@ CsrMatrix SocialGraph::AdjacencyCsr() const {
   return CsrMatrix::FromSortedLists(adjacency_, num_users());
 }
 
-std::size_t SocialGraph::CommonNeighborCount(std::size_t u,
-                                             std::size_t v) const {
-  const auto& nu = Neighbors(u);
-  const auto& nv = Neighbors(v);
-  std::size_t count = 0;
-  auto iu = nu.begin();
-  auto iv = nv.begin();
-  while (iu != nu.end() && iv != nv.end()) {
-    if (*iu < *iv) {
-      ++iu;
-    } else if (*iv < *iu) {
-      ++iv;
-    } else {
-      ++count;
-      ++iu;
-      ++iv;
-    }
-  }
-  return count;
-}
-
-std::size_t SocialGraph::NeighborUnionCount(std::size_t u,
-                                            std::size_t v) const {
-  return Degree(u) + Degree(v) - CommonNeighborCount(u, v);
-}
-
 double SocialGraph::Density() const {
   const std::size_t n = num_users();
   if (n < 2) return 0.0;

@@ -71,12 +71,6 @@ class SocialGraph {
   /// neighbor lists in O(nnz) — the pipeline's default Aᵗ.
   CsrMatrix AdjacencyCsr() const;
 
-  /// |Γ(u) ∩ Γ(v)| — shared-neighbor count (both lists are sorted).
-  std::size_t CommonNeighborCount(std::size_t u, std::size_t v) const;
-
-  /// |Γ(u) ∪ Γ(v)|.
-  std::size_t NeighborUnionCount(std::size_t u, std::size_t v) const;
-
   /// Fraction of realised links among all possible pairs.
   double Density() const;
 

@@ -288,93 +288,43 @@ CsrMatrix CsrMatrix::Transposed() const {
   return FromTriplets(cols_, rows_, std::move(trips));
 }
 
-CsrMatrix CsrMatrix::Scaled(double factor) const {
-  CsrMatrix out = *this;
-  for (double& v : out.values_) v *= factor;
-  return out;
-}
-
-CsrMatrix CsrMatrix::Add(const CsrMatrix& other) const {
-  SLAMPRED_CHECK(rows_ == other.rows_ && cols_ == other.cols_)
-      << "CSR add shape mismatch";
-  std::vector<Triplet> trips;
-  trips.reserve(nnz() + other.nnz());
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
-      trips.push_back({i, col_idx_[p], values_[p]});
-    }
-  }
-  for (std::size_t i = 0; i < other.rows_; ++i) {
-    for (std::size_t p = other.row_ptr_[i]; p < other.row_ptr_[i + 1]; ++p) {
-      trips.push_back({i, other.col_idx_[p], other.values_[p]});
-    }
-  }
-  return FromTriplets(rows_, cols_, std::move(trips));
-}
-
-CsrMatrix CsrMatrix::WithoutDiagonal() const {
-  std::vector<std::vector<RowEntry>> out_rows(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    out_rows[i].reserve(row_ptr_[i + 1] - row_ptr_[i]);
-    for (std::size_t p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
-      if (col_idx_[p] == i) continue;
-      out_rows[i].push_back({col_idx_[p], values_[p]});
-    }
-  }
-  return FromRows(cols_, std::move(out_rows));
-}
-
 CsrMatrix CsrMatrix::AddScaled(const CsrMatrix& other, double factor) const {
   SLAMPRED_CHECK(rows_ == other.rows_ && cols_ == other.cols_)
       << "CSR AddScaled shape mismatch";
-  std::vector<std::vector<RowEntry>> out_rows(rows_);
+  // One sorted merge per row, written straight into the result's arrays
+  // (sized for the disjoint case, so they never grow).
+  CsrMatrix out;
+  out.rows_ = rows_;
+  out.cols_ = cols_;
+  out.row_ptr_.assign(rows_ + 1, 0);
+  out.col_idx_.reserve(nnz() + other.nnz());
+  out.values_.reserve(nnz() + other.nnz());
+  auto emit = [&out](std::size_t col, double value) {
+    if (value == 0.0) return;
+    out.col_idx_.push_back(col);
+    out.values_.push_back(value);
+  };
   for (std::size_t i = 0; i < rows_; ++i) {
     std::size_t p = row_ptr_[i];
     std::size_t q = other.row_ptr_[i];
     const std::size_t p_end = row_ptr_[i + 1];
     const std::size_t q_end = other.row_ptr_[i + 1];
-    std::vector<RowEntry>& out_row = out_rows[i];
-    out_row.reserve((p_end - p) + (q_end - q));
     while (p < p_end || q < q_end) {
       if (q >= q_end || (p < p_end && col_idx_[p] < other.col_idx_[q])) {
-        out_row.push_back({col_idx_[p], values_[p]});
+        emit(col_idx_[p], values_[p]);
         ++p;
       } else if (p >= p_end || other.col_idx_[q] < col_idx_[p]) {
-        out_row.push_back({other.col_idx_[q], factor * other.values_[q]});
+        emit(other.col_idx_[q], factor * other.values_[q]);
         ++q;
       } else {
-        out_row.push_back(
-            {col_idx_[p], values_[p] + factor * other.values_[q]});
+        emit(col_idx_[p], values_[p] + factor * other.values_[q]);
         ++p;
         ++q;
       }
     }
+    out.row_ptr_[i + 1] = out.values_.size();
   }
-  return FromRows(cols_, std::move(out_rows));
-}
-
-CsrMatrix CsrMatrix::Hadamard(const CsrMatrix& other) const {
-  SLAMPRED_CHECK(rows_ == other.rows_ && cols_ == other.cols_)
-      << "CSR Hadamard shape mismatch";
-  std::vector<std::vector<RowEntry>> out_rows(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    std::size_t p = row_ptr_[i];
-    std::size_t q = other.row_ptr_[i];
-    const std::size_t p_end = row_ptr_[i + 1];
-    const std::size_t q_end = other.row_ptr_[i + 1];
-    while (p < p_end && q < q_end) {
-      if (col_idx_[p] < other.col_idx_[q]) {
-        ++p;
-      } else if (other.col_idx_[q] < col_idx_[p]) {
-        ++q;
-      } else {
-        out_rows[i].push_back({col_idx_[p], values_[p] * other.values_[q]});
-        ++p;
-        ++q;
-      }
-    }
-  }
-  return FromRows(cols_, std::move(out_rows));
+  return out;
 }
 
 double CsrMatrix::Sum() const {

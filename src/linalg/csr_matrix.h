@@ -99,24 +99,12 @@ class CsrMatrix {
   /// Transposed copy.
   CsrMatrix Transposed() const;
 
-  /// Scales all stored values by `factor`.
-  CsrMatrix Scaled(double factor) const;
-
-  /// Entry-wise sum A + B (shapes must match).
-  CsrMatrix Add(const CsrMatrix& other) const;
-
-  /// Copy with the diagonal entries removed (feature maps zero the
-  /// self-pair diagonal).
-  CsrMatrix WithoutDiagonal() const;
-
-  /// Entry-wise A + factor · B via a sorted row merge. Values combine
-  /// as a + factor * b with absent entries contributing exact zeros, so
-  /// the result matches the dense expression entry for entry.
+  /// Entry-wise A + factor · B via one sorted merge per row, written
+  /// straight into the result's arrays. Values combine as
+  /// a + factor * b with absent entries contributing exact zeros (and
+  /// sums that cancel to exact zeros dropped), so the result matches the
+  /// dense expression entry for entry.
   CsrMatrix AddScaled(const CsrMatrix& other, double factor) const;
-
-  /// Entry-wise (Hadamard) product A ∘ B; the pattern is the
-  /// intersection of both patterns.
-  CsrMatrix Hadamard(const CsrMatrix& other) const;
 
   /// Sum of all stored values.
   double Sum() const;

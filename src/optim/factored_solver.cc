@@ -131,14 +131,16 @@ Result<FactoredMatrix> FactoredProxAttempt(const Matrix& q, const Matrix& b,
 // next range find (subspace reuse, across CCCP rounds too).
 class FactoredStep final : public ForwardBackwardStep<FactoredMatrix> {
  public:
-  FactoredStep(const FactoredObjective& objective,
+  // `z` is HalfStepSparsePart(objective.a, objective.grad_v); the step
+  // reads G only through it.
+  FactoredStep(const FactoredObjective& objective, CsrMatrix z,
                const ForwardBackwardOptions& options,
                const FactoredSolverOptions& factored, Matrix basis)
       : objective_(objective),
         keep_symmetric_(options.keep_symmetric),
         sketch_(std::min(factored.rank + factored.oversampling,
                          objective.a.rows())),
-        z_(objective.a.Scaled(2.0).Add(objective.grad_v)),
+        z_(std::move(z)),
         basis_(std::move(basis)) {}
 
   // Decorrelates the gaussian draws across CCCP rounds.
@@ -238,6 +240,12 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
       guardrails, stats);
 }
 
+CsrMatrix HalfStepSparsePart(const CsrMatrix& a, CsrMatrix g) {
+  // g + 2·a per shared entry: bit for bit 2·a + g, FP addition being
+  // commutative. `g` is released when this returns.
+  return g.AddScaled(a, 2.0);
+}
+
 Result<FactoredMatrix> FactoredApproximation(
     const CsrMatrix& a, const FactoredSolverOptions& options) {
   if (a.rows() == 0 || a.cols() == 0) {
@@ -266,8 +274,9 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
   SLAMPRED_CHECK(s0.rows() == objective.a.rows() &&
                  s0.cols() == objective.a.cols())
       << "initial point shape mismatch";
-  FactoredStep step(objective, options, factored,
-                    warm_basis != nullptr ? *warm_basis : Matrix());
+  FactoredStep step(objective,
+                    HalfStepSparsePart(objective.a, objective.grad_v), options,
+                    factored, warm_basis != nullptr ? *warm_basis : Matrix());
   step.set_sketch_seed(sketch_seed);
   auto s = GuardedForwardBackward<FactoredMatrix>(step, s0, options, trace,
                                                   recovery);
@@ -275,13 +284,17 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
   return s;
 }
 
-Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,
+Result<FactoredMatrix> SolveCccpFactored(FactoredObjective objective,
                                          const CccpOptions& options,
                                          const FactoredSolverOptions& factored,
                                          CccpTrace* trace) {
   auto init = FactoredApproximation(objective.a, factored);
   if (!init.ok()) return init.status();
-  FactoredStep step(objective, options.inner, factored, Matrix());
+  // G is consumed by the merge, so only Z lives through the solve.
+  CsrMatrix z = HalfStepSparsePart(
+      objective.a, std::exchange(objective.grad_v, CsrMatrix()));
+  FactoredStep step(objective, std::move(z), options.inner, factored,
+                    Matrix());
   return GuardedCccp(step, std::move(init).value(), options, trace);
 }
 

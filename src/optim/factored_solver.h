@@ -66,6 +66,12 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
     const Matrix& q, const Matrix& b, double threshold,
     const GuardrailOptions& guardrails, RecoveryStats* stats);
 
+/// Z = 2A + G, the sparse part of the factored half step, by one sorted
+/// row merge (CsrMatrix::AddScaled; sums that cancel to exact zeros are
+/// dropped). Takes G by value: passed as an rvalue, it is freed as soon
+/// as Z is built.
+CsrMatrix HalfStepSparsePart(const CsrMatrix& a, CsrMatrix g);
+
 /// Best rank-(rank+oversampling) approximation of the CSR matrix `a`
 /// via the randomized range finder — the factored solve's S⁰ ≈ Aᵗ
 /// (line 1 of Algorithm 1). Deterministic: the sketch seed is fixed.
@@ -90,8 +96,10 @@ Result<FactoredMatrix> GeneralizedForwardBackwardFactored(
 /// range-finder basis warm-started from round to round (the subspace
 /// reuse path). Runs the shared guarded CCCP loop, so a failed round
 /// restarts exactly as on the dense path; the trace's *_l1 series hold
-/// Frobenius values in this mode.
-Result<FactoredMatrix> SolveCccpFactored(const FactoredObjective& objective,
+/// Frobenius values in this mode. The objective is taken by value and G
+/// is consumed into Z = 2A + G before the first step: move the objective
+/// in and G is not kept beside Z.
+Result<FactoredMatrix> SolveCccpFactored(FactoredObjective objective,
                                          const CccpOptions& options,
                                          const FactoredSolverOptions& factored,
                                          CccpTrace* trace = nullptr);

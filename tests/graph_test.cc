@@ -121,9 +121,11 @@ TEST(SocialGraphTest, CommonNeighborsAndUnion) {
   g.AddEdge(1, 2);
   g.AddEdge(1, 3);
   g.AddEdge(1, 4);
-  EXPECT_EQ(g.CommonNeighborCount(0, 1), 2u);
-  EXPECT_EQ(g.NeighborUnionCount(0, 1), 3u);
-  EXPECT_EQ(g.CommonNeighborCount(2, 4), 1u);  // Via user 1.
+  const CsrMatrix a = g.AdjacencyCsr();
+  EXPECT_EQ(a.RowIntersectionCount(0, 1), 2u);
+  // |Γ(u) ∪ Γ(v)| = deg(u) + deg(v) − |Γ(u) ∩ Γ(v)|.
+  EXPECT_EQ(g.Degree(0) + g.Degree(1) - a.RowIntersectionCount(0, 1), 3u);
+  EXPECT_EQ(a.RowIntersectionCount(2, 4), 1u);  // Via user 1.
 }
 
 TEST(SocialGraphTest, AdjacencyMatrixSymmetricZeroDiagonal) {

@@ -21,6 +21,7 @@
 #include "linalg/sparse_tensor3.h"
 #include "linalg/tensor3.h"
 #include "optim/cccp.h"
+#include "optim/factored_solver.h"
 #include "optim/objective.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -93,18 +94,12 @@ TEST(SparseEquivalenceTest, CsrElementwiseOpsMatchDense) {
   const Matrix b = SparseRandom(kN, kN, 4);
   const CsrMatrix ca = CsrMatrix::FromDense(a);
   const CsrMatrix cb = CsrMatrix::FromDense(b);
-  Matrix sum = a;
   Matrix axpy = a;
-  Matrix had(kN, kN);
-  for (std::size_t i = 0; i < sum.data().size(); ++i) {
-    sum.data()[i] += b.data()[i];
+  for (std::size_t i = 0; i < axpy.data().size(); ++i) {
     axpy.data()[i] += 0.5 * b.data()[i];
-    had.data()[i] = a.data()[i] * b.data()[i];
   }
   ForEachThreadCount([&](std::size_t threads) {
-    ExpectBitEqual(sum, ca.Add(cb).ToDense(), threads);
     ExpectBitEqual(axpy, ca.AddScaled(cb, 0.5).ToDense(), threads);
-    ExpectBitEqual(had, ca.Hadamard(cb).ToDense(), threads);
     ExpectBitEqual(a, CsrMatrix::FromDense(a).ToDense(), threads);
   });
 }
@@ -120,6 +115,80 @@ TEST(SparseEquivalenceTest, StructuralBuildersMatchDense) {
                    ResourceAllocationCsr(g).ToDense(), threads);
     ExpectBitEqual(TruncatedKatzMap(g), TruncatedKatzCsr(g).ToDense(),
                    threads);
+  });
+}
+
+// True iff `m` stores an entry at (i, j) (At cannot tell a stored zero
+// from an absent one; CSR stores none, so this reads the pattern).
+bool Stores(const CsrMatrix& m, std::size_t i, std::size_t j) {
+  for (std::size_t p = m.row_ptr()[i]; p < m.row_ptr()[i + 1]; ++p) {
+    if (m.col_idx()[p] == j) return true;
+  }
+  return false;
+}
+
+TEST(SparseEquivalenceTest, TruncatedKatzWalkShapesMatchDense) {
+  // User 0 is isolated; 1 is a star hub over leaves 2-5; 6-7-8-9 is a
+  // path; 10-11-12 is a triangle.
+  SocialGraph g(13);
+  for (std::size_t leaf = 2; leaf <= 5; ++leaf) g.AddEdge(1, leaf);
+  g.AddEdge(6, 7);
+  g.AddEdge(7, 8);
+  g.AddEdge(8, 9);
+  g.AddEdge(10, 11);
+  g.AddEdge(11, 12);
+  g.AddEdge(12, 10);
+  for (const double beta : {0.05, 0.5}) {
+    const double beta_sq = beta * beta;
+    ForEachThreadCount([&](std::size_t threads) {
+      const CsrMatrix katz = TruncatedKatzCsr(g, beta);
+      ExpectBitEqual(TruncatedKatzMap(g, beta), katz.ToDense(), threads);
+      EXPECT_EQ(katz.row_ptr()[1], 0u) << "the isolated user has no row";
+      // The path is bipartite: a pair has 2-walks or 3-walks, never both.
+      EXPECT_EQ(katz.At(6, 8), 1.0 * beta);       // Only 6-7-8.
+      EXPECT_EQ(katz.At(6, 9), 1.0 * beta_sq);    // Only 6-7-8-9.
+      EXPECT_EQ(katz.At(7, 8), 3.0 * beta_sq);    // Three 3-walks.
+      // The star: leaves meet through the hub, the hub reaches a leaf by
+      // its four 3-walks.
+      EXPECT_EQ(katz.At(2, 3), 1.0 * beta);
+      EXPECT_EQ(katz.At(1, 2), 4.0 * beta_sq);
+      // The triangle: both walk lengths, and both reach the diagonal
+      // (a²(10,10) = a³(10,10) = 2), which is not stored.
+      EXPECT_EQ(katz.At(10, 11), 1.0 * beta + 3.0 * beta_sq);
+      for (std::size_t u = 0; u < g.num_users(); ++u) {
+        EXPECT_FALSE(Stores(katz, u, u)) << "diagonal " << u;
+      }
+    });
+  }
+}
+
+TEST(SparseEquivalenceTest, HalfStepSparsePartMatchesDenseOracle) {
+  // Z = 2A + G against the dense expression at n = 256. G is signed and
+  // half dense; on the first edges it cancels 2A exactly (g = -2), and
+  // on the next ones it is absent, so Z stores 2A alone.
+  constexpr std::size_t n = 256;
+  const SocialGraph graph = TestGraph(n, 41);
+  const CsrMatrix a = graph.AdjacencyCsr();
+  Matrix g = SparseRandom(n, n, 43, 0.5);
+  std::vector<UserPair> cancelled;
+  const std::vector<UserPair> edges = graph.Edges();
+  for (std::size_t e = 0; e < 20; ++e) {
+    const UserPair pair = edges[e];
+    g(pair.u, pair.v) = e < 10 ? -2.0 : 0.0;
+    if (e < 10) cancelled.push_back(pair);
+  }
+  const Matrix oracle = a.ToDense() * 2.0 + g;
+  std::size_t oracle_nnz = 0;
+  for (const double v : oracle.data()) oracle_nnz += v != 0.0 ? 1 : 0;
+  ForEachThreadCount([&](std::size_t threads) {
+    const CsrMatrix z = HalfStepSparsePart(a, CsrMatrix::FromDense(g));
+    ExpectBitEqual(oracle, z.ToDense(), threads);
+    EXPECT_EQ(z.nnz(), oracle_nnz);
+    for (const UserPair& pair : cancelled) {
+      EXPECT_FALSE(Stores(z, pair.u, pair.v))
+          << "(" << pair.u << "," << pair.v << ") cancels to 0";
+      EXPECT_TRUE(Stores(z, pair.v, pair.u));  // G is not symmetric.
+    }
   });
 }
 

@@ -128,12 +128,15 @@ TEST(CsrMatrixTest, TransposedMatchesDense) {
 TEST(CsrMatrixTest, AddAndScale) {
   const CsrMatrix a = CsrMatrix::FromTriplets(2, 2, {{0, 0, 1.0}});
   const CsrMatrix b = CsrMatrix::FromTriplets(2, 2, {{0, 0, 2.0}, {1, 0, 3.0}});
-  const CsrMatrix sum = a.Add(b);
+  const CsrMatrix sum = a.AddScaled(b, 1.0);
   EXPECT_DOUBLE_EQ(sum.At(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(sum.At(1, 0), 3.0);
   EXPECT_DOUBLE_EQ(sum.Sum(), 6.0);
-  const CsrMatrix scaled = sum.Scaled(0.5);
+  const CsrMatrix zero = CsrMatrix::FromTriplets(2, 2, {});
+  const CsrMatrix scaled = zero.AddScaled(sum, 0.5);
   EXPECT_DOUBLE_EQ(scaled.At(1, 0), 1.5);
+  // A sum that cancels to an exact zero is not stored.
+  EXPECT_EQ(sum.AddScaled(b, -1.0).nnz(), 1u);
 }
 
 TEST(CsrMatrixTest, IdentityBehaves) {
