@@ -195,24 +195,9 @@ BENCHMARK(BM_TruncatedKatz)->Arg(64)->Arg(128)->Arg(256);
 
 // --- Sparse data path vs. its dense counterparts --------------------
 // The CSR kernels below produce bit-identical results to the dense
-// benchmarks they mirror (BM_Gemm, BM_CommonNeighbors, BM_TruncatedKatz
-// and the dense objective); only the asymptotics change
+// benchmarks they mirror (BM_CommonNeighbors, BM_TruncatedKatz and the
+// dense objective); only the asymptotics change
 // (O(n³)/O(d·n²) → O(nnz)-driven).
-
-// SpMM: adjacency² in CSR (row-gather SpGEMM) — counterpart of BM_Gemm
-// at the same n, on a ~3n-edge graph.
-void BM_SpMM(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  ThreadCountGuard guard(static_cast<std::size_t>(state.range(1)));
-  const CsrMatrix a = BenchGraph(n).AdjacencyCsr();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.MultiplySparse(a));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_SpMM)->Apply([](benchmark::internal::Benchmark* b) {
-  SizeThreadGrid(b, {64, 128, 256, 512});
-});
 
 void BM_CommonNeighborsCsr(benchmark::State& state) {
   const SocialGraph g = BenchGraph(static_cast<std::size_t>(state.range(0)));

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/score_shards.h"
+#include "graph/graph_io.h"
 #include "util/binary_io.h"
 #include "util/fault_injection.h"
 
@@ -280,12 +281,23 @@ void AppendBoundary(const ScoreSource* boundary, BinaryWriter& writer) {
   AppendSection(kSectionBoundary, boundary_writer.buffer(), writer);
 }
 
+// A score payload is square and covers at most kMaxParsedCount users,
+// the cap every bundle parser applies: a rank-0 factor pair holds no
+// bytes, so nothing else bounds its user count.
 template <typename M>
-Status CheckSquare(const M& matrix, const char* what) {
-  if (matrix.rows() == matrix.cols()) return Status::OK();
-  return Status::IoError(std::string(what) + " is not square: " +
-                         std::to_string(matrix.rows()) + "x" +
-                         std::to_string(matrix.cols()));
+Status CheckScoreShape(const M& matrix, const char* what) {
+  if (matrix.rows() != matrix.cols()) {
+    return Status::IoError(std::string(what) + " is not square: " +
+                           std::to_string(matrix.rows()) + "x" +
+                           std::to_string(matrix.cols()));
+  }
+  if (matrix.rows() > kMaxParsedCount) {
+    return Status::IoError(std::string(what) + " covers " +
+                           std::to_string(matrix.rows()) +
+                           " users, more than the cap of " +
+                           std::to_string(kMaxParsedCount));
+  }
+  return Status::OK();
 }
 
 // Parses a shard section payload after its index (see AppendShard).
@@ -315,13 +327,15 @@ Result<ModelShard> ReadShard(BinaryReader& reader, bool quantized) {
     if (factored.value()) {
       auto factors = FactoredMatrix::Deserialize(reader);
       if (!factors.ok()) return factors.status();
-      SLAMPRED_RETURN_NOT_OK(CheckSquare(factors.value(), "shard factors"));
+      SLAMPRED_RETURN_NOT_OK(
+          CheckScoreShape(factors.value(), "shard factors"));
       shard.block =
           std::make_shared<FactoredScores>(std::move(factors).value());
     } else {
       auto block = Matrix::Deserialize(reader);
       if (!block.ok()) return block.status();
-      SLAMPRED_RETURN_NOT_OK(CheckSquare(block.value(), "shard score block"));
+      SLAMPRED_RETURN_NOT_OK(
+          CheckScoreShape(block.value(), "shard score block"));
       shard.block = std::make_shared<DenseScores>(std::move(block).value());
     }
   }
@@ -477,7 +491,8 @@ Result<ModelArtifact> DeserializeModelArtifact(const std::string& bytes) {
       case kSectionScoreMatrix: {
         auto s = Matrix::Deserialize(section);
         if (!s.ok()) return s.status();
-        SLAMPRED_RETURN_NOT_OK(CheckSquare(s.value(), "artifact score matrix"));
+        SLAMPRED_RETURN_NOT_OK(
+            CheckScoreShape(s.value(), "artifact score matrix"));
         dense = std::move(s).value();
         break;
       }
@@ -485,7 +500,7 @@ Result<ModelArtifact> DeserializeModelArtifact(const std::string& bytes) {
         auto low_rank = FactoredMatrix::Deserialize(section);
         if (!low_rank.ok()) return low_rank.status();
         SLAMPRED_RETURN_NOT_OK(
-            CheckSquare(low_rank.value(), "artifact low-rank factors"));
+            CheckScoreShape(low_rank.value(), "artifact low-rank factors"));
         factors = std::move(low_rank).value();
         break;
       }
@@ -532,7 +547,8 @@ Result<ModelArtifact> DeserializeModelArtifact(const std::string& bytes) {
       case kSectionBoundary: {
         auto csr = CsrMatrix::Deserialize(section);
         if (!csr.ok()) return csr.status();
-        SLAMPRED_RETURN_NOT_OK(CheckSquare(csr.value(), "boundary matrix"));
+        SLAMPRED_RETURN_NOT_OK(
+            CheckScoreShape(csr.value(), "boundary matrix"));
         // A quantized boundary wins over a float one.
         if (csr.value().rows() != 0 &&
             (boundary == nullptr || !boundary->quantized())) {
@@ -546,7 +562,7 @@ Result<ModelArtifact> DeserializeModelArtifact(const std::string& bytes) {
         if (!q.ok()) return q.status();
         SLAMPRED_RETURN_NOT_OK(q.value().Validate());
         SLAMPRED_RETURN_NOT_OK(
-            CheckSquare(q.value(), "artifact quantized score matrix"));
+            CheckScoreShape(q.value(), "artifact quantized score matrix"));
         quantized = std::move(q).value();
         break;
       }

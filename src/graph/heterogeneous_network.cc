@@ -98,15 +98,10 @@ void HeterogeneousNetwork::ClearFriendEdges() {
 CsrMatrix HeterogeneousNetwork::AdjacencyCsr(EdgeType type) const {
   const std::size_t rows = NumNodes(EdgeSourceType(type));
   const std::size_t cols = NumNodes(EdgeDestType(type));
-  const std::size_t e = static_cast<std::size_t>(type);
   // The adjacency store may lag the node count (nodes without edges);
-  // pad with empty rows.
-  std::vector<std::vector<std::size_t>> lists(rows);
-  const std::size_t stored = std::min(rows, adjacency_[e].size());
-  for (std::size_t src = 0; src < stored; ++src) {
-    lists[src] = adjacency_[e][src];
-  }
-  return CsrMatrix::FromSortedLists(lists, cols);
+  // the missing rows are empty.
+  return CsrMatrix::FromSortedLists(
+      rows, cols, adjacency_[static_cast<std::size_t>(type)]);
 }
 
 std::string HeterogeneousNetwork::Summary() const {

@@ -76,7 +76,7 @@ Matrix SocialGraph::AdjacencyMatrix() const {
 }
 
 CsrMatrix SocialGraph::AdjacencyCsr() const {
-  return CsrMatrix::FromSortedLists(adjacency_, num_users());
+  return CsrMatrix::FromSortedLists(num_users(), num_users(), adjacency_);
 }
 
 double SocialGraph::Density() const {

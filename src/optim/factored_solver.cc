@@ -25,7 +25,8 @@ constexpr std::uint64_t kSketchSeed = 0x5eedULL;
 
 // The half-step operator T = su·(U·Vᵀ) + sz·Z + oc·(1·1ᵀ), applied to
 // dense blocks without materialising any n×n matrix. `s` may be null
-// (no low-rank term); `z` is the sparse part.
+// (no low-rank term); `z` is the sparse part, symmetric (2A + G, or A),
+// so Zᵀ·x is computed as Z·x.
 struct HalfStepOp {
   const FactoredMatrix* s = nullptr;
   double su = 0.0;
@@ -37,7 +38,7 @@ struct HalfStepOp {
   Matrix Apply(const Matrix& x, bool transpose) const {
     Matrix out(n, x.cols());
     if (z != nullptr && sz != 0.0) {
-      out = transpose ? z->MultiplyTransposeDense(x) : z->MultiplyDense(x);
+      out = z->MultiplyDense(x);
       out *= sz;
     }
     if (s != nullptr && su != 0.0 && s->rank() > 0) {
@@ -262,8 +263,8 @@ Result<FactoredMatrix> FactoredApproximation(
       RangeFinder(op, sketch, Matrix(), kColdPowerIterations, kSketchSeed);
   if (q.cols() == 0) return FactoredMatrix::Zero(a.rows(), a.cols());
   // S⁰ = Q·(AᵀQ)ᵀ = Q·Qᵀ·A — the best approximation of A inside the
-  // sketched subspace.
-  return FactoredMatrix(std::move(q), a.MultiplyTransposeDense(q));
+  // sketched subspace; A is symmetric, so AᵀQ = A·Q.
+  return FactoredMatrix(std::move(q), a.MultiplyDense(q));
 }
 
 Result<FactoredMatrix> GeneralizedForwardBackwardFactored(

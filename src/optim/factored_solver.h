@@ -46,7 +46,9 @@ namespace slampred {
 
 /// Problem data of a factored solve. Identical to Objective except the
 /// constant CCCP gradient G stays in CSR — densifying it would cost the
-/// n² bytes the factored backend exists to avoid.
+/// n² bytes the factored backend exists to avoid. Both matrices are
+/// symmetric, as the fit builds them: the solver applies Z = 2A + G in
+/// place of Zᵀ.
 struct FactoredObjective {
   CsrMatrix a;       ///< Observed (training) adjacency Aᵗ.
   CsrMatrix grad_v;  ///< Constant CCCP gradient G of the intimacy terms.
@@ -72,9 +74,10 @@ Result<FactoredMatrix> GuardedFactoredProxNuclear(
 /// as Z is built.
 CsrMatrix HalfStepSparsePart(const CsrMatrix& a, CsrMatrix g);
 
-/// Best rank-(rank+oversampling) approximation of the CSR matrix `a`
-/// via the randomized range finder — the factored solve's S⁰ ≈ Aᵗ
-/// (line 1 of Algorithm 1). Deterministic: the sketch seed is fixed.
+/// Best rank-(rank+oversampling) approximation of the symmetric CSR
+/// matrix `a` via the randomized range finder — the factored solve's
+/// S⁰ ≈ Aᵗ (line 1 of Algorithm 1). Deterministic: the sketch seed is
+/// fixed.
 Result<FactoredMatrix> FactoredApproximation(const CsrMatrix& a,
                                              const FactoredSolverOptions& options);
 

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -897,6 +898,97 @@ TEST(QuantizedArtifactRobustnessTest, CraftedCountsFailCleanly) {
     EXPECT_EQ(result.status().code(), StatusCode::kIoError)
         << c.what << ": " << result.status().ToString();
   }
+}
+
+// Replaces the payload of the first section `id` (its size and CRC
+// rewritten to match), or appends a section `id` holding `payload` to a
+// stream that has none.
+std::string SpliceSection(std::string bytes, std::uint32_t id,
+                          const std::string& payload) {
+  std::string section;
+  auto append = [&section](std::uint64_t value, std::size_t width) {
+    for (std::size_t b = 0; b < width; ++b) {
+      section.push_back(static_cast<char>((value >> (8 * b)) & 0xFF));
+    }
+  };
+  append(id, 4);
+  append(payload.size(), 8);
+  section += payload;
+  append(Crc32(payload.data(), payload.size()), 4);
+  const auto [begin, size] = FindSectionPayload(bytes, id);
+  if (begin == std::string::npos) {
+    bytes[12] = static_cast<char>(bytes[12] + 1);
+    return bytes + section;
+  }
+  return bytes.replace(begin - 12, 12 + size + 4, section);
+}
+
+// Little-endian u64 words, the layout of every count in the format.
+std::string U64Words(std::initializer_list<std::uint64_t> words) {
+  std::string out;
+  for (const std::uint64_t word : words) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      out.push_back(static_cast<char>((word >> (8 * b)) & 0xFF));
+    }
+  }
+  return out;
+}
+
+TEST(ArtifactRobustnessTest, BoundaryNnzThatWrapsTheBoundFailsCleanly) {
+  // A 1x1 boundary CSR claiming 2^63 entries: rows + 1 + 2·nnz wraps to
+  // 2 words, which the two row pointers satisfy, and the column array
+  // it then sized threw std::length_error out of the loader.
+  constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+  const std::string corrupt =
+      SpliceSection(SerializeModelArtifact(ValidShardedArtifact()),
+                    /*id=*/7, U64Words({1, 1, k63, 0, k63}));
+  const auto result = DeserializeModelArtifact(corrupt);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("csr payload"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(ArtifactRobustnessTest, TensorDimsSizeNothingBeforeTheirSlices) {
+  // A lone adapted-tensor section holding dims (0, 2^40, 1): no slice
+  // follows, yet the loader built a 2^40-row prototype slice and threw
+  // std::bad_alloc. Now the stream is only missing its score sections.
+  constexpr std::uint64_t k40 = std::uint64_t{1} << 40;
+  const std::string valid = ValidArtifactBytes();
+  std::string header = valid.substr(0, 16);
+  header[12] = header[13] = header[14] = header[15] = 0;  // No sections.
+  const auto lone = DeserializeModelArtifact(
+      SpliceSection(header, /*id=*/3, U64Words({1, 0, k40, 1})));
+  ASSERT_FALSE(lone.ok());
+  EXPECT_EQ(lone.status().code(), StatusCode::kIoError);
+  EXPECT_NE(lone.status().message().find("missing a required section"),
+            std::string::npos)
+      << lone.status().ToString();
+
+  // The same dim1 on the valid tensor (2 slices of 4x4; the payload
+  // starts with the tensor count, then dim0, dim1): the first slice's
+  // own shape refutes it.
+  const auto patched = DeserializeModelArtifact(PatchPayloadWithValidCrc(
+      valid, /*id=*/3, /*payload_offset=*/16, &k40, sizeof(k40)));
+  ASSERT_FALSE(patched.ok());
+  EXPECT_EQ(patched.status().code(), StatusCode::kIoError);
+  EXPECT_NE(patched.status().message().find("tensor slice 0 has shape"),
+            std::string::npos)
+      << patched.status().ToString();
+}
+
+TEST(ArtifactRobustnessTest, FactoredUserCountOverTheCapFailsCleanly) {
+  // Two (2^64 − 1)x0 factors hold no bytes, so they loaded as a model
+  // of 2^64 − 1 users that quantize and serve-bench then tried to size.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const auto result = DeserializeModelArtifact(
+      SpliceSection(ValidFactoredArtifactBytes(), kLowRankSectionId,
+                    U64Words({kMax, 0, kMax, 0})));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+  EXPECT_NE(result.status().message().find("more than the cap"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(QuantizedArtifactRobustnessTest, ManifestUserCountMustMatchItsShards) {

@@ -233,6 +233,59 @@ INSTANTIATE_TEST_SUITE_P(
         EmbeddingCase{"Homogeneous", SlamPredHomogeneousConfig(),
                       /*strip_anchors=*/false, /*transfers=*/false}));
 
+// G = Σ weighted slice sums of symmetric maps is symmetric bit for bit
+// (each entry's terms arrive in the same order from either side), which
+// lets the factored solver apply Z = 2A + G in place of Zᵀ. Pinned on
+// the default `generate` bundle, the fit-paper population (with and
+// without Theorem-1 adaptation) and an n=1500 scale-out bundle.
+TEST(EmbeddingStageSymmetryTest, GradientIsBitwiseSymmetric) {
+  struct Bundle {
+    const char* name;
+    AlignedNetworks networks;
+    SlamPredConfig config;
+  };
+  std::vector<Bundle> bundles;
+  auto aligned = [](std::size_t personas) {
+    AlignedGeneratorConfig config = DefaultExperimentConfig(42);
+    if (personas > 0) config.population.num_personas = personas;
+    auto gen = GenerateAligned(config);
+    EXPECT_TRUE(gen.ok()) << gen.status().ToString();
+    return std::move(gen).value().networks;
+  };
+  SlamPredConfig passthrough;
+  passthrough.domain_adaptation = false;
+  bundles.push_back({"generate", aligned(0), SlamPredConfig{}});
+  bundles.push_back({"fit-paper", aligned(800), SlamPredConfig{}});
+  bundles.push_back({"fit-paper passthrough", aligned(800), passthrough});
+  ScaleOutConfig scale_out;
+  scale_out.num_users = 1500;
+  auto gen = GenerateAlignedScaleOut(scale_out);
+  ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+  bundles.push_back(
+      {"scale-out", std::move(gen).value().networks, SlamPredConfig{}});
+
+  for (const Bundle& bundle : bundles) {
+    const SocialGraph structure =
+        SocialGraph::FromHeterogeneousNetwork(bundle.networks.target());
+    FitContext context;
+    context.networks = &bundle.networks;
+    context.target_structure = &structure;
+    ASSERT_TRUE(FeatureStage(bundle.config).Run(context).ok()) << bundle.name;
+    ASSERT_TRUE(EmbeddingStage(bundle.config).Run(context).ok())
+        << bundle.name;
+    const CsrMatrix& g = context.intimacy_gradient;
+    ASSERT_GT(g.nnz(), 0u) << bundle.name;
+    const CsrMatrix gt = g.Transposed();
+    EXPECT_EQ(g.row_ptr(), gt.row_ptr()) << bundle.name;
+    EXPECT_EQ(g.col_idx(), gt.col_idx()) << bundle.name;
+    ASSERT_EQ(g.values().size(), gt.values().size()) << bundle.name;
+    EXPECT_EQ(std::memcmp(g.values().data(), gt.values().data(),
+                          g.values().size() * sizeof(double)),
+              0)
+        << bundle.name;
+  }
+}
+
 TEST_F(FitPipelineTest, StagesRunIndividuallyOnASharedContext) {
   const SlamPredConfig config = FastConfig();
   FitContext context = MakeContext();

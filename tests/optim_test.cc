@@ -153,7 +153,7 @@ TEST(ObjectiveTest, SmoothGradientMatchesFiniteDifference) {
 
 TEST(ObjectiveTest, FullObjectiveValueComposition) {
   Objective objective;
-  objective.a = CsrMatrix::Identity(2);
+  objective.a = CsrMatrix::FromDense(Matrix::Identity(2));
   objective.grad_v = Matrix(2, 2);
   objective.gamma = 1.0;
   objective.tau = 1.0;
@@ -212,7 +212,7 @@ TEST(ForwardBackwardTest, ProjectionKeepsUnitBox) {
 
 TEST(ForwardBackwardTest, TraceRecordsIterations) {
   Objective objective;
-  objective.a = CsrMatrix::Identity(3);
+  objective.a = CsrMatrix::FromDense(Matrix::Identity(3));
   objective.grad_v = Matrix(3, 3);
   objective.gamma = 0.1;
   objective.tau = 0.1;

@@ -320,11 +320,8 @@ TEST(ParallelDeterminismTest, FeatureTensorEndToEnd) {
 
 TEST(ParallelDeterminismTest, SparseMatrixKernels) {
   const CsrMatrix a = CsrMatrix::FromDense(RandomMatrix(kN, kN, 31));
-  const CsrMatrix b = CsrMatrix::FromDense(RandomMatrix(kN, kN, 32));
   const Matrix d = RandomMatrix(kN, kN, 33);
-  CheckMatrixInvariance([&] { return a.MultiplySparse(b).ToDense(); });
   CheckMatrixInvariance([&] { return a.MultiplyDense(d); });
-  CheckMatrixInvariance([&] { return a.MultiplyTransposeDense(d); });
 }
 
 TEST(ParallelDeterminismTest, StructuralFeatureMapsCsr) {

@@ -78,23 +78,6 @@ TEST(CsrMatrixTest, FromDenseRoundTrip) {
   EXPECT_EQ(sparse.ToDense(), dense);
 }
 
-TEST(CsrMatrixTest, MultiplyMatchesDense) {
-  Rng rng(3);
-  Matrix dense = Matrix::RandomGaussian(5, 7, rng);
-  // Sparsify.
-  for (double& v : dense.data()) {
-    if (v < 0.5) v = 0.0;
-  }
-  const CsrMatrix sparse = CsrMatrix::FromDense(dense);
-  Vector x(7);
-  for (std::size_t i = 0; i < 7; ++i) x[i] = static_cast<double>(i) - 3.0;
-  EXPECT_LT((sparse.Multiply(x) - dense * x).NormInf(), 1e-12);
-  Vector y(5);
-  for (std::size_t i = 0; i < 5; ++i) y[i] = static_cast<double>(i);
-  EXPECT_LT((sparse.MultiplyTranspose(y) - dense.Transposed() * y).NormInf(),
-            1e-12);
-}
-
 TEST(CsrMatrixTest, DenseProductsMatch) {
   Rng rng(5);
   Matrix dense = Matrix::RandomGaussian(4, 6, rng);
@@ -104,10 +87,6 @@ TEST(CsrMatrixTest, DenseProductsMatch) {
   const CsrMatrix sparse = CsrMatrix::FromDense(dense);
   const Matrix b = Matrix::RandomGaussian(6, 3, rng);
   EXPECT_LT((sparse.MultiplyDense(b) - dense * b).MaxAbs(), 1e-12);
-  const Matrix c = Matrix::RandomGaussian(4, 2, rng);
-  EXPECT_LT(
-      (sparse.MultiplyTransposeDense(c) - dense.Transposed() * c).MaxAbs(),
-      1e-12);
 }
 
 TEST(CsrMatrixTest, RowSums) {
@@ -131,19 +110,12 @@ TEST(CsrMatrixTest, AddAndScale) {
   const CsrMatrix sum = a.AddScaled(b, 1.0);
   EXPECT_DOUBLE_EQ(sum.At(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(sum.At(1, 0), 3.0);
-  EXPECT_DOUBLE_EQ(sum.Sum(), 6.0);
+  EXPECT_EQ(sum.nnz(), 2u);
   const CsrMatrix zero = CsrMatrix::FromTriplets(2, 2, {});
   const CsrMatrix scaled = zero.AddScaled(sum, 0.5);
   EXPECT_DOUBLE_EQ(scaled.At(1, 0), 1.5);
   // A sum that cancels to an exact zero is not stored.
   EXPECT_EQ(sum.AddScaled(b, -1.0).nnz(), 1u);
-}
-
-TEST(CsrMatrixTest, IdentityBehaves) {
-  const CsrMatrix eye = CsrMatrix::Identity(4);
-  Vector x{1.0, 2.0, 3.0, 4.0};
-  EXPECT_EQ(eye.Multiply(x), x);
-  EXPECT_EQ(eye.nnz(), 4u);
 }
 
 TEST(CsrMatrixTest, EmptyMatrix) {
